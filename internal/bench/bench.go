@@ -43,6 +43,10 @@ type Table struct {
 	Columns []string
 	// Rows are the result rows, one string per column.
 	Rows [][]string
+	// Result is the machine-readable form of the run, for the experiments
+	// that have one. Running an experiment never writes it anywhere:
+	// `raybench -persist` hands it to Persist.
+	Result *Result
 }
 
 // AddRow appends a formatted row.

@@ -21,8 +21,8 @@ import (
 // must finish — the gap is in resident/spilled bytes and latency, not in
 // completion.
 //
-// The run's numbers are persisted to BENCH_larger_than_memory.json at the
-// repository root.
+// `raybench -persist` writes the run's numbers to
+// BENCH_larger_than_memory.json at the repository root.
 func LargerThanMemory(scale Scale) (*Table, error) {
 	storeBytes := int64(256 << 10) // per node; 4 nodes → 1 MiB aggregate
 	objectSize := 32 << 10
@@ -77,10 +77,7 @@ func LargerThanMemory(scale Scale) (*Table, error) {
 		})
 	}
 
-	// Best-effort persistence: running outside the repo checkout (e.g. an
-	// installed binary) just skips the file.
-	//lint:ignore errdrop benchmark result persistence is best-effort; the numbers were already printed to stdout
-	_ = Persist(Result{
+	table.Result = &Result{
 		Experiment: "larger_than_memory",
 		Config: map[string]any{
 			"nodes":                    nodes,
@@ -95,7 +92,7 @@ func LargerThanMemory(scale Scale) (*Table, error) {
 		P50Millis:      primary.p50Millis,
 		P99Millis:      primary.p99Millis,
 		Rows:           rows,
-	})
+	}
 	return table, nil
 }
 

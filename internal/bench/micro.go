@@ -245,10 +245,7 @@ func ThroughputBatched(scale Scale) (*Table, error) {
 			"speedup_vs_unbatched": throughput / base,
 		})
 	}
-	// Best-effort persistence: running outside the repo checkout (e.g. an
-	// installed binary) just skips the file.
-	//lint:ignore errdrop benchmark result persistence is best-effort; the numbers were already printed to stdout
-	_ = Persist(Result{
+	table.Result = &Result{
 		Experiment: "throughput_batched",
 		Config: map[string]any{
 			"nodes":          nodes,
@@ -260,7 +257,7 @@ func ThroughputBatched(scale Scale) (*Table, error) {
 		Throughput:     primary,
 		ThroughputUnit: "tasks/s",
 		Rows:           rows,
-	})
+	}
 	return table, nil
 }
 

@@ -7,10 +7,11 @@ import (
 	"path/filepath"
 )
 
-// Result is the machine-readable form of one experiment run, persisted as
-// BENCH_<experiment>.json at the repository root so runs are comparable
-// across commits. Throughput and latency describe the experiment's primary
-// configuration; Rows carries every variant (ablations included).
+// Result is the machine-readable form of one experiment run, which
+// `raybench -persist` writes as BENCH_<experiment>.json at the repository
+// root so runs are comparable across commits. Throughput and latency describe
+// the experiment's primary configuration; Rows carries every variant
+// (ablations included).
 type Result struct {
 	// Experiment is the registry identifier (e.g. "larger_than_memory").
 	Experiment string `json:"experiment"`
@@ -30,7 +31,7 @@ type Result struct {
 
 // Persist writes the result to BENCH_<experiment>.json at the repository
 // root (found by walking up to go.mod). Outside a repo checkout it reports
-// an error; callers that treat persistence as best-effort may ignore it.
+// an error.
 func Persist(r Result) error {
 	root, err := repoRoot()
 	if err != nil {

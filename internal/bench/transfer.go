@@ -58,10 +58,7 @@ func TransferPipelining(scale Scale) (*Table, error) {
 			"speedup_vs_blocking": float64(base) / float64(mean),
 		})
 	}
-	// Best-effort persistence: running outside the repo checkout (e.g. an
-	// installed binary) just skips the file.
-	//lint:ignore errdrop benchmark result persistence is best-effort; the numbers were already printed to stdout
-	_ = Persist(Result{
+	table.Result = &Result{
 		Experiment: "transfer_pipelining",
 		Config: map[string]any{
 			"nodes":           3,
@@ -72,7 +69,7 @@ func TransferPipelining(scale Scale) (*Table, error) {
 		Throughput:     primaryMBps,
 		ThroughputUnit: "MB/s",
 		Rows:           rows,
-	})
+	}
 	return table, nil
 }
 

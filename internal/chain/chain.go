@@ -255,7 +255,8 @@ func (c *Chain) tryPut(ctx context.Context, key string, value []byte) error {
 }
 
 // Get reads key from the tail. On tail failure it reports the failure,
-// repairs the chain, and retries.
+// repairs the chain, and retries. The value is the replica's own copy (see
+// kv.Store.Get) and must not be modified.
 func (c *Chain) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		if err := ctx.Err(); err != nil {

@@ -134,12 +134,16 @@ type Cluster struct {
 	reconstructedA   atomic.Int64
 	objectsReclaimed atomic.Int64
 
-	// pendingWithdraw holds object locations whose GCS withdrawal failed
-	// after the replica was already deleted from a store (reclamation and
-	// job-exit cleanup). A stale location points consumers at deleted data,
-	// so the heartbeat aggregator retries these until they commit.
+	// pendingWithdraw holds the object locations reclamation and job-exit
+	// cleanup could not finish with, for the heartbeat aggregator to retry
+	// until they commit. The value tells the two cases apart. False: the
+	// replica was deleted but the GCS withdrawal failed, and the stale
+	// location points consumers at deleted data. True: the store refused the
+	// delete because a running task still pins the replica, so replica and
+	// location both remain and the retry has to delete the one before it
+	// withdraws the other.
 	withdrawMu      sync.Mutex
-	pendingWithdraw map[withdrawal]struct{} //guard:by withdrawMu
+	pendingWithdraw map[withdrawal]bool //guard:by withdrawMu
 }
 
 // withdrawal identifies one (object, node) location entry awaiting removal.
@@ -746,38 +750,48 @@ func (c *Cluster) StopJobActors(ctx context.Context, jobID types.JobID) int {
 	return stopped
 }
 
-// noteFailedWithdrawal parks an object location whose GCS withdrawal failed
-// after the replica was deleted, for retry by the heartbeat aggregator.
-func (c *Cluster) noteFailedWithdrawal(obj types.ObjectID, nodeID types.NodeID) {
+// noteFailedWithdrawal parks an object location for retry by the heartbeat
+// aggregator: its GCS withdrawal failed after the replica was deleted, or
+// (pinned) the store refused to delete the replica in the first place.
+func (c *Cluster) noteFailedWithdrawal(obj types.ObjectID, nodeID types.NodeID, pinned bool) {
 	c.withdrawMu.Lock()
 	if c.pendingWithdraw == nil {
-		c.pendingWithdraw = make(map[withdrawal]struct{})
+		c.pendingWithdraw = make(map[withdrawal]bool)
 	}
-	c.pendingWithdraw[withdrawal{obj: obj, node: nodeID}] = struct{}{}
+	c.pendingWithdraw[withdrawal{obj: obj, node: nodeID}] = pinned
 	c.withdrawMu.Unlock()
 }
 
-// retryWithdrawals re-attempts parked location withdrawals so a transient
-// GCS failure during reclamation cannot leave the object directory pointing
-// at deleted replicas forever. A withdrawal becomes stale — and is dropped —
-// if the node has meanwhile re-fetched the object: the location is valid
-// again and must stay.
+// retryWithdrawals re-attempts parked location withdrawals so neither a
+// transient GCS failure during reclamation nor a pin held at that moment can
+// leave a replica or its directory entry behind forever. A withdrawal whose
+// replica was deleted becomes stale — and is dropped — if the node has
+// meanwhile re-fetched the object: the location is valid again and must
+// stay. One parked on a pinned replica deletes the replica first, and waits
+// for a later tick while the pin holds.
 func (c *Cluster) retryWithdrawals(ctx context.Context) {
 	c.withdrawMu.Lock()
 	if len(c.pendingWithdraw) == 0 {
 		c.withdrawMu.Unlock()
 		return
 	}
-	pending := make([]withdrawal, 0, len(c.pendingWithdraw))
-	for w := range c.pendingWithdraw {
-		pending = append(pending, w)
+	pending := make(map[withdrawal]bool, len(c.pendingWithdraw))
+	for w, pinned := range c.pendingWithdraw {
+		pending[w] = pinned
 	}
 	c.withdrawMu.Unlock()
 
-	for _, w := range pending {
-		if nd := c.Node(w.node); nd != nil && !nd.Dead() && nd.Store().Contains(w.obj) {
-			c.clearWithdrawal(w)
-			continue
+	for w, pinned := range pending {
+		if nd := c.Node(w.node); nd != nil && !nd.Dead() {
+			switch {
+			case pinned && nd.Store().Delete(w.obj):
+				c.objectsReclaimed.Add(1)
+			case pinned && nd.Store().Contains(w.obj):
+				continue // still pinned: next tick
+			case nd.Store().Contains(w.obj):
+				c.clearWithdrawal(w) // re-fetched: the location is valid again
+				continue
+			}
 		}
 		if err := c.gcs.RemoveObjectLocation(ctx, w.obj, w.node); err == nil {
 			c.clearWithdrawal(w)
@@ -802,37 +816,53 @@ func (c *Cluster) PendingWithdrawals() int {
 // reclaimObject is the ownership ledger's reclaimer: an object's reference
 // count reached zero, so no live reference can name it again. Every store
 // copy (resident or spilled) is deleted and its GCS location withdrawn.
-// Copies pinned by a still-running task are left alone — the location stays
-// valid for the pin's duration and job-exit cleanup is the backstop for the
-// remainder. Objects that do not exist yet (count zeroed between submission
-// and execution) simply have no locations to withdraw; if the producing task
+// Objects that do not exist yet (count zeroed between submission and
+// execution) simply have no locations to withdraw; if the producing task
 // still runs, its output registers and lives until job GC.
 func (c *Cluster) reclaimObject(ctx context.Context, id types.ObjectID) {
 	entry, ok, err := c.gcs.GetObject(ctx, id)
 	if err != nil || !ok {
 		return
 	}
-	for _, nodeID := range entry.Locations {
+	c.objectsReclaimed.Add(int64(c.dropReplicas(ctx, id, entry.Locations)))
+}
+
+// dropReplicas deletes the object's copy from every live node in locations
+// and withdraws the deleted copies' locations from the directory in one
+// write; it returns how many copies it deleted. A copy pinned by a
+// still-running task cannot be deleted yet: its location stays valid for the
+// pin's duration and the pair is parked for the heartbeat retry, which
+// deletes and withdraws it once the task has let go.
+func (c *Cluster) dropReplicas(ctx context.Context, id types.ObjectID, locations []types.NodeID) int {
+	deleted := make([]types.NodeID, 0, len(locations))
+	for _, nodeID := range locations {
 		nd := c.Node(nodeID)
 		if nd == nil || nd.Dead() {
 			continue
 		}
 		if nd.Store().Delete(id) {
-			c.objectsReclaimed.Add(1)
-			if err := c.gcs.RemoveObjectLocation(ctx, id, nodeID); err != nil {
-				c.noteFailedWithdrawal(id, nodeID)
-			}
+			deleted = append(deleted, nodeID)
+		} else if nd.Store().Contains(id) {
+			c.noteFailedWithdrawal(id, nodeID, true)
 		}
 	}
+	if len(deleted) == 0 {
+		return 0
+	}
+	if err := c.gcs.RemoveObjectLocation(ctx, id, deleted...); err != nil {
+		for _, nodeID := range deleted {
+			c.noteFailedWithdrawal(id, nodeID, false)
+		}
+	}
+	return len(deleted)
 }
 
 // ReleaseJobObjects implements job.Hooks: every replica of every object the
 // job's tasks produced is dropped from the stores and its location withdrawn
 // from the object table. The GCS ownership index makes this O(the job's
 // objects), not a scan of every resident object in the cluster. Replicas
-// pinned by a still-running task are skipped (the run is ending under a
-// cancelled context; its unpin releases them to normal eviction). Other
-// jobs' objects are untouched.
+// pinned by a still-running task (the run is ending under a cancelled
+// context) follow once it unpins them. Other jobs' objects are untouched.
 func (c *Cluster) ReleaseJobObjects(ctx context.Context, jobID types.JobID) int {
 	released := 0
 	owned := c.gcs.ObjectsForJob(jobID)
@@ -841,18 +871,7 @@ func (c *Cluster) ReleaseJobObjects(ctx context.Context, jobID types.JobID) int 
 		if err != nil || !ok || entry.Job != jobID {
 			continue
 		}
-		for _, nodeID := range entry.Locations {
-			nd := c.Node(nodeID)
-			if nd == nil || nd.Dead() {
-				continue
-			}
-			if nd.Store().Delete(objID) {
-				if err := c.gcs.RemoveObjectLocation(ctx, objID, nodeID); err != nil {
-					c.noteFailedWithdrawal(objID, nodeID)
-				}
-				released++
-			}
-		}
+		released += c.dropReplicas(ctx, objID, entry.Locations)
 	}
 	// Purge any ledger entries the job leaked (references its driver still
 	// held, fire-and-forget futures): the backstop behind eager reclamation.

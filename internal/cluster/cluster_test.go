@@ -350,7 +350,7 @@ func TestWithdrawalRetry(t *testing.T) {
 	if err := c.GCS().AddObjectLocation(ctx, obj, n.ID(), 8, types.NewTaskID(), types.NilJobID); err != nil {
 		t.Fatal(err)
 	}
-	c.noteFailedWithdrawal(obj, n.ID())
+	c.noteFailedWithdrawal(obj, n.ID(), false)
 	if got := c.PendingWithdrawals(); got != 1 {
 		t.Fatalf("PendingWithdrawals = %d, want 1", got)
 	}
@@ -383,7 +383,7 @@ func TestWithdrawalRetrySkipsRefetchedObject(t *testing.T) {
 	if err := c.GCS().AddObjectLocation(ctx, obj, n.ID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
 		t.Fatal(err)
 	}
-	c.noteFailedWithdrawal(obj, n.ID())
+	c.noteFailedWithdrawal(obj, n.ID(), false)
 
 	c.retryWithdrawals(ctx)
 
@@ -396,5 +396,70 @@ func TestWithdrawalRetrySkipsRefetchedObject(t *testing.T) {
 	}
 	if len(entry.Locations) != 1 || entry.Locations[0] != n.ID() {
 		t.Fatalf("valid location withdrawn for resident object: %v", entry.Locations)
+	}
+}
+
+// A replica pinned by a running task when its object's last reference dies
+// cannot be deleted on the spot. Reclamation must park it — replica and
+// location stay while the pin holds — and the heartbeat retry must finish
+// the job once the task lets go, instead of the pair leaking until job exit.
+func TestReclaimParksPinnedReplica(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	c := newTestCluster(t, cfg)
+	ctx := context.Background()
+	pinnedOn, other := c.AliveNodes()[0], c.AliveNodes()[1]
+
+	obj := types.NewObjectID()
+	for _, n := range []*node.Node{pinnedOn, other} {
+		if err := n.ObjectManager().Put(ctx, obj, []byte("payload"), false, types.NewTaskID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !pinnedOn.Store().Pin(obj) {
+		t.Fatal("pin failed")
+	}
+
+	c.reclaimObject(ctx, obj)
+
+	if other.Store().Contains(obj) {
+		t.Fatal("unpinned replica survived reclamation")
+	}
+	if !pinnedOn.Store().Contains(obj) {
+		t.Fatal("pinned replica was deleted under its task")
+	}
+	entry, ok, err := c.GCS().GetObject(ctx, obj)
+	if err != nil || !ok {
+		t.Fatalf("object entry missing: ok=%v err=%v", ok, err)
+	}
+	if len(entry.Locations) != 1 || entry.Locations[0] != pinnedOn.ID() {
+		t.Fatalf("locations after reclaim = %v, want only the pinned replica's", entry.Locations)
+	}
+	if got := c.PendingWithdrawals(); got != 1 {
+		t.Fatalf("PendingWithdrawals = %d, want the pinned replica parked", got)
+	}
+
+	// Still pinned at the next tick: nothing changes.
+	c.retryWithdrawals(ctx)
+	if !pinnedOn.Store().Contains(obj) || c.PendingWithdrawals() != 1 {
+		t.Fatal("retry did not wait for the pin")
+	}
+
+	pinnedOn.Store().Unpin(obj)
+	c.retryWithdrawals(ctx)
+
+	if pinnedOn.Store().Contains(obj) {
+		t.Fatal("replica survived the retry after its pin was released")
+	}
+	if entry, ok, err := c.GCS().GetObject(ctx, obj); err != nil {
+		t.Fatal(err)
+	} else if ok && len(entry.Locations) != 0 {
+		t.Fatalf("location survived the retry: %v", entry.Locations)
+	}
+	if got := c.PendingWithdrawals(); got != 0 {
+		t.Fatalf("PendingWithdrawals after retry = %d, want 0", got)
+	}
+	if got := c.Stats().ObjectsReclaimed; got != 2 {
+		t.Fatalf("ObjectsReclaimed = %d, want both replicas counted", got)
 	}
 }

@@ -1,32 +1,86 @@
 // Package codec serializes Go values into the immutable byte buffers stored
 // in the distributed object store. Ray proper uses Apache Arrow; here we use
 // encoding/gob (stdlib) behind a small API so applications never touch the
-// encoding directly, plus fast paths for the bulk numeric payloads the
-// machine-learning workloads move around (float32/float64 slices), for which
-// gob's reflection overhead would distort the data-plane benchmarks.
+// encoding directly, plus fast paths for the payloads the hot paths move:
+// scalars (every empty-task result and most small arguments) and the bulk
+// numeric slices of the machine-learning workloads, for which gob's
+// per-call encoder set-up and reflection would dominate the cost.
 package codec
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 )
 
-// Type tags distinguishing the fast paths from the generic gob encoding.
+// Type tags: the first byte of every payload. Tags are append-only; a tag's
+// meaning never changes, so payloads written by an older encoder (which sent
+// scalars through gob) still decode.
 const (
-	tagGob     byte = 0
-	tagFloat64 byte = 1
-	tagFloat32 byte = 2
-	tagBytes   byte = 3
-	tagString  byte = 4
+	tagGob     byte = 0 // gob stream: structs, maps, named types, everything else
+	tagFloat64 byte = 1 // []float64, 8 bytes little-endian each
+	tagFloat32 byte = 2 // []float32, 4 bytes little-endian each
+	tagBytes   byte = 3 // []byte, verbatim
+	tagString  byte = 4 // string, verbatim
+	tagBool    byte = 5 // bool, one byte 0/1
+	tagInt     byte = 6 // int, int8..int64: 8 bytes little-endian two's complement
+	tagUint    byte = 7 // uint, uint8..uint64: 8 bytes little-endian
+	tagFloat   byte = 8 // float32, float64: 8 bytes little-endian IEEE 754 double
 )
 
-// Encode serializes a value. []float64, []float32, []byte and string use
-// compact fast paths; everything else goes through gob.
+// ErrTypeMismatch reports (wrapped) that a payload's tag does not fit the
+// destination handed to Decode, or that the value overflows it.
+var ErrTypeMismatch = errors.New("codec: destination does not fit payload")
+
+// ErrCorrupt reports (wrapped) input no encoder wrote: an unknown tag, a
+// payload whose length contradicts its tag, a record that ends mid-field.
+var ErrCorrupt = errors.New("codec: corrupt payload")
+
+func scalar(tag byte, bits uint64) []byte {
+	out := make([]byte, 9)
+	out[0] = tag
+	binary.LittleEndian.PutUint64(out[1:], bits)
+	return out
+}
+
+// Encode serializes a value. Scalars of the built-in bool, integer and float
+// types, []float64, []float32, []byte and string use compact tagged
+// encodings; everything else goes through gob.
 func Encode(v any) ([]byte, error) {
 	switch x := v.(type) {
+	case bool:
+		out := []byte{tagBool, 0}
+		if x {
+			out[1] = 1
+		}
+		return out, nil
+	case int:
+		return scalar(tagInt, uint64(x)), nil
+	case int8:
+		return scalar(tagInt, uint64(x)), nil
+	case int16:
+		return scalar(tagInt, uint64(x)), nil
+	case int32:
+		return scalar(tagInt, uint64(x)), nil
+	case int64:
+		return scalar(tagInt, uint64(x)), nil
+	case uint:
+		return scalar(tagUint, uint64(x)), nil
+	case uint8:
+		return scalar(tagUint, uint64(x)), nil
+	case uint16:
+		return scalar(tagUint, uint64(x)), nil
+	case uint32:
+		return scalar(tagUint, uint64(x)), nil
+	case uint64:
+		return scalar(tagUint, x), nil
+	case float32:
+		return scalar(tagFloat, math.Float64bits(float64(x))), nil
+	case float64:
+		return scalar(tagFloat, math.Float64bits(x)), nil
 	case []float64:
 		out := make([]byte, 1+8*len(x))
 		out[0] = tagFloat64
@@ -71,21 +125,61 @@ func MustEncode(v any) []byte {
 	return b
 }
 
+func mismatch(payload string, out any) error {
+	return fmt.Errorf("%w: payload is %s, destination is %T", ErrTypeMismatch, payload, out)
+}
+
+// storeInt assigns v to *p, refusing values the destination kind cannot hold
+// (the same rule gob applies when integer widths differ).
+func storeInt[T int | int8 | int16 | int32 | int64](p *T, v int64) error {
+	if int64(T(v)) != v {
+		return fmt.Errorf("%w: %d overflows %T", ErrTypeMismatch, v, *p)
+	}
+	*p = T(v)
+	return nil
+}
+
+func storeUint[T uint | uint8 | uint16 | uint32 | uint64](p *T, v uint64) error {
+	if uint64(T(v)) != v {
+		return fmt.Errorf("%w: %d overflows %T", ErrTypeMismatch, v, *p)
+	}
+	*p = T(v)
+	return nil
+}
+
 // Decode deserializes data produced by Encode into out, which must be a
-// pointer to a value of the encoded type.
+// pointer to a value of the encoded type. A scalar decodes into any
+// destination of its kind (signed, unsigned, float) wide enough to hold it,
+// as with gob. A destination of the wrong type yields an error wrapping
+// ErrTypeMismatch; a truncated or oversized payload one wrapping ErrCorrupt.
 func Decode(data []byte, out any) error {
 	if len(data) == 0 {
-		return fmt.Errorf("codec: empty payload")
+		return fmt.Errorf("%w: empty", ErrCorrupt)
 	}
 	tag, payload := data[0], data[1:]
 	switch tag {
+	case tagBool:
+		p, ok := out.(*bool)
+		if !ok {
+			return mismatch("bool", out)
+		}
+		if len(payload) != 1 || payload[0] > 1 {
+			return fmt.Errorf("%w: bool", ErrCorrupt)
+		}
+		*p = payload[0] == 1
+		return nil
+	case tagInt, tagUint, tagFloat:
+		if len(payload) != 8 {
+			return fmt.Errorf("%w: scalar of %d bytes", ErrCorrupt, len(payload))
+		}
+		return decodeScalar(tag, binary.LittleEndian.Uint64(payload), out)
 	case tagFloat64:
 		p, ok := out.(*[]float64)
 		if !ok {
-			return fmt.Errorf("codec: payload is []float64, destination is %T", out)
+			return mismatch("[]float64", out)
 		}
 		if len(payload)%8 != 0 {
-			return fmt.Errorf("codec: corrupt float64 payload")
+			return fmt.Errorf("%w: []float64 of %d bytes", ErrCorrupt, len(payload))
 		}
 		vals := make([]float64, len(payload)/8)
 		for i := range vals {
@@ -96,10 +190,10 @@ func Decode(data []byte, out any) error {
 	case tagFloat32:
 		p, ok := out.(*[]float32)
 		if !ok {
-			return fmt.Errorf("codec: payload is []float32, destination is %T", out)
+			return mismatch("[]float32", out)
 		}
 		if len(payload)%4 != 0 {
-			return fmt.Errorf("codec: corrupt float32 payload")
+			return fmt.Errorf("%w: []float32 of %d bytes", ErrCorrupt, len(payload))
 		}
 		vals := make([]float32, len(payload)/4)
 		for i := range vals {
@@ -110,14 +204,14 @@ func Decode(data []byte, out any) error {
 	case tagBytes:
 		p, ok := out.(*[]byte)
 		if !ok {
-			return fmt.Errorf("codec: payload is []byte, destination is %T", out)
+			return mismatch("[]byte", out)
 		}
 		*p = append([]byte(nil), payload...)
 		return nil
 	case tagString:
 		p, ok := out.(*string)
 		if !ok {
-			return fmt.Errorf("codec: payload is string, destination is %T", out)
+			return mismatch("string", out)
 		}
 		*p = string(payload)
 		return nil
@@ -127,6 +221,54 @@ func Decode(data []byte, out any) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("codec: unknown type tag %d", tag)
+		return fmt.Errorf("%w: unknown type tag %d", ErrCorrupt, tag)
+	}
+}
+
+func decodeScalar(tag byte, bits uint64, out any) error {
+	switch tag {
+	case tagInt:
+		v := int64(bits)
+		switch p := out.(type) {
+		case *int:
+			return storeInt(p, v)
+		case *int8:
+			return storeInt(p, v)
+		case *int16:
+			return storeInt(p, v)
+		case *int32:
+			return storeInt(p, v)
+		case *int64:
+			return storeInt(p, v)
+		}
+		return mismatch("a signed integer", out)
+	case tagUint:
+		switch p := out.(type) {
+		case *uint:
+			return storeUint(p, bits)
+		case *uint8:
+			return storeUint(p, bits)
+		case *uint16:
+			return storeUint(p, bits)
+		case *uint32:
+			return storeUint(p, bits)
+		case *uint64:
+			return storeUint(p, bits)
+		}
+		return mismatch("an unsigned integer", out)
+	default:
+		v := math.Float64frombits(bits)
+		switch p := out.(type) {
+		case *float64:
+			*p = v
+			return nil
+		case *float32:
+			if a := math.Abs(v); a > math.MaxFloat32 && !math.IsInf(v, 0) {
+				return fmt.Errorf("%w: %g overflows float32", ErrTypeMismatch, v)
+			}
+			*p = float32(v)
+			return nil
+		}
+		return mismatch("a float", out)
 	}
 }

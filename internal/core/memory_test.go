@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ray/internal/codec"
 )
@@ -267,5 +268,73 @@ func TestLineageReplayOnlyAfterMissingSpill(t *testing.T) {
 	}
 	if got := callsFor(sizeA); got < 2 {
 		t.Fatalf("producer of A ran %d times, want >= 2 (lineage replay after lost spill copy)", got)
+	}
+}
+
+// TestFreedInputOfRunningConsumerIsReclaimed frees a task's input while the
+// task is still inside Run. The last reference then dies with the task, in
+// its own completion path, and the replica and its directory entry must go
+// with it — directly: heartbeats are an hour apart here, so the withdrawal
+// retry that would eventually sweep up a refused delete never runs. Run with
+// -race (CI repeats it).
+func TestFreedInputOfRunningConsumerIsReclaimed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	cfg.HeartbeatInterval = time.Hour
+	rt, d := newBlobRuntime(t, cfg, nil)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	if err := rt.Register("hold_blob", "reports the payload's length once released", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+		started <- struct{}{}
+		<-release
+		var payload []byte
+		if err := codec.Decode(args[0], &payload); err != nil {
+			return nil, err
+		}
+		return [][]byte{codec.MustEncode(len(payload))}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const blobSize = 32 << 10
+	blob, err := d.Call1("make_blob", CallOptions{}, blobSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := d.Call1("hold_blob", CallOptions{}, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// The consumer is inside Run with the blob pinned; the driver lets go.
+	d.TaskContext.Free(blob)
+	close(release)
+	if got, err := Get[int](d.TaskContext, held); err != nil || got != blobSize {
+		t.Fatalf("hold_blob = %d, %v; want %d", got, err, blobSize)
+	}
+	d.TaskContext.Free(held)
+
+	c := rt.Cluster()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var resident int64
+		for _, n := range c.AliveNodes() {
+			resident += n.Store().Used()
+		}
+		entry, ok, err := c.GCS().GetObject(context.Background(), blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resident == 0 && (!ok || len(entry.Locations) == 0) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("freed input not reclaimed: %d bytes resident, locations %v, %d withdrawals parked",
+				resident, entry.Locations, c.PendingWithdrawals())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := c.PendingWithdrawals(); got != 0 {
+		t.Fatalf("%d withdrawals parked; the direct path should have needed none", got)
 	}
 }

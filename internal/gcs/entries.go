@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"time"
 
+	"ray/internal/codec"
 	"ray/internal/task"
 	"ray/internal/types"
 )
@@ -26,35 +28,40 @@ type ObjectEntry struct {
 	Job types.JobID
 }
 
+// objectEntryFixedLen is the encoded size of an entry with no locations:
+// size, creator, job, location count.
+const objectEntryFixedLen = 8 + 16 + 16 + 4
+
+// marshal encodes the entry into one exactly sized buffer.
 func (e *ObjectEntry) marshal() []byte {
-	var buf bytes.Buffer
-	writeU64(&buf, uint64(e.Size))
-	buf.Write(e.Creator[:])
-	buf.Write(e.Job[:])
-	writeU32(&buf, uint32(len(e.Locations)))
-	for _, n := range e.Locations {
-		buf.Write(n[:])
+	out := make([]byte, 0, objectEntryFixedLen+16*len(e.Locations))
+	out = binary.BigEndian.AppendUint64(out, uint64(e.Size))
+	out = append(out, e.Creator[:]...)
+	out = append(out, e.Job[:]...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(e.Locations)))
+	for i := range e.Locations {
+		out = append(out, e.Locations[i][:]...)
 	}
-	return buf.Bytes()
+	return out
 }
 
 func unmarshalObjectEntry(data []byte) (*ObjectEntry, error) {
-	if len(data) < 8+16+16+4 {
+	if len(data) < objectEntryFixedLen {
 		return nil, fmt.Errorf("gcs: truncated object entry (%d bytes)", len(data))
 	}
 	e := &ObjectEntry{Size: int64(binary.BigEndian.Uint64(data[:8]))}
 	copy(e.Creator[:], data[8:24])
 	copy(e.Job[:], data[24:40])
 	n := int(binary.BigEndian.Uint32(data[40:44]))
-	off := 44
-	if len(data) < off+16*n {
+	locs := data[objectEntryFixedLen:]
+	if len(locs)/16 < n {
 		return nil, fmt.Errorf("gcs: truncated object entry locations")
 	}
-	for i := 0; i < n; i++ {
-		var id types.NodeID
-		copy(id[:], data[off:off+16])
-		e.Locations = append(e.Locations, id)
-		off += 16
+	if n > 0 {
+		e.Locations = make([]types.NodeID, n)
+		for i := range e.Locations {
+			copy(e.Locations[i][:], locs[16*i:])
+		}
 	}
 	return e, nil
 }
@@ -79,29 +86,53 @@ type TaskEntry struct {
 	Node types.NodeID
 }
 
+// Task entry layout: status (1 byte), node (16), spec length (4), spec. The
+// mutable fields lead at fixed offsets so the flush predicate reads the
+// status, and UpdateTaskStatus rewrites status and node, without decoding
+// the spec behind them.
+const (
+	taskEntryNodeOff    = 1
+	taskEntrySpecLenOff = taskEntryNodeOff + 16
+	taskEntryFixedLen   = taskEntrySpecLenOff + 4
+)
+
+// marshal encodes the entry, spec included, into one exactly sized buffer.
 func (e *TaskEntry) marshal() []byte {
-	var buf bytes.Buffer
-	// Status is the first byte so flush predicates can read it without a
-	// full decode.
-	buf.WriteByte(byte(e.Status))
-	buf.Write(e.Node[:])
-	spec := e.Spec.Marshal()
-	writeU32(&buf, uint32(len(spec)))
-	buf.Write(spec)
-	return buf.Bytes()
+	n := e.Spec.EncodedLen()
+	out := make([]byte, 0, taskEntryFixedLen+n)
+	out = append(out, byte(e.Status))
+	out = append(out, e.Node[:]...)
+	out = binary.BigEndian.AppendUint32(out, uint32(n))
+	return e.Spec.AppendTo(out)
+}
+
+// patchTaskEntry returns a copy of an encoded entry with its status, and its
+// node unless that is nil, replaced: byte for byte what decoding the entry,
+// assigning the fields and re-encoding it would produce. The stored value is
+// shared with readers and replicas, so it is never patched in place.
+func patchTaskEntry(raw []byte, status types.TaskStatus, node types.NodeID) ([]byte, error) {
+	if len(raw) < taskEntryFixedLen {
+		return nil, fmt.Errorf("gcs: truncated task entry (%d bytes)", len(raw))
+	}
+	out := bytes.Clone(raw)
+	out[0] = byte(status)
+	if !node.IsNil() {
+		copy(out[taskEntryNodeOff:], node[:])
+	}
+	return out, nil
 }
 
 func unmarshalTaskEntry(data []byte) (*TaskEntry, error) {
-	if len(data) < 1+16+4 {
+	if len(data) < taskEntryFixedLen {
 		return nil, fmt.Errorf("gcs: truncated task entry (%d bytes)", len(data))
 	}
 	e := &TaskEntry{Status: types.TaskStatus(data[0])}
-	copy(e.Node[:], data[1:17])
-	n := int(binary.BigEndian.Uint32(data[17:21]))
-	if len(data) < 21+n {
+	copy(e.Node[:], data[taskEntryNodeOff:])
+	n := int(binary.BigEndian.Uint32(data[taskEntrySpecLenOff:]))
+	if len(data)-taskEntryFixedLen < n {
 		return nil, fmt.Errorf("gcs: truncated task entry spec")
 	}
-	spec, err := task.Unmarshal(data[21 : 21+n])
+	spec, err := task.Unmarshal(data[taskEntryFixedLen : taskEntryFixedLen+n])
 	if err != nil {
 		return nil, err
 	}
@@ -145,47 +176,37 @@ type ActorEntry struct {
 	CheckpointCounter int64
 }
 
+// actorEntryFixedLen is the encoded size of an entry with no checkpoint data.
+const actorEntryFixedLen = 1 + 16 + 16 + 16 + 8 + 16 + 4 + 8
+
 func (e *ActorEntry) marshal() []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(e.State))
-	buf.Write(e.Job[:])
-	buf.Write(e.Node[:])
-	buf.Write(e.CreationTask[:])
-	writeU64(&buf, uint64(e.ExecutedCounter))
-	buf.Write(e.LastTask[:])
-	writeU32(&buf, uint32(len(e.CheckpointData)))
-	buf.Write(e.CheckpointData)
-	writeU64(&buf, uint64(e.CheckpointCounter))
-	return buf.Bytes()
+	out := make([]byte, 0, actorEntryFixedLen+len(e.CheckpointData))
+	out = append(out, byte(e.State))
+	out = append(out, e.Job[:]...)
+	out = append(out, e.Node[:]...)
+	out = append(out, e.CreationTask[:]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(e.ExecutedCounter))
+	out = append(out, e.LastTask[:]...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(e.CheckpointData)))
+	out = append(out, e.CheckpointData...)
+	return binary.BigEndian.AppendUint64(out, uint64(e.CheckpointCounter))
 }
 
 func unmarshalActorEntry(data []byte) (*ActorEntry, error) {
-	const want = 1 + 16 + 16 + 16 + 8 + 16 + 4 + 8
-	if len(data) < want {
-		return nil, fmt.Errorf("gcs: truncated actor entry (%d bytes)", len(data))
+	r := codec.NewReader(data)
+	e := &ActorEntry{State: types.ActorState(r.Byte())}
+	r.ID((*[16]byte)(&e.Job))
+	r.ID((*[16]byte)(&e.Node))
+	r.ID((*[16]byte)(&e.CreationTask))
+	e.ExecutedCounter = int64(r.U64())
+	r.ID((*[16]byte)(&e.LastTask))
+	if data := r.Bytes(); len(data) > 0 {
+		e.CheckpointData = data
 	}
-	e := &ActorEntry{State: types.ActorState(data[0])}
-	off := 1
-	copy(e.Job[:], data[off:off+16])
-	off += 16
-	copy(e.Node[:], data[off:off+16])
-	off += 16
-	copy(e.CreationTask[:], data[off:off+16])
-	off += 16
-	e.ExecutedCounter = int64(binary.BigEndian.Uint64(data[off : off+8]))
-	off += 8
-	copy(e.LastTask[:], data[off:off+16])
-	off += 16
-	n := int(binary.BigEndian.Uint32(data[off : off+4]))
-	off += 4
-	if len(data) < off+n+8 {
-		return nil, fmt.Errorf("gcs: truncated actor entry checkpoint")
+	e.CheckpointCounter = int64(r.U64())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gcs: actor entry: %w", err)
 	}
-	if n > 0 {
-		e.CheckpointData = append([]byte(nil), data[off:off+n]...)
-	}
-	off += n
-	e.CheckpointCounter = int64(binary.BigEndian.Uint64(data[off : off+8]))
 	return e, nil
 }
 
@@ -221,33 +242,32 @@ func (e *NodeEntry) MemoryPressure() float64 {
 }
 
 func (e *NodeEntry) marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(e.ID[:])
-	buf.WriteByte(byte(e.State))
-	writeResourceMap(&buf, e.TotalResources)
-	writeResourceMap(&buf, e.AvailableResources)
-	writeU64(&buf, uint64(e.QueueLength))
-	writeU64(&buf, uint64(int64(e.AvgTaskMillis*1000)))
-	writeU64(&buf, uint64(e.HeartbeatUnixNano))
-	writeU64(&buf, uint64(e.MemoryUsed))
-	writeU64(&buf, uint64(e.MemoryCapacity))
-	return buf.Bytes()
+	out := make([]byte, 0, 128)
+	out = append(out, e.ID[:]...)
+	out = append(out, byte(e.State))
+	out = appendResourceMap(out, e.TotalResources)
+	out = appendResourceMap(out, e.AvailableResources)
+	out = binary.BigEndian.AppendUint64(out, uint64(e.QueueLength))
+	out = binary.BigEndian.AppendUint64(out, uint64(int64(e.AvgTaskMillis*1000)))
+	out = binary.BigEndian.AppendUint64(out, uint64(e.HeartbeatUnixNano))
+	out = binary.BigEndian.AppendUint64(out, uint64(e.MemoryUsed))
+	return binary.BigEndian.AppendUint64(out, uint64(e.MemoryCapacity))
 }
 
 func unmarshalNodeEntry(data []byte) (*NodeEntry, error) {
-	r := &entryReader{data: data}
+	r := codec.NewReader(data)
 	e := &NodeEntry{}
-	r.id((*[16]byte)(&e.ID))
-	e.State = types.NodeState(r.byte())
-	e.TotalResources = r.resourceMap()
-	e.AvailableResources = r.resourceMap()
-	e.QueueLength = int(r.u64())
-	e.AvgTaskMillis = float64(int64(r.u64())) / 1000
-	e.HeartbeatUnixNano = int64(r.u64())
-	e.MemoryUsed = int64(r.u64())
-	e.MemoryCapacity = int64(r.u64())
-	if r.err != nil {
-		return nil, r.err
+	r.ID((*[16]byte)(&e.ID))
+	e.State = types.NodeState(r.Byte())
+	e.TotalResources = readResourceMap(r)
+	e.AvailableResources = readResourceMap(r)
+	e.QueueLength = int(r.U64())
+	e.AvgTaskMillis = float64(int64(r.U64())) / 1000
+	e.HeartbeatUnixNano = int64(r.U64())
+	e.MemoryUsed = int64(r.U64())
+	e.MemoryCapacity = int64(r.U64())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gcs: entry: %w", err)
 	}
 	return e, nil
 }
@@ -286,43 +306,42 @@ type MethodInfo struct {
 }
 
 func (e *FunctionEntry) marshal() []byte {
-	var buf bytes.Buffer
-	writeString(&buf, e.Name)
-	writeString(&buf, e.Doc)
+	out := codec.AppendString(nil, e.Name)
+	out = codec.AppendString(out, e.Doc)
 	if e.IsActorClass {
-		buf.WriteByte(1)
+		out = append(out, 1)
 	} else {
-		buf.WriteByte(0)
+		out = append(out, 0)
 	}
-	writeU32(&buf, uint32(e.NumReturns))
-	writeU32(&buf, uint32(len(e.Methods)))
+	out = binary.BigEndian.AppendUint32(out, uint32(e.NumReturns))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(e.Methods)))
 	for _, m := range e.Methods {
-		writeString(&buf, m.Name)
-		writeU32(&buf, uint32(m.NumArgs))
-		writeU32(&buf, uint32(m.NumReturns))
+		out = codec.AppendString(out, m.Name)
+		out = binary.BigEndian.AppendUint32(out, uint32(m.NumArgs))
+		out = binary.BigEndian.AppendUint32(out, uint32(m.NumReturns))
 	}
-	return buf.Bytes()
+	return out
 }
 
 func unmarshalFunctionEntry(data []byte) (*FunctionEntry, error) {
-	r := &entryReader{data: data}
+	r := codec.NewReader(data)
 	e := &FunctionEntry{}
-	e.Name = r.str()
-	e.Doc = r.str()
-	e.IsActorClass = r.byte() == 1
-	e.NumReturns = int(r.u32())
-	if n := int(r.u32()); n > 0 && r.err == nil {
+	e.Name = r.Str()
+	e.Doc = r.Str()
+	e.IsActorClass = r.Byte() == 1
+	e.NumReturns = int(r.U32())
+	if n := r.Count(4 + 4 + 4); n > 0 {
 		e.Methods = make([]MethodInfo, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		for i := 0; i < n; i++ {
 			e.Methods = append(e.Methods, MethodInfo{
-				Name:       r.str(),
-				NumArgs:    int(r.u32()),
-				NumReturns: int(r.u32()),
+				Name:       r.Str(),
+				NumArgs:    int(r.U32()),
+				NumReturns: int(r.U32()),
 			})
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gcs: entry: %w", err)
 	}
 	return e, nil
 }
@@ -352,31 +371,30 @@ type JobEntry struct {
 }
 
 func (e *JobEntry) marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(e.ID[:])
-	buf.WriteByte(byte(e.State))
-	writeString(&buf, e.Name)
-	buf.Write(e.Driver[:])
-	buf.Write(e.Node[:])
-	writeU64(&buf, uint64(e.Weight))
-	writeU64(&buf, uint64(e.StartUnixNano))
-	writeU64(&buf, uint64(e.FinishUnixNano))
-	return buf.Bytes()
+	out := make([]byte, 0, 16+1+4+len(e.Name)+16+16+3*8)
+	out = append(out, e.ID[:]...)
+	out = append(out, byte(e.State))
+	out = codec.AppendString(out, e.Name)
+	out = append(out, e.Driver[:]...)
+	out = append(out, e.Node[:]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(e.Weight))
+	out = binary.BigEndian.AppendUint64(out, uint64(e.StartUnixNano))
+	return binary.BigEndian.AppendUint64(out, uint64(e.FinishUnixNano))
 }
 
 func unmarshalJobEntry(data []byte) (*JobEntry, error) {
-	r := &entryReader{data: data}
+	r := codec.NewReader(data)
 	e := &JobEntry{}
-	r.id((*[16]byte)(&e.ID))
-	e.State = types.JobState(r.byte())
-	e.Name = r.str()
-	r.id((*[16]byte)(&e.Driver))
-	r.id((*[16]byte)(&e.Node))
-	e.Weight = int(r.u64())
-	e.StartUnixNano = int64(r.u64())
-	e.FinishUnixNano = int64(r.u64())
-	if r.err != nil {
-		return nil, r.err
+	r.ID((*[16]byte)(&e.ID))
+	e.State = types.JobState(r.Byte())
+	e.Name = r.Str()
+	r.ID((*[16]byte)(&e.Driver))
+	r.ID((*[16]byte)(&e.Node))
+	e.Weight = int(r.U64())
+	e.StartUnixNano = int64(r.U64())
+	e.FinishUnixNano = int64(r.U64())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gcs: entry: %w", err)
 	}
 	return e, nil
 }
@@ -395,148 +413,50 @@ type Event struct {
 }
 
 func (e *Event) marshal() []byte {
-	var buf bytes.Buffer
-	writeU64(&buf, e.Seq)
-	writeU64(&buf, uint64(e.UnixNano))
-	writeString(&buf, e.Kind)
-	writeString(&buf, e.Message)
-	return buf.Bytes()
+	out := make([]byte, 0, 8+8+4+len(e.Kind)+4+len(e.Message))
+	out = binary.BigEndian.AppendUint64(out, e.Seq)
+	out = binary.BigEndian.AppendUint64(out, uint64(e.UnixNano))
+	out = codec.AppendString(out, e.Kind)
+	return codec.AppendString(out, e.Message)
 }
 
 func unmarshalEvent(data []byte) (*Event, error) {
-	r := &entryReader{data: data}
+	r := codec.NewReader(data)
 	e := &Event{}
-	e.Seq = r.u64()
-	e.UnixNano = int64(r.u64())
-	e.Kind = r.str()
-	e.Message = r.str()
-	if r.err != nil {
-		return nil, r.err
+	e.Seq = r.U64()
+	e.UnixNano = int64(r.U64())
+	e.Kind = r.Str()
+	e.Message = r.Str()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gcs: entry: %w", err)
 	}
 	return e, nil
 }
 
 // --- shared encoding helpers -------------------------------------------------
 
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeU32(buf, uint32(len(s)))
-	buf.WriteString(s)
-}
-
-func writeResourceMap(buf *bytes.Buffer, m map[string]float64) {
-	writeU32(buf, uint32(len(m)))
+func appendResourceMap(dst []byte, m map[string]float64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m)))
 	// Deterministic order is not required for correctness (entries are
 	// re-read into a map), but stable encodings make tests simpler.
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	for _, k := range keys {
-		writeString(buf, k)
-		writeU64(buf, uint64(int64(m[k]*1000+0.5)))
+		dst = codec.AppendString(dst, k)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m[k]*1000+0.5)))
 	}
+	return dst
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-type entryReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *entryReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("gcs: truncated entry at offset %d", r.off)
-	}
-}
-
-func (r *entryReader) byte() byte {
-	if r.err != nil || r.off+1 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
-}
-
-func (r *entryReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *entryReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *entryReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.data) {
-		r.fail()
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *entryReader) id(dst *[16]byte) {
-	if r.err != nil || r.off+16 > len(r.data) {
-		r.fail()
-		return
-	}
-	copy(dst[:], r.data[r.off:r.off+16])
-	r.off += 16
-}
-
-func (r *entryReader) resourceMap() map[string]float64 {
-	n := int(r.u32())
-	if r.err != nil || n > 1<<16 {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return map[string]float64{}
-	}
+// readResourceMap reads what appendResourceMap wrote.
+func readResourceMap(r *codec.Reader) map[string]float64 {
+	n := r.Count(4 + 8)
 	m := make(map[string]float64, n)
 	for i := 0; i < n; i++ {
-		k := r.str()
-		v := float64(int64(r.u64())) / 1000
-		if r.err != nil {
-			return nil
-		}
-		m[k] = v
+		m[r.Str()] = float64(int64(r.U64())) / 1000
 	}
 	return m
 }

@@ -14,6 +14,7 @@ package gcs
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -103,6 +104,13 @@ type Store struct {
 	objByJob    map[types.JobID]map[types.ObjectID]struct{} //guard:by objIdxMu
 	actorIdxMu  sync.Mutex
 	actorsByJob map[types.JobID]map[types.ActorID]struct{} //guard:by actorIdxMu
+
+	// keyLocks serialize the read-modify-write of one object or task entry
+	// (location add/remove, status update): the tables are plain get-then-put
+	// over the shard, so two nodes registering replicas of one object at once
+	// would otherwise overwrite each other's location. Striped by ID so
+	// unrelated keys rarely share a lock.
+	keyLocks [256]sync.Mutex
 
 	// hbMu serializes membership read-modify-writes (Heartbeat,
 	// HeartbeatBatch, MarkNodeDead) so a heartbeat that read a node as alive
@@ -278,6 +286,11 @@ func (s *Store) Shard(i int) *chain.Chain { return s.shards[i] }
 // shardFor maps a key's owning ID to a shard index.
 func (s *Store) shardFor(id types.UniqueID) int {
 	return types.ShardIndex(id, len(s.shards))
+}
+
+// keyLock returns the stripe serializing read-modify-writes of id's entry.
+func (s *Store) keyLock(id types.UniqueID) *sync.Mutex {
+	return &s.keyLocks[binary.BigEndian.Uint64(id[8:])%uint64(len(s.keyLocks))]
 }
 
 // shardForKey maps arbitrary string keys (function names, event sequence

@@ -2,7 +2,9 @@ package gcs
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,7 +15,16 @@ import (
 
 // --- Object table ------------------------------------------------------------
 
-func objectKey(id types.ObjectID) string { return keyPrefixObject + id.Hex() }
+// tableKey builds prefix + hex(id) in a stack buffer, so a key costs the one
+// allocation of its string.
+func tableKey(prefix string, id types.UniqueID) string {
+	var buf [len(keyPrefixJob) + 2*types.IDSize]byte // keyPrefixJob is the longest prefix
+	n := copy(buf[:], prefix)
+	hex.Encode(buf[n:], id[:])
+	return string(buf[:n+2*types.IDSize])
+}
+
+func objectKey(id types.ObjectID) string { return tableKey(keyPrefixObject, types.UniqueID(id)) }
 
 // AddObjectLocation records that node holds a replica of the object. It
 // creates the entry if needed and preserves existing locations (and the
@@ -24,6 +35,9 @@ func objectKey(id types.ObjectID) string { return keyPrefixObject + id.Hex() }
 func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node types.NodeID, size int64, creator types.TaskID, job types.JobID) error {
 	shard := s.shardFor(types.UniqueID(id))
 	key := objectKey(id)
+	mu := s.keyLock(types.UniqueID(id))
+	mu.Lock()
+	defer mu.Unlock()
 	raw, ok, err := s.get(ctx, shard, key)
 	if err != nil {
 		return err
@@ -80,12 +94,16 @@ func (s *Store) DropJobObjectIndex(job types.JobID) {
 	s.objIdxMu.Unlock()
 }
 
-// RemoveObjectLocation removes node from the object's location set (e.g. on
-// eviction or node failure). Removing the last location leaves an entry with
-// no locations, signalling that reconstruction is required.
-func (s *Store) RemoveObjectLocation(ctx context.Context, id types.ObjectID, node types.NodeID) error {
+// RemoveObjectLocation removes the given nodes from the object's location set
+// (eviction, node failure, reclamation of every replica) in one
+// read-modify-write. Removing the last location leaves an entry with no
+// locations, signalling that reconstruction is required.
+func (s *Store) RemoveObjectLocation(ctx context.Context, id types.ObjectID, nodes ...types.NodeID) error {
 	shard := s.shardFor(types.UniqueID(id))
 	key := objectKey(id)
+	mu := s.keyLock(types.UniqueID(id))
+	mu.Lock()
+	defer mu.Unlock()
 	raw, ok, err := s.get(ctx, shard, key)
 	if err != nil || !ok {
 		return err
@@ -96,7 +114,7 @@ func (s *Store) RemoveObjectLocation(ctx context.Context, id types.ObjectID, nod
 	}
 	kept := entry.Locations[:0]
 	for _, n := range entry.Locations {
-		if n != node {
+		if !slices.Contains(nodes, n) {
 			kept = append(kept, n)
 		}
 	}
@@ -141,7 +159,7 @@ func (s *Store) SubscribeObject(id types.ObjectID) (<-chan *ObjectEntry, func())
 
 // --- Task table ---------------------------------------------------------------
 
-func taskKey(id types.TaskID) string { return keyPrefixTask + id.Hex() }
+func taskKey(id types.TaskID) string { return tableKey(keyPrefixTask, types.UniqueID(id)) }
 
 // AddTask records a task spec in the lineage table with PENDING status.
 func (s *Store) AddTask(ctx context.Context, spec *task.Spec) error {
@@ -150,10 +168,14 @@ func (s *Store) AddTask(ctx context.Context, spec *task.Spec) error {
 }
 
 // UpdateTaskStatus records a task's new status and (optionally) the node it
-// was placed on.
+// was placed on. The spec behind the entry's header is carried over as bytes,
+// not decoded.
 func (s *Store) UpdateTaskStatus(ctx context.Context, id types.TaskID, status types.TaskStatus, node types.NodeID) error {
 	shard := s.shardFor(types.UniqueID(id))
 	key := taskKey(id)
+	mu := s.keyLock(types.UniqueID(id))
+	mu.Lock()
+	defer mu.Unlock()
 	raw, ok, err := s.get(ctx, shard, key)
 	if err != nil {
 		return err
@@ -161,15 +183,11 @@ func (s *Store) UpdateTaskStatus(ctx context.Context, id types.TaskID, status ty
 	if !ok {
 		return fmt.Errorf("gcs: update status of unknown task %s: %w", id, types.ErrTaskNotFound)
 	}
-	entry, err := unmarshalTaskEntry(raw)
+	patched, err := patchTaskEntry(raw, status, node)
 	if err != nil {
 		return err
 	}
-	entry.Status = status
-	if !node.IsNil() {
-		entry.Node = node
-	}
-	return s.put(ctx, shard, key, entry.marshal())
+	return s.put(ctx, shard, key, patched)
 }
 
 // GetTask returns the lineage entry for a task.
@@ -187,7 +205,7 @@ func (s *Store) GetTask(ctx context.Context, id types.TaskID) (*TaskEntry, bool,
 
 // --- Actor table ---------------------------------------------------------------
 
-func actorKey(id types.ActorID) string { return keyPrefixActor + id.Hex() }
+func actorKey(id types.ActorID) string { return tableKey(keyPrefixActor, types.UniqueID(id)) }
 
 // PutActor writes the actor table entry (creation, relocation, state change,
 // checkpoint update all go through here), indexing the actor under its
@@ -270,7 +288,7 @@ func (s *Store) GetFunction(ctx context.Context, name string) (*FunctionEntry, b
 
 // --- Node table ------------------------------------------------------------------
 
-func nodeKey(id types.NodeID) string { return keyPrefixNode + id.Hex() }
+func nodeKey(id types.NodeID) string { return tableKey(keyPrefixNode, types.UniqueID(id)) }
 
 // RegisterNode adds a node to the cluster membership table.
 func (s *Store) RegisterNode(ctx context.Context, entry *NodeEntry) error {
@@ -302,7 +320,8 @@ func (s *Store) Heartbeat(ctx context.Context, u HeartbeatUpdate) error {
 	s.hbMu.Lock()
 	defer s.hbMu.Unlock()
 	shard := s.shardFor(types.UniqueID(u.ID))
-	raw, ok, err := s.get(ctx, shard, nodeKey(u.ID))
+	key := nodeKey(u.ID)
+	raw, ok, err := s.get(ctx, shard, key)
 	if err != nil {
 		return err
 	}
@@ -314,7 +333,7 @@ func (s *Store) Heartbeat(ctx context.Context, u HeartbeatUpdate) error {
 		return err
 	}
 	applyHeartbeat(entry, u, time.Now().UnixNano())
-	return s.put(ctx, shard, nodeKey(u.ID), entry.marshal())
+	return s.put(ctx, shard, key, entry.marshal())
 }
 
 // HeartbeatUpdate is one node's load report, sent alone or inside a coalesced
@@ -354,7 +373,8 @@ func (s *Store) HeartbeatBatch(ctx context.Context, updates []HeartbeatUpdate) e
 	perShardValues := make(map[int][][]byte)
 	for _, u := range updates {
 		si := s.shardFor(types.UniqueID(u.ID))
-		raw, ok, err := s.get(ctx, si, nodeKey(u.ID))
+		key := nodeKey(u.ID)
+		raw, ok, err := s.get(ctx, si, key)
 		if err != nil {
 			return err
 		}
@@ -370,7 +390,7 @@ func (s *Store) HeartbeatBatch(ctx context.Context, updates []HeartbeatUpdate) e
 			continue
 		}
 		applyHeartbeat(entry, u, now)
-		perShardKeys[si] = append(perShardKeys[si], nodeKey(u.ID))
+		perShardKeys[si] = append(perShardKeys[si], key)
 		perShardValues[si] = append(perShardValues[si], entry.marshal())
 	}
 	for si, keys := range perShardKeys {
@@ -396,7 +416,8 @@ func (s *Store) MarkNodeDead(ctx context.Context, id types.NodeID) error {
 	s.hbMu.Lock()
 	defer s.hbMu.Unlock()
 	shard := s.shardFor(types.UniqueID(id))
-	raw, ok, err := s.get(ctx, shard, nodeKey(id))
+	key := nodeKey(id)
+	raw, ok, err := s.get(ctx, shard, key)
 	if err != nil {
 		return err
 	}
@@ -408,7 +429,7 @@ func (s *Store) MarkNodeDead(ctx context.Context, id types.NodeID) error {
 		return err
 	}
 	entry.State = types.NodeDead
-	return s.put(ctx, shard, nodeKey(id), entry.marshal())
+	return s.put(ctx, shard, key, entry.marshal())
 }
 
 // GetNode returns the membership entry for one node.
@@ -496,7 +517,7 @@ func (s *Store) AliveNodes(ctx context.Context) ([]*NodeEntry, error) {
 
 // --- Job table -------------------------------------------------------------------
 
-func jobKey(id types.JobID) string { return keyPrefixJob + id.Hex() }
+func jobKey(id types.JobID) string { return tableKey(keyPrefixJob, types.UniqueID(id)) }
 
 // RegisterJob records a new job in the job table. Weights below 1 are
 // normalized to 1 (the default fair share).
@@ -550,7 +571,8 @@ func (s *Store) UpdateJobState(ctx context.Context, id types.JobID, state types.
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
 	shard := s.shardFor(types.UniqueID(id))
-	raw, ok, err := s.get(ctx, shard, jobKey(id))
+	key := jobKey(id)
+	raw, ok, err := s.get(ctx, shard, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -568,7 +590,7 @@ func (s *Store) UpdateJobState(ctx context.Context, id types.JobID, state types.
 	if state.Terminal() {
 		entry.FinishUnixNano = time.Now().UnixNano()
 	}
-	if err := s.put(ctx, shard, jobKey(id), entry.marshal()); err != nil {
+	if err := s.put(ctx, shard, key, entry.marshal()); err != nil {
 		return nil, false, err
 	}
 	return entry, true, nil

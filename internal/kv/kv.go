@@ -54,17 +54,15 @@ func (s *Store) Put(key string, value []byte) {
 	s.mu.Unlock()
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. The slice is the store's own copy,
+// shared with every other reader, and must not be modified: the store never
+// changes a value in place (Put replaces it), so handing it out costs no
+// copy on what is the GCS's per-read hot path.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	v, ok := s.data[key]
 	s.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+	return v, ok
 }
 
 // Delete removes key from the store and reports whether it was present.

@@ -9,8 +9,8 @@ import (
 )
 
 // CodecSync checks that hand-rolled codec pairs stay field-for-field in sync.
-// For every struct with a paired encoder (a marshal/Marshal/encode/Encode
-// method) and decoder (an unmarshal<Type>/decode<Type> function returning the
+// For every struct with a paired encoder (an appendTo/AppendTo method, else a
+// marshal/Marshal/encode/Encode method) and decoder (an unmarshal<Type>/decode<Type> function returning the
 // type, or an unmarshal/decode method), every field of the struct must be
 // referenced by both bodies. A field that is encoded but never decoded — or
 // vice versa, or added to the struct and serialized by neither — is silent
@@ -28,7 +28,10 @@ func (a *CodecSync) Doc() string {
 	return "every field of a struct with paired encode/decode codec routines must appear in both"
 }
 
-var encoderNames = map[string]bool{"marshal": true, "encode": true}
+// encoderNames is in preference order: where a type has an append-style
+// encoder, that is where the fields are written and marshal only sizes the
+// buffer for it.
+var encoderNames = []string{"appendto", "marshal", "encode"}
 var decoderNames = map[string]bool{"unmarshal": true, "decode": true}
 
 func (a *CodecSync) Analyze(prog *Program) []Diagnostic {
@@ -112,10 +115,11 @@ func funcDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 
 // findEncoder returns the type's encoder method declaration, if any.
 func (a *CodecSync) findEncoder(named *types.Named, decls map[*types.Func]*ast.FuncDecl) *ast.FuncDecl {
-	for i := 0; i < named.NumMethods(); i++ {
-		m := named.Method(i)
-		if encoderNames[strings.ToLower(m.Name())] {
-			return decls[m]
+	for _, want := range encoderNames {
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); strings.ToLower(m.Name()) == want {
+				return decls[m]
+			}
 		}
 	}
 	return nil

@@ -87,3 +87,17 @@ func decodeLopsided(b []byte) *lopsided {
 	l.Body = append(l.Body, b[2:]...)
 	return l
 }
+
+// sized splits its encoder: marshal only sizes the buffer, appendTo writes
+// the fields. The pair is judged on appendTo, so Width (which marshal alone
+// would never mention) is in sync and Pad is still caught.
+type sized struct {
+	Width uint8
+	Pad   uint8 // want `field sized.Pad is read by unmarshalSized but never written by sized.appendTo`
+}
+
+func (s sized) marshal() []byte { return s.appendTo(make([]byte, 0, 2)) }
+
+func (s sized) appendTo(dst []byte) []byte { return append(dst, s.Width) }
+
+func unmarshalSized(b []byte) sized { return sized{Width: b[0], Pad: b[1]} }

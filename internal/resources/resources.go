@@ -8,7 +8,10 @@
 package resources
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,21 +29,35 @@ const milli = 1000
 // Request is a demand for resources, e.g. the `num_gpus=2` annotation on a
 // remote function in the paper's Figure 3.
 type Request struct {
-	// quantities maps resource name to milli-units requested.
-	quantities map[string]int64
+	// demands lists the requested resources sorted by name. Requests name a
+	// handful of resources and are walked on every scheduling decision and
+	// spec encode, which a short sorted slice serves faster than a map and in
+	// a deterministic order.
+	demands []demand
+}
+
+// demand is one resource's requested quantity in milli-units.
+type demand struct {
+	name  string
+	milli int64
 }
 
 // NewRequest builds a Request from whole-unit float quantities.
 // Zero-valued entries are dropped.
 func NewRequest(quantities map[string]float64) Request {
-	r := Request{quantities: make(map[string]int64, len(quantities))}
+	r := Request{demands: make([]demand, 0, len(quantities))}
 	for name, q := range quantities {
 		if q == 0 {
 			continue
 		}
-		r.quantities[name] = int64(q*milli + 0.5)
+		r.demands = append(r.demands, demand{name, int64(q*milli + 0.5)})
 	}
+	r.sort()
 	return r
+}
+
+func (r Request) sort() {
+	slices.SortFunc(r.demands, func(a, b demand) int { return cmp.Compare(a.name, b.name) })
 }
 
 // CPUs is shorthand for a CPU-only request.
@@ -53,32 +70,44 @@ func GPUs(n float64) Request {
 }
 
 // Empty reports whether the request demands nothing.
-func (r Request) Empty() bool { return len(r.quantities) == 0 }
+func (r Request) Empty() bool { return len(r.demands) == 0 }
 
 // Get returns the requested whole-unit quantity of a named resource.
 func (r Request) Get(name string) float64 {
-	return float64(r.quantities[name]) / milli
+	for _, d := range r.demands {
+		if d.name == name {
+			return float64(d.milli) / milli
+		}
+	}
+	return 0
 }
 
-// Names returns the resource names present in the request, sorted.
-func (r Request) Names() []string {
-	names := make([]string, 0, len(r.quantities))
-	for n := range r.quantities {
-		names = append(names, n)
+// Len returns how many resources the request names.
+func (r Request) Len() int { return len(r.demands) }
+
+// All iterates the request's resources in name order with their whole-unit
+// quantities, without allocating.
+func (r Request) All() iter.Seq2[string, float64] {
+	return func(yield func(string, float64) bool) {
+		for _, d := range r.demands {
+			if !yield(d.name, float64(d.milli)/milli) {
+				return
+			}
+		}
 	}
-	sort.Strings(names)
-	return names
 }
 
 // Add returns a request combining the demands of r and other.
 func (r Request) Add(other Request) Request {
-	out := Request{quantities: make(map[string]int64, len(r.quantities)+len(other.quantities))}
-	for n, q := range r.quantities {
-		out.quantities[n] = q
+	out := Request{demands: append(make([]demand, 0, len(r.demands)+len(other.demands)), r.demands...)}
+	for _, d := range other.demands {
+		if i := slices.IndexFunc(out.demands, func(o demand) bool { return o.name == d.name }); i >= 0 {
+			out.demands[i].milli += d.milli
+		} else {
+			out.demands = append(out.demands, d)
+		}
 	}
-	for n, q := range other.quantities {
-		out.quantities[n] += q
-	}
+	out.sort()
 	return out
 }
 
@@ -87,9 +116,9 @@ func (r Request) String() string {
 	if r.Empty() {
 		return "{}"
 	}
-	parts := make([]string, 0, len(r.quantities))
-	for _, n := range r.Names() {
-		parts = append(parts, fmt.Sprintf("%s:%g", n, r.Get(n)))
+	parts := make([]string, 0, len(r.demands))
+	for n, q := range r.All() {
+		parts = append(parts, fmt.Sprintf("%s:%g", n, q))
 	}
 	return "{" + strings.Join(parts, " ") + "}"
 }
@@ -136,8 +165,8 @@ func (p *Pool) Available(name string) float64 { return float64(p.available[name]
 // CanEverFit reports whether the request fits within the pool's *total*
 // capacity, i.e. whether the request is feasible on this node at all.
 func (p *Pool) CanEverFit(r Request) bool {
-	for name, q := range r.quantities {
-		if p.total[name] < q {
+	for _, d := range r.demands {
+		if p.total[d.name] < d.milli {
 			return false
 		}
 	}
@@ -146,8 +175,8 @@ func (p *Pool) CanEverFit(r Request) bool {
 
 // Fits reports whether the request fits within currently available resources.
 func (p *Pool) Fits(r Request) bool {
-	for name, q := range r.quantities {
-		if p.available[name] < q {
+	for _, d := range r.demands {
+		if p.available[d.name] < d.milli {
 			return false
 		}
 	}
@@ -160,8 +189,8 @@ func (p *Pool) Acquire(r Request) bool {
 	if !p.Fits(r) {
 		return false
 	}
-	for name, q := range r.quantities {
-		p.available[name] -= q
+	for _, d := range r.demands {
+		p.available[d.name] -= d.milli
 	}
 	return true
 }
@@ -170,11 +199,11 @@ func (p *Pool) Acquire(r Request) bool {
 // than was acquired is a programming error and panics, because silently
 // inflating capacity would let the scheduler over-commit the node.
 func (p *Pool) Release(r Request) {
-	for name, q := range r.quantities {
-		p.available[name] += q
-		if p.available[name] > p.total[name] {
+	for _, d := range r.demands {
+		p.available[d.name] += d.milli
+		if p.available[d.name] > p.total[d.name] {
 			panic(fmt.Sprintf("resources: release of %s exceeds capacity (%d > %d milli-units)",
-				name, p.available[name], p.total[name]))
+				d.name, p.available[d.name], p.total[d.name]))
 		}
 	}
 }
@@ -226,8 +255,8 @@ func (p *Pool) String() string {
 // resources (as exchanged via heartbeats). The global scheduler uses this to
 // filter candidate nodes without holding any node-local lock.
 func FitsSnapshot(available map[string]float64, r Request) bool {
-	for _, name := range r.Names() {
-		if available[name] < r.Get(name)-1e-9 {
+	for name, q := range r.All() {
+		if available[name] < q-1e-9 {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package resources
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,8 +24,11 @@ func TestRequestBasics(t *testing.T) {
 	if r.String() == "" {
 		t.Fatal("string form empty")
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != CPU || names[1] != GPU {
+	var names []string
+	for name := range r.All() {
+		names = append(names, name)
+	}
+	if r.Len() != 2 || !slices.Equal(names, []string{CPU, GPU}) {
 		t.Fatalf("unexpected names %v", names)
 	}
 }
@@ -38,6 +43,21 @@ func TestRequestAdd(t *testing.T) {
 	// Add must not mutate operands.
 	if a.Get(CPU) != 1 || b.Get(CPU) != 1 {
 		t.Fatal("Add mutated an operand")
+	}
+	// Whatever order demands arrive in, a request walks them by name.
+	d := NewRequest(map[string]float64{"zeta": 1}).Add(NewRequest(map[string]float64{"alpha": 2, GPU: 1})).Add(b)
+	var walked []string
+	for name, q := range d.All() {
+		walked = append(walked, fmt.Sprintf("%s=%g", name, q))
+	}
+	if want := []string{"CPU=1", "GPU=3", "alpha=2", "zeta=1"}; !slices.Equal(walked, want) || d.Len() != len(want) {
+		t.Fatalf("All() walked %v (Len %d), want %v", walked, d.Len(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for range d.All() {
+		}
+	}); n != 0 {
+		t.Fatalf("walking a request allocates %v times", n)
 	}
 }
 

@@ -6,10 +6,10 @@
 package task
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
+	"ray/internal/codec"
 	"ray/internal/resources"
 	"ray/internal/types"
 )
@@ -128,184 +128,110 @@ func (s *Spec) String() string {
 
 const specMagic = uint32(0x52545350) // "RTSP"
 
-// Marshal encodes the spec into a compact binary form.
-func (s *Spec) Marshal() []byte {
-	var buf bytes.Buffer
-	writeU32(&buf, specMagic)
-	buf.Write(s.ID[:])
-	buf.Write(s.Job[:])
-	buf.Write(s.Driver[:])
-	buf.Write(s.ParentTask[:])
-	writeString(&buf, s.Function)
-	writeU32(&buf, uint32(len(s.Args)))
-	for _, a := range s.Args {
-		buf.WriteByte(byte(a.Kind))
-		if a.Kind == ArgValue {
-			writeBytes(&buf, a.Value)
+// specFixedLen is the encoded size of a spec with no function name, arguments
+// or resources: magic, four IDs, three counts and a length, then the actor
+// trailer (ID, creation flag, counter, previous task).
+const specFixedLen = 4 + 4*16 + 4 + 4 + 4 + 4 + 16 + 1 + 8 + 16
+
+// EncodedLen returns the exact length of the spec's binary encoding.
+func (s *Spec) EncodedLen() int {
+	n := specFixedLen + len(s.Function)
+	for i := range s.Args {
+		if s.Args[i].Kind == ArgValue {
+			n += 1 + 4 + len(s.Args[i].Value)
 		} else {
-			buf.Write(a.Ref[:])
+			n += 1 + 16
 		}
 	}
-	writeU32(&buf, uint32(s.NumReturns))
-	// Resources: encode as name/value pairs.
-	names := s.Resources.Names()
-	writeU32(&buf, uint32(len(names)))
-	for _, n := range names {
-		writeString(&buf, n)
-		writeU64(&buf, uint64(int64(s.Resources.Get(n)*1000+0.5)))
+	for name := range s.Resources.All() {
+		n += 4 + len(name) + 8
 	}
-	buf.Write(s.ActorID[:])
+	return n
+}
+
+// Marshal encodes the spec into a compact binary form.
+func (s *Spec) Marshal() []byte {
+	return s.AppendTo(make([]byte, 0, s.EncodedLen()))
+}
+
+// AppendTo appends the spec's binary encoding to dst and returns the extended
+// slice, so a containing record (the GCS task entry) encodes the spec in
+// place instead of through an intermediate buffer. It appends exactly
+// EncodedLen bytes.
+func (s *Spec) AppendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, specMagic)
+	dst = append(dst, s.ID[:]...)
+	dst = append(dst, s.Job[:]...)
+	dst = append(dst, s.Driver[:]...)
+	dst = append(dst, s.ParentTask[:]...)
+	dst = codec.AppendString(dst, s.Function)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Args)))
+	for i := range s.Args {
+		a := &s.Args[i]
+		dst = append(dst, byte(a.Kind))
+		if a.Kind == ArgValue {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Value)))
+			dst = append(dst, a.Value...)
+		} else {
+			dst = append(dst, a.Ref[:]...)
+		}
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(s.NumReturns))
+	// Resources: name/value pairs in name order, so equal specs encode to
+	// equal bytes.
+	dst = binary.BigEndian.AppendUint32(dst, uint32(s.Resources.Len()))
+	for name, q := range s.Resources.All() {
+		dst = codec.AppendString(dst, name)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(q*1000+0.5)))
+	}
+	dst = append(dst, s.ActorID[:]...)
 	if s.ActorCreation {
-		buf.WriteByte(1)
+		dst = append(dst, 1)
 	} else {
-		buf.WriteByte(0)
+		dst = append(dst, 0)
 	}
-	writeU64(&buf, uint64(s.ActorCounter))
-	buf.Write(s.PreviousActorTask[:])
-	return buf.Bytes()
+	dst = binary.BigEndian.AppendUint64(dst, uint64(s.ActorCounter))
+	return append(dst, s.PreviousActorTask[:]...)
 }
 
 // Unmarshal decodes a spec previously produced by Marshal.
 func Unmarshal(data []byte) (*Spec, error) {
-	r := &reader{data: data}
-	if r.u32() != specMagic {
+	r := codec.NewReader(data)
+	if r.U32() != specMagic {
 		return nil, fmt.Errorf("task: bad spec magic")
 	}
 	s := &Spec{}
-	r.id((*[16]byte)(&s.ID))
-	r.id((*[16]byte)(&s.Job))
-	r.id((*[16]byte)(&s.Driver))
-	r.id((*[16]byte)(&s.ParentTask))
-	s.Function = r.str()
-	nargs := int(r.u32())
-	if nargs > 1<<20 {
-		return nil, fmt.Errorf("task: implausible arg count %d", nargs)
-	}
-	s.Args = make([]Arg, nargs)
+	r.ID((*[16]byte)(&s.ID))
+	r.ID((*[16]byte)(&s.Job))
+	r.ID((*[16]byte)(&s.Driver))
+	r.ID((*[16]byte)(&s.ParentTask))
+	s.Function = r.Str()
+	s.Args = make([]Arg, r.Count(1+4)) // the smallest argument: kind, empty value
 	for i := range s.Args {
-		kind := ArgKind(r.byte())
+		kind := ArgKind(r.Byte())
 		if kind == ArgValue {
-			s.Args[i] = Arg{Kind: ArgValue, Value: r.bytes()}
+			s.Args[i] = Arg{Kind: ArgValue, Value: r.Bytes()}
 		} else {
 			var ref types.ObjectID
-			r.id((*[16]byte)(&ref))
+			r.ID((*[16]byte)(&ref))
 			s.Args[i] = Arg{Kind: ArgObjectRef, Ref: ref}
 		}
 	}
-	s.NumReturns = int(r.u32())
-	nres := int(r.u32())
-	if nres > 0 {
+	s.NumReturns = int(r.U32())
+	if nres := r.Count(4 + 8); nres > 0 {
 		quantities := make(map[string]float64, nres)
 		for i := 0; i < nres; i++ {
-			name := r.str()
-			quantities[name] = float64(r.u64()) / 1000
+			name := r.Str()
+			quantities[name] = float64(r.U64()) / 1000
 		}
 		s.Resources = resources.NewRequest(quantities)
 	}
-	r.id((*[16]byte)(&s.ActorID))
-	s.ActorCreation = r.byte() == 1
-	s.ActorCounter = int64(r.u64())
-	r.id((*[16]byte)(&s.PreviousActorTask))
-	if r.err != nil {
-		return nil, r.err
+	r.ID((*[16]byte)(&s.ActorID))
+	s.ActorCreation = r.Byte() == 1
+	s.ActorCounter = int64(r.U64())
+	r.ID((*[16]byte)(&s.PreviousActorTask))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("task: spec: %w", err)
 	}
 	return s, nil
-}
-
-// --- encoding helpers ------------------------------------------------------
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeU32(buf, uint32(len(s)))
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	writeU32(buf, uint32(len(b)))
-	buf.Write(b)
-}
-
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("task: truncated spec at offset %d", r.off)
-	}
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil || r.off+1 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.data) {
-		r.fail()
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.data) {
-		r.fail()
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.data[r.off:r.off+n])
-	r.off += n
-	return b
-}
-
-func (r *reader) id(dst *[16]byte) {
-	if r.err != nil || r.off+16 > len(r.data) {
-		r.fail()
-		return
-	}
-	copy(dst[:], r.data[r.off:r.off+16])
-	r.off += 16
 }

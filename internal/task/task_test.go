@@ -2,6 +2,7 @@ package task
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -83,6 +84,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
+	// A count the record cannot back is refused, not allocated for: the
+	// argument count sits behind the magic, four IDs and the function name.
+	hostile := sampleSpec().Marshal()
+	binary.BigEndian.PutUint32(hostile[4+4*16+4+len(sampleSpec().Function):], 0xFFFFFFFF)
+	if _, err := Unmarshal(hostile); err == nil {
+		t.Fatal("expected error for an argument count larger than the record")
+	}
 	// Corrupt a valid encoding by truncation at every prefix length.
 	data := sampleSpec().Marshal()
 	for cut := 0; cut < len(data); cut += 7 {
@@ -112,11 +120,24 @@ func TestSpecRoundTripProperty(t *testing.T) {
 				s.Args = append(s.Args, RefArg(types.NewObjectID()))
 			}
 		}
-		back, err := Unmarshal(s.Marshal())
+		s.Resources = s.Resources.Add(resources.NewRequest(map[string]float64{"node7": float64(seed & 1), resources.GPU: 0.5}))
+		data := s.Marshal()
+		// One exactly sized buffer, and the same bytes when appended in place
+		// behind a containing record's header.
+		if len(data) != s.EncodedLen() || cap(data) != len(data) {
+			return false
+		}
+		if framed := s.AppendTo([]byte("hdr")); !bytes.Equal(framed, append([]byte("hdr"), data...)) {
+			return false
+		}
+		back, err := Unmarshal(data)
 		if err != nil {
 			return false
 		}
 		if back.Function != s.Function || back.NumReturns != s.NumReturns || len(back.Args) != len(s.Args) {
+			return false
+		}
+		if back.Resources.String() != s.Resources.String() || !bytes.Equal(back.Marshal(), data) {
 			return false
 		}
 		return reflect.DeepEqual(back.Dependencies(), s.Dependencies())

@@ -27,12 +27,16 @@ type CallOptions struct {
 	ZeroResources bool
 }
 
+// defaultDemand is the {CPU:1} request of a call that names none. Requests
+// are immutable, so every such call shares it.
+var defaultDemand = resources.CPUs(1)
+
 func (o CallOptions) normalize(isMethod bool) CallOptions {
 	if o.NumReturns <= 0 {
 		o.NumReturns = 1
 	}
 	if o.Resources.Empty() && !isMethod && !o.ZeroResources {
-		o.Resources = resources.CPUs(1)
+		o.Resources = defaultDemand
 	}
 	return o
 }
@@ -59,12 +63,14 @@ type TaskContext struct {
 	ids     *types.IDGenerator
 	putSeq  atomic.Int64
 
-	// created accumulates the objects this context holds owner references on
+	// created is the set of objects this context holds owner references on
 	// (futures returned by Call/CallActor/CreateActor, Put results). Worker
 	// task contexts are auto-released when the task finishes; a driver's
-	// context is released by job-exit cleanup. Free releases entries early.
+	// context is released by job-exit cleanup. Free releases entries early,
+	// at a cost independent of how many the context still holds. Nil until
+	// the first reference: most task contexts never create an object.
 	createdMu sync.Mutex
-	created   []types.ObjectID //guard:by createdMu
+	created   map[types.ObjectID]struct{} //guard:by createdMu
 }
 
 // NewTaskContext builds a context for a task execution. The node runtime
@@ -82,17 +88,30 @@ func (c *TaskContext) trackCreated(ids ...types.ObjectID) {
 		return
 	}
 	c.createdMu.Lock()
-	c.created = append(c.created, ids...)
+	if c.created == nil {
+		c.created = make(map[types.ObjectID]struct{}, len(ids))
+	}
+	for _, id := range ids {
+		c.created[id] = struct{}{}
+	}
 	c.createdMu.Unlock()
 }
 
-// TakeCreated returns and clears the owner references this context holds.
-// The worker pool calls it when the task finishes to release them.
+// TakeCreated returns (in no particular order) and clears the owner
+// references this context holds. The worker pool calls it when the task
+// finishes to release them.
 func (c *TaskContext) TakeCreated() []types.ObjectID {
 	c.createdMu.Lock()
-	out := c.created
+	created := c.created
 	c.created = nil
 	c.createdMu.Unlock()
+	if len(created) == 0 {
+		return nil
+	}
+	out := make([]types.ObjectID, 0, len(created))
+	for id := range created {
+		out = append(out, id)
+	}
 	return out
 }
 
@@ -105,21 +124,14 @@ func (c *TaskContext) Free(ids ...types.ObjectID) {
 	if len(ids) == 0 {
 		return
 	}
-	drop := make(map[types.ObjectID]bool, len(ids))
-	var owned []types.ObjectID
+	owned := make([]types.ObjectID, 0, len(ids))
 	c.createdMu.Lock()
 	for _, id := range ids {
-		drop[id] = true
-	}
-	kept := c.created[:0]
-	for _, id := range c.created {
-		if drop[id] {
+		if _, ok := c.created[id]; ok {
+			delete(c.created, id)
 			owned = append(owned, id)
-		} else {
-			kept = append(kept, id)
 		}
 	}
-	c.created = kept
 	c.createdMu.Unlock()
 	c.runtime.FreeObjects(c.Ctx, owned...)
 }
@@ -203,8 +215,9 @@ func (c *TaskContext) Call(function string, opts CallOptions, args ...any) ([]ty
 	if err := c.runtime.SubmitSpec(c.Ctx, spec); err != nil {
 		return nil, err
 	}
-	c.trackCreated(spec.Returns()...)
-	return spec.Returns(), nil
+	returns := spec.Returns()
+	c.trackCreated(returns...)
+	return returns, nil
 }
 
 // Call1 is Call for the common single-return case.
@@ -428,8 +441,9 @@ func (c *TaskContext) CallActor(h *ActorHandle, method string, opts CallOptions,
 	if err := c.runtime.SubmitSpec(c.Ctx, spec); err != nil {
 		return nil, err
 	}
-	c.trackCreated(spec.Returns()...)
-	return spec.Returns(), nil
+	returns := spec.Returns()
+	c.trackCreated(returns...)
+	return returns, nil
 }
 
 // CallActor1 is CallActor for the common single-return case.

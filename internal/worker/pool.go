@@ -85,45 +85,13 @@ func (p *Pool) getRuntime() Runtime {
 // Run executes one task (stateless function, actor creation, or actor
 // method). Dependencies are expected to be local (the local scheduler pulled
 // them); outputs are stored in the local object store and registered with the
-// GCS. Resolved inputs stay pinned in the store for the duration of the
-// execution — the object store's promise that a running task's inputs cannot
-// be evicted underneath it. Application-level errors become error objects
-// rather than Run errors.
+// GCS. Application-level errors become error objects rather than Run errors.
 func (p *Pool) Run(ctx context.Context, spec *task.Spec) error {
 	tctx := NewTaskContext(ctx, spec.ID, spec.Job, spec.Driver, p.cfg.NodeID, p.getRuntime(), p.ids)
-
-	args, pinned, argErr, err := p.resolveArgs(ctx, spec)
-	defer p.unpinAll(pinned)
+	outs, appErr, err := p.execute(ctx, tctx, spec)
 	if err != nil {
 		return err
 	}
-
-	var outs [][]byte
-	var appErr error
-	switch {
-	case argErr != nil:
-		// An input was an error object: propagate it to every output without
-		// running the task (the paper's error-propagation semantics).
-		appErr = argErr
-	case spec.ActorCreation:
-		appErr = p.createActor(ctx, tctx, spec, args)
-		if appErr == nil {
-			outs = [][]byte{codec.MustEncode(spec.ActorID.Hex())}
-		}
-	case spec.IsActorTask():
-		outs, appErr, err = p.runActorMethod(ctx, tctx, spec, args)
-		if err != nil {
-			return err
-		}
-	default:
-		fn, ferr := p.registry.FunctionFor(spec.Job, spec.Function)
-		if ferr != nil {
-			return ferr
-		}
-		p.tasksRun.Add(1)
-		outs, appErr = fn(tctx, args)
-	}
-
 	if err := p.storeOutputs(ctx, spec, outs, appErr); err != nil {
 		return err
 	}
@@ -135,6 +103,42 @@ func (p *Pool) Run(ctx context.Context, spec *task.Spec) error {
 		p.getRuntime().FreeObjects(ctx, created...)
 	}
 	return nil
+}
+
+// execute resolves the task's inputs and runs its body. The inputs stay
+// pinned in the store exactly that long — the object store's promise that a
+// running task's inputs cannot be evicted underneath it — and are unpinned
+// before Run publishes the outputs: whoever sees the result may release the
+// inputs at once, and a pin still held by the finished execution would make
+// that reclamation bounce off the store. The second result is the
+// application error (stored as error objects), the third an infrastructure
+// error (the task did not run).
+func (p *Pool) execute(ctx context.Context, tctx *TaskContext, spec *task.Spec) ([][]byte, error, error) {
+	args, pinned, argErr, err := p.resolveArgs(ctx, spec)
+	defer p.unpinAll(pinned)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case argErr != nil:
+		// An input was an error object: propagate it to every output without
+		// running the task (the paper's error-propagation semantics).
+		return nil, argErr, nil
+	case spec.ActorCreation:
+		if appErr := p.createActor(ctx, tctx, spec, args); appErr != nil {
+			return nil, appErr, nil
+		}
+		return [][]byte{codec.MustEncode(spec.ActorID.Hex())}, nil, nil
+	case spec.IsActorTask():
+		return p.runActorMethod(ctx, tctx, spec, args)
+	default:
+		fn, err := p.registry.FunctionFor(spec.Job, spec.Function)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.tasksRun.Add(1)
+		outs, appErr := fn(tctx, args)
+		return outs, appErr, nil
+	}
 }
 
 // Fail implements the scheduler's failure path: the task could not run (its
@@ -211,20 +215,16 @@ func (p *Pool) storeOutputs(ctx context.Context, spec *task.Spec, outs [][]byte,
 			})
 		}()
 	}
-	returns := spec.Returns()
 	status := types.TaskFinished
+	var errPayload []byte
 	if appErr != nil {
 		p.appErrors.Add(1)
 		status = types.TaskFailed
-		payload := codec.MustEncode(appErr.Error())
-		for _, ret := range returns {
-			if err := p.objects.PutOwned(ctx, ret, payload, true, spec.ID, spec.Job); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i, ret := range returns {
-			var data []byte
+		errPayload = codec.MustEncode(appErr.Error())
+	}
+	for i := 0; i < spec.NumReturns; i++ {
+		data := errPayload
+		if appErr == nil {
 			if i < len(outs) {
 				data = outs[i]
 			} else {
@@ -232,9 +232,9 @@ func (p *Pool) storeOutputs(ctx context.Context, spec *task.Spec, outs [][]byte,
 				// so consumers unblock rather than hang.
 				data = codec.MustEncode([]byte(nil))
 			}
-			if err := p.objects.PutOwned(ctx, ret, data, false, spec.ID, spec.Job); err != nil {
-				return err
-			}
+		}
+		if err := p.objects.PutOwned(ctx, types.ReturnObjectID(spec.ID, i), data, appErr != nil, spec.ID, spec.Job); err != nil {
+			return err
 		}
 	}
 	if p.cfg.RecordLineage {

@@ -7,6 +7,7 @@ package worker
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -85,8 +86,21 @@ type Registry struct {
 // job ID prefix plus the '/' separator keeps per-job names disjoint from the
 // cluster-wide namespace and from every other job's.
 func QualifiedName(job types.JobID, name string) string {
-	return job.Hex() + "/" + name
+	return string(appendQualifiedName(nil, job, name))
 }
+
+// appendQualifiedName appends QualifiedName(job, name) to dst. The per-task
+// lookups build the key in a stack buffer and index the map with it
+// directly, which costs no allocation.
+func appendQualifiedName(dst []byte, job types.JobID, name string) []byte {
+	dst = hex.AppendEncode(dst, job[:])
+	dst = append(dst, '/')
+	return append(dst, name...)
+}
+
+// qualifiedNameBuf holds the qualified form of any reasonably named function
+// or class; longer names spill to the heap.
+type qualifiedNameBuf [2*types.IDSize + 1 + 64]byte
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -158,7 +172,8 @@ func (r *Registry) FunctionFor(job types.JobID, name string) (Function, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if !job.IsNil() {
-		if fn, ok := r.functions[QualifiedName(job, name)]; ok {
+		var buf qualifiedNameBuf
+		if fn, ok := r.functions[string(appendQualifiedName(buf[:0], job, name))]; ok {
 			return fn, nil
 		}
 	}
@@ -193,7 +208,8 @@ func (r *Registry) ActorClassFor(job types.JobID, name string) (StateConstructor
 //guard:holds mu.R
 func (r *Registry) lookupClassLocked(job types.JobID, name string) (*actorClass, error) {
 	if !job.IsNil() {
-		if c, ok := r.actors[QualifiedName(job, name)]; ok {
+		var buf qualifiedNameBuf
+		if c, ok := r.actors[string(appendQualifiedName(buf[:0], job, name))]; ok {
 			return c, nil
 		}
 	}

@@ -1,8 +1,12 @@
 package worker
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -871,5 +875,135 @@ func TestErrorInputUnpinnedAfterPropagation(t *testing.T) {
 	}
 	if !env.pool.objects.Local().Delete(errInput) {
 		t.Fatal("error input still pinned after propagation")
+	}
+}
+
+// A task's inputs are unpinned before its outputs become visible, so that
+// whoever sees the result can release an input and have it reclaimed. The
+// sharpest case is the task's own pending-task reference, released inside Run
+// after the outputs are published: when it is the last one, the reclaimer
+// runs right there and must find the replica deletable. (With the unpin
+// deferred to Run's return it bounced off the finished task's own pin, and
+// the replica leaked until job exit.)
+func TestInputsUnpinnedBeforeOutputsPublished(t *testing.T) {
+	env := newEnv(t, 0)
+	registerTestFunctions(t, env)
+	ctx := context.Background()
+	store := env.pool.objects.Local()
+
+	input := types.NewObjectID()
+	if err := env.pool.objects.Put(ctx, input, codec.MustEncode(21.0), false, types.NilTaskID); err != nil {
+		t.Fatal(err)
+	}
+	spec := &task.Spec{
+		ID:         types.NewTaskID(),
+		Driver:     types.NewDriverID(),
+		Function:   "double",
+		NumReturns: 1,
+		Args:       []task.Arg{task.RefArg(input)},
+	}
+	if err := env.gcs.AddTask(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	// The pending task holds the input's only reference, as after a submit
+	// whose submitter has already freed its own.
+	env.gcs.IncObjectRefs(1, input)
+	var outputVisible, deleted bool
+	env.gcs.SetReclaimer(func(_ context.Context, id types.ObjectID) {
+		if id == input {
+			outputVisible = store.Contains(spec.Returns()[0])
+			deleted = store.Delete(id)
+		}
+	})
+
+	if err := env.pool.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if !outputVisible {
+		t.Fatal("input's last reference was released before the output was published (or never)")
+	}
+	if !deleted || store.Contains(input) {
+		t.Fatal("the finished task's pin kept its input from being reclaimed")
+	}
+}
+
+// The owner references a context holds form a set: Free releases exactly the
+// tracked ones, once, and TakeCreated hands over what is left.
+func TestFreeAndTakeCreated(t *testing.T) {
+	env := newEnv(t, 0)
+	c := env.ctx()
+	ids := make([]types.ObjectID, 5)
+	for i := range ids {
+		ids[i] = types.NewObjectID()
+	}
+	env.gcs.IncObjectRefs(1, ids...)
+	c.trackCreated(ids...)
+
+	stranger := types.NewObjectID()
+	env.gcs.IncObjectRefs(1, stranger)
+	c.Free(ids[0], ids[0], stranger, ids[3])
+	if got := env.gcs.ObjectRefCount(stranger); got != 1 {
+		t.Fatalf("Free released a reference the context never held (count %d)", got)
+	}
+	for i, id := range ids {
+		want := int64(1)
+		if i == 0 || i == 3 {
+			want = 0
+		}
+		if got := env.gcs.ObjectRefCount(id); got != want {
+			t.Fatalf("ref count of id %d = %d, want %d", i, got, want)
+		}
+	}
+	rest := c.TakeCreated()
+	sort.Slice(rest, func(i, j int) bool { return bytes.Compare(rest[i][:], rest[j][:]) < 0 })
+	want := []types.ObjectID{ids[1], ids[2], ids[4]}
+	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i][:], want[j][:]) < 0 })
+	if !reflect.DeepEqual(rest, want) {
+		t.Fatalf("TakeCreated = %v, want %v", rest, want)
+	}
+	if again := c.TakeCreated(); len(again) != 0 {
+		t.Fatalf("second TakeCreated returned %v", again)
+	}
+	c.Free(ids[1]) // no longer tracked: a no-op
+	if got := env.gcs.ObjectRefCount(ids[1]); got != 1 {
+		t.Fatalf("Free after TakeCreated released a reference (count %d)", got)
+	}
+}
+
+// Free(one ref) costs the same whether the context tracks a dozen references
+// or tens of thousands — a driver's window of in-flight futures must not make
+// every release slower.
+func TestFreeCostIndependentOfTracked(t *testing.T) {
+	env := newEnv(t, 0)
+	perFree := func(tracked int) (time.Duration, float64) {
+		c := env.ctx()
+		ids := make([]types.ObjectID, tracked)
+		for i := range ids {
+			ids[i] = types.NewObjectID()
+		}
+		c.trackCreated(ids...)
+		cycle := func() {
+			c.Free(ids[0])
+			c.trackCreated(ids[0])
+		}
+		best := time.Duration(math.MaxInt64)
+		for round := 0; round < 5; round++ {
+			const n = 2000
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				cycle()
+			}
+			best = min(best, time.Since(start)/n)
+		}
+		return best, testing.AllocsPerRun(100, cycle)
+	}
+	smallNs, smallAllocs := perFree(16)
+	bigNs, bigAllocs := perFree(1 << 15)
+	if bigAllocs != smallAllocs || bigAllocs > 1 {
+		t.Errorf("Free allocates %v times with 32768 tracked, %v with 16; want equal and at most 1", bigAllocs, smallAllocs)
+	}
+	// A scan of the tracked set would be ~2000x slower at 32768 than at 16.
+	if bigNs > 8*smallNs+time.Microsecond {
+		t.Errorf("Free took %v with 32768 tracked vs %v with 16", bigNs, smallNs)
 	}
 }
