@@ -67,9 +67,11 @@ func TestThroughputBatchedBeatsBaseline(t *testing.T) {
 // TestTelemetryOverheadWithinBound is the acceptance check for default-on
 // telemetry: with the metrics registry and task-lifecycle tracer enabled,
 // empty-task throughput must stay within 5% of the fully disabled baseline.
-// Retries absorb scheduler noise on loaded CI machines.
+// Retries absorb scheduler noise on loaded CI machines: five of them, because
+// beside the other packages of `go test ./...` on two cores a burst of load
+// outlasts three one-second attempts in about one full run in four.
 func TestTelemetryOverheadWithinBound(t *testing.T) {
-	const attempts = 3
+	const attempts = 5
 	var lastRatio float64
 	for attempt := 1; attempt <= attempts; attempt++ {
 		table, err := TelemetryOverhead(Quick)

@@ -82,11 +82,6 @@ func multiDriverConfig(fifo bool) core.Config {
 	// Micro drivers pin their latency-sensitive tasks to their own node, the
 	// usual locality pattern for interactive work.
 	cfg.LabelNodes = true
-	// Tasks here are milliseconds long and drivers block on results, so the
-	// per-driver latency is dominated by how fast object-table publishes
-	// become visible; a tighter flush interval keeps the batched control
-	// plane from adding a fixed 2ms to every remote result.
-	cfg.GCSBatchFlushInterval = 500 * time.Microsecond
 	return cfg
 }
 

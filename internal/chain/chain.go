@@ -4,6 +4,9 @@
 // writes enter at the head and are acknowledged by the tail; reads are served
 // by the tail.
 //
+// There is no commit hook: the GCS signals subscribers when a write is readable
+// through the Store (batched: before it gets here); a commit makes it durable.
+//
 // A lightweight master (one per chain, as in the paper's "chain master")
 // handles reconfiguration: when a replica failure is reported, the dead
 // replica is cut out of the chain, and if a replica factory is configured a
@@ -110,10 +113,6 @@ type Chain struct {
 	// nextID numbers replicas created by the factory.
 	nextID atomic.Uint64
 
-	// onApply, when set, is invoked after a write commits at the tail. The
-	// GCS uses it to drive pub-sub notifications.
-	onApply atomic.Pointer[func(key string, value []byte)]
-
 	// reconfigurations counts master reconfiguration events (for tests and
 	// the Figure 10a harness).
 	reconfigurations atomic.Int64
@@ -129,11 +128,6 @@ func New(cfg Config) *Chain {
 		c.replicas = append(c.replicas, NewReplica(fmt.Sprintf("replica-%d", c.nextID.Add(1))))
 	}
 	return c
-}
-
-// SetOnApply installs the tail-commit hook used for pub-sub.
-func (c *Chain) SetOnApply(fn func(key string, value []byte)) {
-	c.onApply.Store(&fn)
 }
 
 // Replicas returns the current chain members, head first.
@@ -222,11 +216,6 @@ func (c *Chain) tryPutBatch(ctx context.Context, keys []string, values [][]byte)
 			}
 		}
 	}
-	if fn := c.onApply.Load(); fn != nil {
-		for i := range keys {
-			(*fn)(keys[i], values[i])
-		}
-	}
 	return nil
 }
 
@@ -247,9 +236,6 @@ func (c *Chain) tryPut(ctx context.Context, key string, value []byte) error {
 		if err := r.apply(key, value); err != nil {
 			return err
 		}
-	}
-	if fn := c.onApply.Load(); fn != nil {
-		(*fn)(key, value)
 	}
 	return nil
 }

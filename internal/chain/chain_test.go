@@ -133,24 +133,6 @@ func TestReportFailureProactive(t *testing.T) {
 	}
 }
 
-func TestOnApplyHook(t *testing.T) {
-	c := New(DefaultConfig())
-	var mu sync.Mutex
-	got := make(map[string]string)
-	c.SetOnApply(func(key string, value []byte) {
-		mu.Lock()
-		got[key] = string(value)
-		mu.Unlock()
-	})
-	mustPut(t, c, "x", []byte("1"))
-	mustPut(t, c, "y", []byte("2"))
-	mu.Lock()
-	defer mu.Unlock()
-	if got["x"] != "1" || got["y"] != "2" {
-		t.Fatalf("hook missed writes: %v", got)
-	}
-}
-
 func TestReconfigureLatencyBounded(t *testing.T) {
 	// With a scaled network and a 20ms reconfiguration delay the paper's
 	// "max client-observed latency under 30ms" property should hold at scale
@@ -312,25 +294,6 @@ func TestPutBatchCommitsAllKeys(t *testing.T) {
 	}
 	if err := c.PutBatch(ctx, []string{"x"}, nil); err == nil {
 		t.Fatal("mismatched batch must error")
-	}
-}
-
-func TestPutBatchFiresOnApplyPerKey(t *testing.T) {
-	c := New(DefaultConfig())
-	var mu sync.Mutex
-	applied := map[string]string{}
-	c.SetOnApply(func(key string, value []byte) {
-		mu.Lock()
-		applied[key] = string(value)
-		mu.Unlock()
-	})
-	if err := c.PutBatch(context.Background(), []string{"x", "y"}, [][]byte{[]byte("1"), []byte("2")}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if applied["x"] != "1" || applied["y"] != "2" {
-		t.Fatalf("onApply saw %v", applied)
 	}
 }
 

@@ -488,18 +488,17 @@ func (c *Cluster) RouteActorTask(ctx context.Context, spec *task.Spec) error {
 		if err != nil {
 			return err
 		}
-		if !ok {
-			// Creation task has not completed yet; wait for the actor table
-			// entry to appear.
-			time.Sleep(time.Millisecond)
+		if !ok || entry.State == types.ActorPending {
+			// The creation task writes the entry when it completes.
+			created := func(e *gcs.ActorEntry, ok bool) bool { return ok && e.State != types.ActorPending }
+			if err := c.awaitActor(ctx, spec.ActorID, created); err != nil {
+				return err
+			}
 			continue
 		}
 		switch entry.State {
 		case types.ActorDead:
 			return fmt.Errorf("cluster: actor %s: %w", spec.ActorID, types.ErrActorDead)
-		case types.ActorPending:
-			time.Sleep(time.Millisecond)
-			continue
 		case types.ActorReconstructing:
 			if err := c.reconstructActor(ctx, spec.ActorID); err != nil {
 				return err
@@ -520,6 +519,28 @@ func (c *Cluster) RouteActorTask(ctx context.Context, spec *task.Spec) error {
 				return err
 			}
 			return nil
+		}
+	}
+}
+
+// awaitActor subscribes to the actor's table entry, then re-reads it after
+// every write until done accepts it, ctx ends or ActorWaitTimeout passes.
+func (c *Cluster) awaitActor(ctx context.Context, id types.ActorID, done func(entry *gcs.ActorEntry, ok bool) bool) error {
+	written, cancel := c.gcs.SubscribeActor(id)
+	defer cancel()
+	expired := time.NewTimer(c.cfg.ActorWaitTimeout)
+	defer expired.Stop()
+	for {
+		entry, ok, err := c.gcs.GetActor(ctx, id)
+		if err != nil || done(entry, ok) {
+			return err
+		}
+		select {
+		case <-written:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-expired.C:
+			return fmt.Errorf("cluster: actor %s not available within %v: %w", id, c.cfg.ActorWaitTimeout, types.ErrTimeout)
 		}
 	}
 }
@@ -630,16 +651,11 @@ func (c *Cluster) doReconstructActor(ctx context.Context, id types.ActorID) erro
 	if err := host.LocalScheduler().SubmitPlaced(ctx, creation.Spec); err != nil {
 		return err
 	}
-	// Wait for the instance to exist on the new node.
-	waitDeadline := time.Now().Add(c.cfg.ActorWaitTimeout)
-	for !host.Workers().HasActor(id) {
-		if time.Now().After(waitDeadline) {
-			return fmt.Errorf("cluster: actor %s creation replay did not finish: %w", id, types.ErrTimeout)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(time.Millisecond)
+	// Wait for the instance to exist on the new node: the creation task
+	// installs it and then writes the actor's entry.
+	err = c.awaitActor(ctx, id, func(*gcs.ActorEntry, bool) bool { return host.Workers().HasActor(id) })
+	if err != nil {
+		return fmt.Errorf("cluster: actor %s creation replay did not finish: %w", id, err)
 	}
 
 	// Restore the checkpoint (it lives in the GCS, so it survived the node).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -461,5 +462,159 @@ func TestReclaimParksPinnedReplica(t *testing.T) {
 	}
 	if got := c.Stats().ObjectsReclaimed; got != 2 {
 		t.Fatalf("ObjectsReclaimed = %d, want both replicas counted", got)
+	}
+}
+
+// gatedCounter registers an actor class whose constructor blocks until the
+// test opens the current gate, and whose "add" reports when it ran: what a
+// test needs to hold an actor method call in RouteActorTask's (or the
+// reconstruction's) wait and then time the wake-up.
+type gatedCounter struct {
+	gate chan chan struct{} // the constructor takes its gate from here
+	ran  chan time.Time
+}
+
+func registerGatedCounter(t *testing.T, c *Cluster) *gatedCounter {
+	t.Helper()
+	g := &gatedCounter{gate: make(chan chan struct{}, 1), ran: make(chan time.Time, 1)}
+	err := c.Registry().RegisterActorClass("test.Gated", func(ctx *worker.TaskContext, args [][]byte) (any, error) {
+		<-<-g.gate
+		return &counterActor{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Registry().RegisterActorMethod("test.Gated", "add", worker.MethodSpec{
+		NumArgs: 1, NumReturns: 1,
+		Impl: func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
+			g.ran <- time.Now()
+			return [][]byte{args[0]}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// openAndTime waits until a caller is parked on the actor entry's
+// subscription, opens the gate, and returns how long the method took to run
+// from there.
+func (g *gatedCounter) openAndTime(t *testing.T, c *Cluster, gate chan struct{}) time.Duration {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.GCS().SubscriberCount() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no caller is waiting on the actor entry")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	opened := time.Now()
+	close(gate)
+	select {
+	case at := <-g.ran:
+		return at.Sub(opened)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the method never ran")
+		return 0
+	}
+}
+
+func medianOf(d []time.Duration) time.Duration {
+	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	return d[len(d)/2]
+}
+
+// TestFirstActorCallWokenByCreation: a method call on an actor whose creation
+// task has not finished waits on the actor entry's subscription and is routed
+// as soon as the creation task writes the entry — not at the next tick of a
+// 1 ms poll, which no median under a millisecond could come from.
+func TestFirstActorCallWokenByCreation(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	c := newTestCluster(t, cfg)
+	g := registerGatedCounter(t, c)
+	d := driverOn(c.HeadNode())
+	var delays []time.Duration
+	for i := 0; i < 30; i++ {
+		gate := make(chan struct{})
+		g.gate <- gate
+		handle, err := d.CreateActor("test.Gated", worker.CallOptions{ZeroResources: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		called := make(chan error, 1)
+		go func() {
+			_, err := d.CallActor1(handle, "add", worker.CallOptions{}, i)
+			called <- err
+		}()
+		delays = append(delays, g.openAndTime(t, c, gate))
+		if err := <-called; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := medianOf(delays); m > time.Millisecond {
+		t.Fatalf("median creation-to-first-method %v (max %v): the call is not woken by the entry's write", m, delays[len(delays)-1])
+	}
+	if n := c.GCS().SubscriberCount(); n != 0 {
+		t.Fatalf("%d subscriptions left behind", n)
+	}
+}
+
+// TestActorCallDuringReconstructionWokenByReplay: the same for a call that
+// finds its actor's node dead — the reconstruction it triggers waits for the
+// replayed creation on the entry's subscription.
+func TestActorCallDuringReconstructionWokenByReplay(t *testing.T) {
+	var delays []time.Duration
+	for i := 0; i < 15; i++ {
+		cfg := DefaultConfig()
+		cfg.Nodes = 3
+		c := newTestCluster(t, cfg)
+		g := registerGatedCounter(t, c)
+		ctx := context.Background()
+		d := driverOn(c.HeadNode())
+		first := make(chan struct{})
+		close(first)
+		g.gate <- first
+		handle, err := d.CreateActor("test.Gated", worker.CallOptions{ZeroResources: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := d.CallActor1(handle, "add", worker.CallOptions{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var echoed int
+		if err := d.Get(ref, &echoed); err != nil {
+			t.Fatal(err)
+		}
+		<-g.ran
+		entry, ok, err := c.GCS().GetActor(ctx, handle.ID)
+		if err != nil || !ok {
+			t.Fatalf("actor entry missing: %v", err)
+		}
+		if err := c.KillNode(ctx, entry.Node); err != nil {
+			t.Fatal(err)
+		}
+
+		gate := make(chan struct{})
+		g.gate <- gate
+		d2 := driverOn(c.HeadNode())
+		called := make(chan error, 1)
+		go func() {
+			_, err := d2.CallActor1(handle, "add", worker.CallOptions{}, 2)
+			called <- err
+		}()
+		delays = append(delays, g.openAndTime(t, c, gate))
+		if err := <-called; err != nil {
+			t.Fatal(err)
+		}
+		if c.Stats().ActorsReconstructed != 1 {
+			t.Fatal("reconstruction not recorded")
+		}
+		c.Shutdown()
+	}
+	if m := medianOf(delays); m > time.Millisecond {
+		t.Fatalf("median replay-to-method %v (max %v): the reconstruction is not woken by the entry's write", m, delays[len(delays)-1])
 	}
 }

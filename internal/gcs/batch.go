@@ -24,8 +24,11 @@ import (
 //
 // Consistency: the pending buffer doubles as a read overlay — every read on
 // this Store consults it before the chain, so read-your-writes holds for all
-// in-process consumers (schedulers, object managers, lineage). What batching
-// trades away is the durability acknowledgement: put returns before the
+// in-process consumers (schedulers, object managers, lineage). Pub-sub follows
+// the overlay, not the commit: Store.put signals subscribers right after
+// enqueue, and a failed flush keeps (re-queues) its entries, so what was
+// signalled stays readable. What batching trades away is the durability
+// acknowledgement (CommitFuture is the only one): put returns before the
 // entry is chain-replicated, and a shard that loses every replica in the
 // flush window loses the pending entries. The synchronous path
 // (Config.SyncWrites=true) is kept as the explicit ablation knob the

@@ -10,6 +10,9 @@
 // scalability; per-shard chain replication provides fault tolerance; the
 // pub-sub layer provides the object-creation callbacks that task dispatch and
 // ray.get rely on (paper Figure 7).
+// A subscriber is signalled once a write to its key is readable through this
+// Store, which on the batching path is before the chain commit that makes it
+// durable (CommitFuture acknowledges that); the signal says only "re-read".
 package gcs
 
 import (
@@ -17,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,9 +81,8 @@ type Store struct {
 	// batchers is non-nil (one per shard) unless cfg.SyncWrites is set.
 	batchers []*shardBatcher //guard:init
 
-	// pub-sub registry: key -> subscriber channels.
-	subMu sync.Mutex
-	subs  map[string][]chan []byte //guard:by subMu
+	// watch is the pub-sub registry, by shard: no put takes a cluster-wide lock.
+	watch []watchShard //guard:init
 
 	// nodeIDs indexes the membership table so Nodes() — which the global
 	// scheduler reads on every placement decision — costs O(nodes) point
@@ -164,7 +167,7 @@ func New(cfg Config) *Store {
 	}
 	s := &Store{
 		cfg:         cfg,
-		subs:        make(map[string][]chan []byte),
+		watch:       make([]watchShard, cfg.Shards),
 		objByJob:    make(map[types.JobID]map[types.ObjectID]struct{}),
 		actorsByJob: make(map[types.JobID]map[types.ActorID]struct{}),
 	}
@@ -173,8 +176,8 @@ func New(cfg Config) *Store {
 			ReplicationFactor: cfg.ReplicationFactor,
 			Network:           cfg.Network,
 		})
-		ch.SetOnApply(s.publish)
 		s.shards = append(s.shards, ch)
+		s.watch[i].subs = make(map[string][]chan struct{})
 		if !cfg.SyncWrites {
 			s.batchers = append(s.batchers, newShardBatcher(ch, cfg.BatchFlushInterval, cfg.BatchMaxEntries, s.maybeFlush, cfg.Metrics))
 		}
@@ -308,20 +311,18 @@ func (s *Store) shardForKey(key string) int {
 
 func (s *Store) put(ctx context.Context, si int, key string, value []byte) error {
 	s.puts.Add(1)
-	if s.batchers != nil {
-		// Batched path: deposit into the shard's pending buffer. The write is
-		// immediately visible to reads through this Store (overlay) and is
-		// chain-committed by the next flush; pub-sub fires at commit time.
-		// After Close the batcher refuses new work (its flusher is gone), so
-		// stragglers fall through to the synchronous chain write below.
-		if s.batchers[si].enqueue(key, value) {
-			return nil
+	// Batched path: deposit into the shard's pending buffer. The write is
+	// immediately visible to reads through this Store (overlay) and is
+	// chain-committed by the next flush. After Close the batcher refuses new
+	// work (its flusher is gone), so stragglers take the synchronous chain
+	// write, like every write under SyncWrites.
+	if s.batchers == nil || !s.batchers[si].enqueue(key, value) {
+		if err := s.shards[si].Put(ctx, key, value); err != nil {
+			return fmt.Errorf("gcs: put %q: %w", key, err)
 		}
+		s.maybeFlush()
 	}
-	if err := s.shards[si].Put(ctx, key, value); err != nil {
-		return fmt.Errorf("gcs: put %q: %w", key, err)
-	}
-	s.maybeFlush()
+	s.publish(si, key)
 	return nil
 }
 
@@ -341,59 +342,65 @@ func (s *Store) get(ctx context.Context, si int, key string) ([]byte, bool, erro
 
 // --- Pub-sub ----------------------------------------------------------------
 
-// publish is installed as every shard chain's tail-commit hook. The sends are
-// non-blocking and performed under the registry lock so that cancel (which
-// closes the channel under the same lock) can never race with a send.
-func (s *Store) publish(key string, value []byte) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for _, ch := range s.subs[key] {
-		// Subscribers use buffered channels and treat the notification as a
-		// level trigger (they re-read the table on wake), so dropping a
-		// notification when the buffer is full is safe.
+// watchShard is one shard's part of the pub-sub registry.
+type watchShard struct {
+	n    atomic.Int64 // registrations: a put to a shard nobody watches skips the lock
+	mu   sync.Mutex
+	subs map[string][]chan struct{} //guard:by mu
+}
+
+// publish signals key's subscribers. put calls it once the write is readable
+// (in the pending overlay, or chain-committed on the synchronous path), and
+// subscribe registers before its caller's first read: either publish finds the
+// registration or that read returns the write, so no wake-up is lost and none
+// says more than a read would. Level trigger: a send to a full channel is dropped.
+func (s *Store) publish(si int, key string) {
+	w := &s.watch[si]
+	if w.n.Load() == 0 {
+		return
+	}
+	w.mu.Lock()
+	for _, ch := range w.subs[key] {
 		select {
-		case ch <- value:
+		case ch <- struct{}{}:
 		default:
+		}
+	}
+	w.mu.Unlock()
+}
+
+// subscribe returns a channel signalled on every write to a key prefix+hex(id).
+// cancel drops the registrations (the channel is the caller's and is never
+// closed); calling it twice is harmless.
+func subscribe[ID ~[types.IDSize]byte](s *Store, prefix string, ids []ID) (<-chan struct{}, func()) {
+	ch := make(chan struct{}, 1)
+	for _, id := range ids {
+		w, key := &s.watch[s.shardFor(types.UniqueID(id))], tableKey(prefix, types.UniqueID(id))
+		w.mu.Lock()
+		w.subs[key] = append(w.subs[key], ch)
+		w.mu.Unlock()
+		w.n.Add(1)
+	}
+	return ch, func() {
+		for _, id := range ids {
+			w, key := &s.watch[s.shardFor(types.UniqueID(id))], tableKey(prefix, types.UniqueID(id))
+			w.mu.Lock()
+			if i := slices.Index(w.subs[key], ch); i >= 0 {
+				if w.subs[key] = slices.Delete(w.subs[key], i, i+1); len(w.subs[key]) == 0 {
+					delete(w.subs, key)
+				}
+				w.n.Add(-1)
+			}
+			w.mu.Unlock()
 		}
 	}
 }
 
-// subscribe registers interest in raw writes to a key. The returned cancel
-// function must be called to release the subscription; it also closes the
-// channel so consumer goroutines terminate.
-func (s *Store) subscribe(key string) (<-chan []byte, func()) {
-	ch := make(chan []byte, 16)
-	s.subMu.Lock()
-	s.subs[key] = append(s.subs[key], ch)
-	s.subMu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			s.subMu.Lock()
-			defer s.subMu.Unlock()
-			list := s.subs[key]
-			for i, c := range list {
-				if c == ch {
-					s.subs[key] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-			if len(s.subs[key]) == 0 {
-				delete(s.subs, key)
-			}
-			close(ch)
-		})
-	}
-	return ch, cancel
-}
-
 // SubscriberCount reports how many subscriptions are registered (for tests).
 func (s *Store) SubscriberCount() int {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
 	n := 0
-	for _, list := range s.subs {
-		n += len(list)
+	for i := range s.watch {
+		n += int(s.watch[i].n.Load())
 	}
 	return n
 }

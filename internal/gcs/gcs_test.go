@@ -66,33 +66,60 @@ func TestObjectTable(t *testing.T) {
 }
 
 func TestObjectSubscription(t *testing.T) {
-	s := newTestStore(t)
-	ctx := context.Background()
-	obj := types.NewObjectID()
-	ch, cancel := s.SubscribeObject(obj)
-	defer cancel()
-	if s.SubscriberCount() != 1 {
-		t.Fatalf("subscriber count %d", s.SubscriberCount())
+	// The three ways a write becomes readable: the batching overlay, the
+	// synchronous chain write, and the chain write a closed batcher falls
+	// back to. One channel watches two objects, as ray.wait does.
+	for name, open := range map[string]func() *Store{
+		"batched": func() *Store { return New(Config{Shards: 4, ReplicationFactor: 2}) },
+		"sync":    func() *Store { return New(Config{Shards: 4, ReplicationFactor: 2, SyncWrites: true}) },
+		"closed": func() *Store {
+			s := New(Config{Shards: 4, ReplicationFactor: 2})
+			_ = s.Close()
+			return s
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := open()
+			defer s.Close()
+			ctx := context.Background()
+			objs := []types.ObjectID{types.NewObjectID(), types.NewObjectID()}
+			ch, cancel := s.SubscribeObject(objs...)
+			defer cancel()
+			if s.SubscriberCount() != 2 {
+				t.Fatalf("subscriber count %d", s.SubscriberCount())
+			}
+			node := types.NewNodeID()
+			for _, obj := range objs {
+				if err := s.AddObjectLocation(ctx, obj, node, 64, types.NilTaskID, types.NilJobID); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-ch:
+					// The signal carries nothing: the subscriber re-reads.
+					entry, ok, err := s.GetObject(ctx, obj)
+					if err != nil || !ok || !entry.HasLocation(node) || entry.Size != 64 {
+						t.Fatalf("re-read after the signal: %+v ok=%v err=%v", entry, ok, err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("no notification received")
+				}
+			}
+			cancel()
+			if s.SubscriberCount() != 0 {
+				t.Fatal("cancel must remove the subscription")
+			}
+			// Double cancel must be safe, and a write after it signals nobody.
+			cancel()
+			if err := s.AddObjectLocation(ctx, objs[0], types.NewNodeID(), 64, types.NilTaskID, types.NilJobID); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-ch:
+				t.Fatal("signalled after cancel")
+			default:
+			}
+		})
 	}
-
-	node := types.NewNodeID()
-	if err := s.AddObjectLocation(ctx, obj, node, 64, types.NilTaskID, types.NilJobID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case entry := <-ch:
-		if entry == nil || !entry.HasLocation(node) || entry.Size != 64 {
-			t.Fatalf("bad notification: %+v", entry)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no notification received")
-	}
-	cancel()
-	if s.SubscriberCount() != 0 {
-		t.Fatal("cancel must remove the subscription")
-	}
-	// Double cancel must be safe.
-	cancel()
 }
 
 func TestSubscriptionOnlyMatchingKey(t *testing.T) {
@@ -105,10 +132,8 @@ func TestSubscriptionOnlyMatchingKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case e, ok := <-ch:
-		if ok {
-			t.Fatalf("unexpected notification for unrelated object: %+v", e)
-		}
+	case <-ch:
+		t.Fatal("unexpected notification for unrelated object")
 	case <-time.After(50 * time.Millisecond):
 	}
 }
@@ -614,24 +639,99 @@ func TestBatchedNodeScanSeesPendingRegistration(t *testing.T) {
 	}
 }
 
-func TestBatchedSubscriberNotifiedAtCommit(t *testing.T) {
-	s := New(Config{Shards: 2, ReplicationFactor: 1, BatchFlushInterval: time.Millisecond})
+// TestBatchedSubscriberSignalledWhenReadable: pub-sub follows the pending
+// overlay, not the chain commit. With a flush that never comes by itself, a
+// subscriber is still signalled by every location write, and its re-read
+// returns that write.
+func TestBatchedSubscriberSignalledWhenReadable(t *testing.T) {
+	s := New(Config{Shards: 2, ReplicationFactor: 1, BatchFlushInterval: time.Hour})
 	defer s.Close()
 	ctx := context.Background()
-	obj := types.NewObjectID()
+	obj, node := types.NewObjectID(), types.NewNodeID()
 	notify, cancel := s.SubscribeObject(obj)
 	defer cancel()
-	node := types.NewNodeID()
-	if err := s.AddObjectLocation(ctx, obj, node, 10, types.NilTaskID, types.NilJobID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case entry := <-notify:
-		if !entry.HasLocation(node) {
-			t.Fatal("notification missing location")
+	for _, step := range []struct {
+		name  string
+		write func() error
+		want  bool
+	}{
+		{"AddObjectLocation", func() error { return s.AddObjectLocation(ctx, obj, node, 10, types.NilTaskID, types.NilJobID) }, true},
+		{"RemoveObjectLocation", func() error { return s.RemoveObjectLocation(ctx, obj, node) }, false},
+	} {
+		if err := step.write(); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no pub-sub notification after flush interval")
+		select {
+		case <-notify:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: subscriber not signalled before the commit", step.name)
+		}
+		entry, ok, err := s.GetObject(ctx, obj)
+		if err != nil || !ok || entry.HasLocation(node) != step.want {
+			t.Fatalf("%s: re-read after the signal: %+v ok=%v err=%v", step.name, entry, ok, err)
+		}
+	}
+	if n := s.Stats().BatchCommits; n != 0 {
+		t.Fatalf("%d commits happened; the signals must not have needed one", n)
+	}
+}
+
+// TestSubscribeThenReadLosesNoWakeup is the invariant every waiter relies on:
+// a goroutine that subscribes, reads, and waits only if the read found nothing
+// always returns, with no re-poll, because the overlay insert happens before
+// publish and the registration before the first read. Run under -race.
+func TestSubscribeThenReadLosesNoWakeup(t *testing.T) {
+	s := New(Config{Shards: 4, ReplicationFactor: 1, BatchFlushInterval: time.Hour})
+	defer s.Close()
+	ctx := context.Background()
+	const waiters, rounds = 8, 200
+	ids := make([][]types.ObjectID, waiters)
+	var wg sync.WaitGroup
+	for w := range ids {
+		ids[w] = make([]types.ObjectID, rounds)
+		for r := range ids[w] {
+			ids[w][r] = types.NewObjectID()
+		}
+		wg.Add(2)
+		start := make(chan struct{})     // lines the writer of an id up with its waiter
+		go func(mine []types.ObjectID) { // waiter
+			defer wg.Done()
+			for _, id := range mine {
+				start <- struct{}{}
+				notify, cancel := s.SubscribeObject(id)
+				for {
+					entry, ok, err := s.GetObject(ctx, id)
+					if err != nil {
+						t.Error(err)
+					}
+					if ok && len(entry.Locations) > 0 {
+						break
+					}
+					<-notify
+				}
+				cancel()
+			}
+		}(ids[w])
+		go func(mine []types.ObjectID) { // writer, racing the waiter on each id
+			defer wg.Done()
+			node := types.NewNodeID()
+			for _, id := range mine {
+				<-start
+				if err := s.AddObjectLocation(ctx, id, node, 1, types.NilTaskID, types.NilJobID); err != nil {
+					t.Error(err)
+				}
+			}
+		}(ids[w])
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a waiter never returned: a wake-up was lost")
+	}
+	if n := s.SubscriberCount(); n != 0 {
+		t.Fatalf("%d subscriptions left registered", n)
 	}
 }
 

@@ -28,8 +28,8 @@ func objectKey(id types.ObjectID) string { return tableKey(keyPrefixObject, type
 
 // AddObjectLocation records that node holds a replica of the object. It
 // creates the entry if needed and preserves existing locations (and the
-// owning job, once known). The write triggers pub-sub notifications for any
-// subscriber waiting on the object (the callback mechanism of paper
+// owning job, once known). The write signals every subscriber waiting on the
+// object as soon as GetObject returns it (the callback mechanism of paper
 // Figure 7b). A nil job leaves the recorded owner untouched — replicas made
 // by pulls re-register locations without knowing the producer's job.
 func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node types.NodeID, size int64, creator types.TaskID, job types.JobID) error {
@@ -136,25 +136,12 @@ func (s *Store) GetObject(ctx context.Context, id types.ObjectID) (*ObjectEntry,
 	return entry, true, nil
 }
 
-// SubscribeObject registers for notifications about the object's table entry.
-// The returned channel receives the decoded entry after every update (best
-// effort: it is a level trigger, so consumers should re-read on wake). cancel
-// releases the subscription.
-func (s *Store) SubscribeObject(id types.ObjectID) (<-chan *ObjectEntry, func()) {
-	raw, cancel := s.subscribe(objectKey(id))
-	out := make(chan *ObjectEntry, 16)
-	go func() {
-		for data := range raw {
-			if entry, err := unmarshalObjectEntry(data); err == nil {
-				select {
-				case out <- entry:
-				default:
-				}
-			}
-		}
-		close(out)
-	}()
-	return out, cancel
+// SubscribeObject returns a channel signalled whenever the table entry of one
+// of the objects is written, and a cancel that releases the subscription. A
+// signal says only "re-read": it is sent once GetObject returns the write,
+// durable or not. Subscribe, read, then wait: in that order no write is missed.
+func (s *Store) SubscribeObject(ids ...types.ObjectID) (<-chan struct{}, func()) {
+	return subscribe(s, keyPrefixObject, ids)
 }
 
 // --- Task table ---------------------------------------------------------------
@@ -243,6 +230,11 @@ func (s *Store) DropJobActorIndex(job types.JobID) {
 	s.actorIdxMu.Lock()
 	delete(s.actorsByJob, job)
 	s.actorIdxMu.Unlock()
+}
+
+// SubscribeActor is SubscribeObject for one actor's table entry (GetActor).
+func (s *Store) SubscribeActor(id types.ActorID) (<-chan struct{}, func()) {
+	return subscribe(s, keyPrefixActor, []types.ActorID{id})
 }
 
 // GetActor returns the actor table entry.
@@ -395,13 +387,15 @@ func (s *Store) HeartbeatBatch(ctx context.Context, updates []HeartbeatUpdate) e
 	}
 	for si, keys := range perShardKeys {
 		values := perShardValues[si]
-		s.puts.Add(int64(len(keys)))
 		if s.batchers != nil {
 			for i, key := range keys {
-				s.batchers[si].enqueue(key, values[i])
+				if err := s.put(ctx, si, key, values[i]); err != nil {
+					return err
+				}
 			}
 			continue
 		}
+		s.puts.Add(int64(len(keys))) // nothing to publish: membership keys have no subscribers
 		//lint:ignore mutexhold hbMu must span the commit or a heartbeat read-modify-write can resurrect a node just marked dead
 		if err := s.shards[si].PutBatch(ctx, keys, values); err != nil {
 			return fmt.Errorf("gcs: heartbeat batch: %w", err)

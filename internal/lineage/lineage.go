@@ -32,6 +32,7 @@ type Reconstructor struct {
 
 	reconstructedTasks   atomic.Int64
 	reconstructedObjects atomic.Int64
+	repollRescues        atomic.Int64
 
 	// byJobMu guards byJob, the per-job replay counters the cross-job
 	// isolation tests (and debugging tools) read: reconstruction for job A
@@ -68,6 +69,7 @@ func New(store *gcs.Store, submit ResubmitFunc) *Reconstructor {
 type Stats struct {
 	ReconstructedTasks   int64
 	ReconstructedObjects int64
+	RepollRescues        int64 // as objectmanager.Stats.RepollRescues, for waitForObject
 }
 
 // Stats returns a snapshot of reconstruction counters.
@@ -75,6 +77,7 @@ func (r *Reconstructor) Stats() Stats {
 	return Stats{
 		ReconstructedTasks:   r.reconstructedTasks.Load(),
 		ReconstructedObjects: r.reconstructedObjects.Load(),
+		RepollRescues:        r.repollRescues.Load(),
 	}
 }
 
@@ -196,17 +199,24 @@ func (r *Reconstructor) doReconstruct(ctx context.Context, id types.ObjectID, de
 	return nil
 }
 
-// waitForObject blocks until the object table records at least one location.
+// waitForObject blocks until the object table records at least one location,
+// woken by the object's subscription; the re-poll behind it is a safety net.
 func (r *Reconstructor) waitForObject(ctx context.Context, id types.ObjectID) error {
 	notify, cancel := r.gcs.SubscribeObject(id)
 	defer cancel()
 	deadline := time.Now().Add(r.waitTimeout)
+	repoll := time.NewTicker(5 * time.Millisecond)
+	defer repoll.Stop()
+	onRepoll := false // the last wake-up was a re-poll tick with no signal pending
 	for {
 		entry, ok, err := r.gcs.GetObject(ctx, id)
 		if err != nil {
 			return err
 		}
 		if ok && len(entry.Locations) > 0 {
+			if onRepoll && len(notify) == 0 {
+				r.repollRescues.Add(1)
+			}
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -217,7 +227,9 @@ func (r *Reconstructor) waitForObject(ctx context.Context, id types.ObjectID) er
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-notify:
-		case <-time.After(5 * time.Millisecond):
+			onRepoll = false
+		case <-repoll.C:
+			onRepoll = len(notify) == 0
 		}
 	}
 }

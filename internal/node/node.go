@@ -558,9 +558,13 @@ func (n *Node) WaitObjects(ctx context.Context, ids []types.ObjectID, k int, tim
 	if k <= 0 || k > len(ids) {
 		k = len(ids)
 	}
-	var deadline time.Time
+	notify, cancel := n.gcs.SubscribeObject(ids...)
+	defer cancel()
+	var expired <-chan time.Time
 	if timeoutMillis >= 0 {
-		deadline = time.Now().Add(time.Duration(timeoutMillis) * time.Millisecond)
+		timer := time.NewTimer(time.Duration(timeoutMillis) * time.Millisecond)
+		defer timer.Stop()
+		expired = timer.C
 	}
 	ready := make([]types.ObjectID, 0, len(ids))
 	pending := make(map[types.ObjectID]bool, len(ids))
@@ -586,13 +590,12 @@ func (n *Node) WaitObjects(ctx context.Context, ids []types.ObjectID, k int, tim
 		if len(ready) >= k || len(pending) == 0 {
 			return ready, nil
 		}
-		if timeoutMillis >= 0 && time.Now().After(deadline) {
-			return ready, nil
-		}
 		select {
 		case <-ctx.Done():
 			return ready, ctx.Err()
-		case <-time.After(time.Millisecond):
+		case <-expired:
+			return ready, nil
+		case <-notify:
 		}
 	}
 }

@@ -100,7 +100,8 @@ type Manager struct {
 	// parks a chunked assembly whose originator was cancelled mid-transfer so
 	// a restarted pull resumes from the windows already fetched instead of
 	// re-fetching from chunk 0. Only the current pull originator (single-
-	// flight via inflight) touches a parked assembly.
+	// flight via inflight) touches a parked assembly. A slot's channel is made
+	// by the first Pull that has to wait on it: a held slot maps to nil.
 	mu       sync.Mutex
 	inflight map[types.ObjectID]chan error //guard:by mu
 	partial  map[types.ObjectID]*assembly  //guard:by mu
@@ -110,6 +111,7 @@ type Manager struct {
 	xferBytes   *telemetry.Counter   //guard:init
 	pullLatency *telemetry.Histogram //guard:init
 	inflightWin *telemetry.Gauge     //guard:init
+	rescues     *telemetry.Counter   //guard:init
 	tracer      *telemetry.Tracer    //guard:init
 
 	pulls          atomic.Int64
@@ -119,6 +121,7 @@ type Manager struct {
 	chunksPulled   atomic.Int64
 	resumedPulls   atomic.Int64
 	resumedWindows atomic.Int64
+	repollRescues  atomic.Int64
 }
 
 // assembly is the transfer state of one chunked pull: the store-side
@@ -161,6 +164,8 @@ func New(cfg Config, nodeID types.NodeID, local *objectstore.Store, store *gcs.S
 			"Wall time of successful remote object transfers.", telemetry.DefLatencyBuckets),
 		inflightWin: cfg.Metrics.Gauge("ray_objectmanager_pipeline_windows_inflight",
 			"Chunk windows currently in flight across all pipelined pulls."),
+		rescues: cfg.Metrics.Counter("ray_objectmanager_pull_repoll_rescues_total",
+			"Pulls that ended on the safety re-poll with no notification pending."),
 	}
 }
 
@@ -171,8 +176,8 @@ func (m *Manager) Local() *objectstore.Store { return m.local }
 func (m *Manager) NodeID() types.NodeID { return m.nodeID }
 
 // Put stores a locally produced object and registers its location in the GCS
-// object table (which also fires any pub-sub callbacks registered by waiting
-// ray.get calls). If a previous copy of the object was just evicted from the
+// object table (which also signals the subscriptions of waiting ray.get
+// calls). If a previous copy of the object was just evicted from the
 // local store, the location registration waits for the eviction's location
 // removal to land first, so the directory never loses track of a resident
 // replica to out-of-order updates.
@@ -186,7 +191,16 @@ func (m *Manager) Put(ctx context.Context, id types.ObjectID, data []byte, isErr
 // the object unowned. Locally produced objects are primary copies: under
 // memory pressure they spill to disk instead of evicting (replicas fetched
 // from other nodes just evict — the primary can always serve them again).
+// While it stores and registers, the producer holds the inflight slot (unless
+// a pull does: that one reads the directory), so Pull calls the object local
+// only once its location is readable: freed sooner, copy and location leak.
 func (m *Manager) PutOwned(ctx context.Context, id types.ObjectID, data []byte, isError bool, creator types.TaskID, job types.JobID) error {
+	m.mu.Lock()
+	if _, pulling := m.inflight[id]; !pulling {
+		m.inflight[id] = nil
+		defer m.vacate(id, nil)
+	}
+	m.mu.Unlock()
 	if err := m.local.PutPrimary(id, data, isError); err != nil {
 		return err
 	}
@@ -216,15 +230,13 @@ func (m *Manager) registerLocation(ctx context.Context, id types.ObjectID, size 
 // context instead of failing with someone else's cancellation.
 func (m *Manager) Pull(ctx context.Context, id types.ObjectID) error {
 	for {
-		if m.local.Contains(id) {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Deduplicate concurrent pulls.
+		// Deduplicate concurrent pulls; slot before store (see PutOwned).
 		m.mu.Lock()
 		if ch, ok := m.inflight[id]; ok {
+			if ch == nil {
+				ch = make(chan error, 1)
+				m.inflight[id] = ch
+			}
 			m.mu.Unlock()
 			select {
 			case err := <-ch:
@@ -233,9 +245,9 @@ func (m *Manager) Pull(ctx context.Context, id types.ObjectID) error {
 				case ch <- err:
 				default:
 				}
-				if err != nil && isContextError(err) && ctx.Err() == nil {
-					// Inherited the originator's cancellation while our own
-					// context is live: restart the pull ourselves.
+				if err == nil || (isContextError(err) && ctx.Err() == nil) {
+					// The holder is done (a producer may have failed), or its
+					// cancellation is not ours: look again from the top.
 					continue
 				}
 				return err
@@ -243,17 +255,31 @@ func (m *Manager) Pull(ctx context.Context, id types.ObjectID) error {
 				return ctx.Err()
 			}
 		}
-		ch := make(chan error, 1)
-		m.inflight[id] = ch
+		if m.local.Contains(id) {
+			m.mu.Unlock()
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			m.mu.Unlock()
+			return err
+		}
+		m.inflight[id] = nil
 		m.mu.Unlock()
 
 		err := m.pull(ctx, id)
-
-		m.mu.Lock()
-		delete(m.inflight, id)
-		m.mu.Unlock()
-		ch <- err
+		m.vacate(id, err)
 		return err
+	}
+}
+
+// vacate frees id's inflight slot and hands err to whoever waits on it.
+func (m *Manager) vacate(id types.ObjectID, err error) {
+	m.mu.Lock()
+	ch := m.inflight[id]
+	delete(m.inflight, id)
+	m.mu.Unlock()
+	if ch != nil {
+		ch <- err
 	}
 }
 
@@ -281,7 +307,28 @@ func (m *Manager) pull(ctx context.Context, id types.ObjectID) error {
 	notify, cancel := m.gcs.SubscribeObject(id)
 	defer cancel()
 
+	// repoll is the safety net behind the subscription; a pull that ends on its
+	// tick (onRepoll) with still no signal in sight is counted as rescued by it.
+	repoll := time.NewTicker(10 * time.Millisecond)
+	defer repoll.Stop()
+	onRepoll := false
+	defer func() {
+		if onRepoll && len(notify) == 0 && ctx.Err() == nil {
+			m.repollRescues.Add(1)
+			m.rescues.Inc()
+		}
+	}()
 	for {
+		if ctx.Err() != nil {
+			if cause := caller.Err(); cause != nil {
+				// The caller's own context ended (cancelled or past its
+				// deadline) — not a property of the object. Report the
+				// context error so dedup waiters with live contexts retry
+				// instead of inheriting this caller's failure.
+				return fmt.Errorf("objectmanager: pull %s: %w", id, cause)
+			}
+			return fmt.Errorf("objectmanager: pull %s: %w", id, types.ErrObjectNotFound)
+		}
 		entry, ok, err := m.gcs.GetObject(ctx, id)
 		if err != nil {
 			return err
@@ -300,20 +347,14 @@ func (m *Manager) pull(ctx context.Context, id types.ObjectID) error {
 			// lineage layer can reconstruct it; waiting would never help.
 			return fmt.Errorf("objectmanager: %s has no replicas: %w", id, types.ErrObjectLost)
 		}
-		// Object not created yet: wait for a table update or timeout.
+		// Object not created yet: wait for a table update or timeout (which
+		// the top of the loop reports: a tick may win the select against it).
 		select {
 		case <-ctx.Done():
-			if cause := caller.Err(); cause != nil {
-				// The caller's own context ended (cancelled or past its
-				// deadline) — not a property of the object. Report the
-				// context error so dedup waiters with live contexts retry
-				// instead of inheriting this caller's failure.
-				return fmt.Errorf("objectmanager: pull %s: %w", id, cause)
-			}
-			return fmt.Errorf("objectmanager: pull %s: %w", id, types.ErrObjectNotFound)
 		case <-notify:
-		case <-time.After(10 * time.Millisecond):
-			// Periodic re-check guards against missed notifications.
+			onRepoll = false
+		case <-repoll.C:
+			onRepoll = len(notify) == 0
 		}
 	}
 }
@@ -614,6 +655,7 @@ type Stats struct {
 	// assembly; ResumedWindows is how many windows they skipped re-fetching.
 	ResumedPulls   int64
 	ResumedWindows int64
+	RepollRescues  int64 // pulls that ended on a re-poll tick, no signal before or since
 }
 
 // Stats returns a snapshot of transfer counters.
@@ -626,6 +668,7 @@ func (m *Manager) Stats() Stats {
 		ChunksPulled:   m.chunksPulled.Load(),
 		ResumedPulls:   m.resumedPulls.Load(),
 		ResumedWindows: m.resumedWindows.Load(),
+		RepollRescues:  m.repollRescues.Load(),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -644,5 +645,74 @@ func TestWaiterRetriesAfterOriginatorDeadline(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter never completed")
+	}
+}
+
+// TestPullWaitsForProducerToRegister: an object is local, as far as Pull is
+// concerned, only once its producer has registered the location — not from
+// the moment the copy is in the store. The window is held open here by a
+// pending eviction notification of the same object, which the re-put's
+// registration has to wait out: a Pull in that window must wait with it.
+// (Returning early lets the caller Get and free the object before there is a
+// location to withdraw, and the copy leaks until job exit.)
+func TestPullWaitsForProducerToRegister(t *testing.T) {
+	ctx := context.Background()
+	gstore := gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
+	defer gstore.Close()
+	cluster := newFakeCluster()
+	nodeID := types.NewNodeID()
+	objX, evictor := types.NewObjectID(), types.NewObjectID()
+
+	evicting, finishEviction := make(chan struct{}), make(chan struct{})
+	store := objectstore.New(objectstore.Config{
+		CapacityBytes: 1000,
+		OnEvict: func(obj types.ObjectID, size int64) {
+			close(evicting)
+			<-finishEviction
+			_ = gstore.RemoveObjectLocation(context.Background(), obj, nodeID)
+		},
+	})
+	cluster.add(nodeID, store)
+	mgr := New(DefaultConfig(), nodeID, store, gstore, netsim.New(netsim.InstantConfig()), cluster)
+	payload := make([]byte, 600)
+	if err := mgr.Put(ctx, objX, payload, false, types.NilTaskID); err != nil {
+		t.Fatal(err)
+	}
+	// The evictor pushes X out; X's eviction callback stays open.
+	evictorPut := make(chan error, 1)
+	go func() { evictorPut <- mgr.Put(ctx, evictor, payload, false, types.NilTaskID) }()
+	<-evicting
+	for !store.Contains(evictor) {
+		runtime.Gosched()
+	}
+	store.Delete(evictor) // room for X again, without a second eviction
+	// Re-put X: the copy lands in the store, the registration parks behind
+	// the pending eviction notification.
+	reput := make(chan error, 1)
+	go func() { reput <- mgr.Put(ctx, objX, payload, false, types.NilTaskID) }()
+	for !store.Contains(objX) {
+		runtime.Gosched()
+	}
+
+	pulled := make(chan error, 1)
+	go func() { pulled <- mgr.Pull(ctx, objX) }()
+	select {
+	case err := <-pulled:
+		close(finishEviction)
+		t.Fatalf("Pull returned (%v) while the producer was still registering the location", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(finishEviction)
+	if err := <-pulled; err != nil {
+		t.Fatal(err)
+	}
+	entry, ok, err := gstore.GetObject(ctx, objX)
+	if err != nil || !ok || !entry.HasLocation(nodeID) {
+		t.Fatalf("Pull returned before the location was readable: %+v ok=%v err=%v", entry, ok, err)
+	}
+	for _, ch := range []chan error{reput, evictorPut} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -108,8 +108,7 @@ type Local struct {
 	puller  DependencyPuller
 	forward Forwarder
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// queued counts tasks accepted locally that have not finished;
 	// queuedByJob breaks the same count down per job so the spillover test
 	// can charge a backlog to the job that built it.
@@ -122,6 +121,8 @@ type Local struct {
 	// draining refuses new work when the node is shutting down or has been
 	// killed by failure injection.
 	draining bool //guard:by mu
+	// parked: what each waiting task asked for; release sends true, Drain closes.
+	parked map[chan bool]resources.Request //guard:by mu
 
 	// Slot pool state (used unless cfg.DirectDispatch). Guarded by poolMu,
 	// which is separate from mu so slot bookkeeping never contends with the
@@ -189,6 +190,7 @@ func NewLocal(cfg LocalConfig, runner TaskRunner, puller DependencyPuller, forwa
 		puller:      puller,
 		forward:     forward,
 		actorHold:   make(map[types.ActorID]resources.Request),
+		parked:      make(map[chan bool]resources.Request),
 		queuedByJob: make(map[types.JobID]int),
 		avgTaskMs:   1,
 		tracer:      cfg.Tracer,
@@ -205,7 +207,6 @@ func NewLocal(cfg LocalConfig, runner TaskRunner, puller DependencyPuller, forwa
 	if !cfg.FIFOScheduling {
 		l.fairQ = job.NewFairQueue[queuedTask](cfg.JobWeight)
 	}
-	l.cond = sync.NewCond(&l.mu)
 	return l
 }
 
@@ -278,13 +279,11 @@ func (l *Local) PurgeJob(jobID types.JobID) int {
 	if len(dropped) == 0 {
 		return 0
 	}
-	// The dropped tasks were counted as queued at accept; settle the books
-	// and wake anyone waiting for the queue to drain.
+	// The dropped tasks were counted as queued at accept; settle the books.
 	l.mu.Lock()
 	l.queued -= len(dropped)
 	l.decJobQueuedLocked(jobID, len(dropped))
 	l.mu.Unlock()
-	l.cond.Broadcast()
 	l.purged.Add(int64(len(dropped)))
 	l.failed.Add(int64(len(dropped)))
 	return len(dropped)
@@ -487,7 +486,6 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 		l.queued--
 		l.decJobQueuedLocked(spec.Job, 1)
 		l.mu.Unlock()
-		l.cond.Broadcast()
 		l.queueDepth.Dec()
 	}()
 
@@ -533,7 +531,7 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 	//    with free capacity can take it instead of starving here.
 	isMethod := spec.IsActorTask() && !spec.ActorCreation
 	if !isMethod {
-		if !l.acquireWithDeadline(spec, 200*time.Millisecond) {
+		if !l.acquire(spec.Resources, 200*time.Millisecond) {
 			l.mu.Lock()
 			draining := l.draining
 			l.mu.Unlock()
@@ -567,10 +565,7 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 		runCtx = types.WithBlockHooks(ctx, types.BlockHooks{
 			OnBlock: func() {
 				if releaseResources {
-					l.mu.Lock()
-					l.cfg.Pool.Release(spec.Resources)
-					l.mu.Unlock()
-					l.cond.Broadcast()
+					l.release(spec.Resources)
 				}
 				if lendSlot {
 					l.noteBlocked()
@@ -578,11 +573,8 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 			},
 			OnUnblock: func() {
 				if releaseResources {
-					l.mu.Lock()
-					for !l.cfg.Pool.Acquire(spec.Resources) {
-						l.cond.Wait()
+					for !l.acquire(spec.Resources, 0) { // a running task waits through drains
 					}
-					l.mu.Unlock()
 				}
 				if lendSlot {
 					l.noteUnblocked()
@@ -613,10 +605,7 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 	// 4. Release resources (unless they belong to a live actor) and update
 	//    the duration average used in heartbeats.
 	if !isMethod && !spec.ActorCreation {
-		l.mu.Lock()
-		l.cfg.Pool.Release(spec.Resources)
-		l.mu.Unlock()
-		l.cond.Broadcast()
+		l.release(spec.Resources)
 	}
 	l.observeDuration(elapsed)
 	if err != nil {
@@ -656,25 +645,52 @@ func (l *Local) pullDependencies(ctx context.Context, deps []types.ObjectID) err
 	return nil
 }
 
-// acquireWithDeadline tries to acquire the spec's resources, giving up after
-// the deadline. It returns whether the acquisition succeeded.
-func (l *Local) acquireWithDeadline(spec *task.Spec, deadline time.Duration) bool {
-	expire := time.Now().Add(deadline)
-	for {
-		l.mu.Lock()
-		if l.draining {
-			l.mu.Unlock()
-			return false
-		}
-		if l.cfg.Pool.Acquire(spec.Resources) {
-			l.mu.Unlock()
-			return true
-		}
+// acquire takes req from the pool, parking until a release grants it; with
+// giveUp > 0, no longer than that (from the first failed try) or until a drain.
+func (l *Local) acquire(req resources.Request, giveUp time.Duration) bool {
+	l.mu.Lock()
+	refuse := l.draining && giveUp > 0
+	if refuse || l.cfg.Pool.Acquire(req) {
 		l.mu.Unlock()
-		if time.Now().After(expire) {
-			return false
+		return !refuse
+	}
+	ready := make(chan bool, 1)
+	l.parked[ready] = req
+	l.mu.Unlock()
+	var expired <-chan time.Time
+	if giveUp > 0 {
+		timer := time.NewTimer(giveUp)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case granted := <-ready:
+		return granted
+	case <-expired:
+	}
+	l.mu.Lock()
+	_, parked := l.parked[ready]
+	delete(l.parked, ready)
+	l.mu.Unlock()
+	return !parked && <-ready // not parked any more: granted or drained meanwhile
+}
+
+// release returns req to the pool and grants what is free to the parked tasks
+// it fits, so a release wakes exactly the goroutines it lets run, however many
+// are parked (thousands, under DirectDispatch), and none wakes on a timer.
+func (l *Local) release(req resources.Request) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cfg.Pool.Release(req)
+	for ready, want := range l.parked {
+		if l.cfg.Pool.Exhausted(req) {
+			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		if l.cfg.Pool.Acquire(want) {
+			//lint:ignore mutexhold ready has room for this, its only send; granting under mu is the point
+			ready <- true
+			delete(l.parked, ready)
+		}
 	}
 }
 
@@ -702,13 +718,10 @@ func (l *Local) observeDuration(d time.Duration) {
 func (l *Local) NotifyActorStopped(actor types.ActorID) {
 	l.mu.Lock()
 	req, ok := l.actorHold[actor]
-	if ok {
-		delete(l.actorHold, actor)
-		l.cfg.Pool.Release(req)
-	}
+	delete(l.actorHold, actor)
 	l.mu.Unlock()
 	if ok {
-		l.cond.Broadcast()
+		l.release(req)
 	}
 }
 
@@ -717,8 +730,11 @@ func (l *Local) NotifyActorStopped(actor types.ActorID) {
 func (l *Local) Drain() {
 	l.mu.Lock()
 	l.draining = true
+	for ready := range l.parked {
+		close(ready)
+	}
+	clear(l.parked)
 	l.mu.Unlock()
-	l.cond.Broadcast()
 }
 
 // LoadSnapshot describes the node's load for heartbeats to the GCS.
