@@ -67,11 +67,9 @@ func TestThroughputBatchedBeatsBaseline(t *testing.T) {
 // TestTelemetryOverheadWithinBound is the acceptance check for default-on
 // telemetry: with the metrics registry and task-lifecycle tracer enabled,
 // empty-task throughput must stay within 5% of the fully disabled baseline.
-// Retries absorb scheduler noise on loaded CI machines: five of them, because
-// beside the other packages of `go test ./...` on two cores a burst of load
-// outlasts three one-second attempts in about one full run in four.
+// Retries absorb scheduler noise on loaded CI machines.
 func TestTelemetryOverheadWithinBound(t *testing.T) {
-	const attempts = 5
+	const attempts = 3
 	var lastRatio float64
 	for attempt := 1; attempt <= attempts; attempt++ {
 		table, err := TelemetryOverhead(Quick)

@@ -374,7 +374,8 @@ func (s *Store) publish(si int, key string) {
 // closed); calling it twice is harmless.
 func subscribe[ID ~[types.IDSize]byte](s *Store, prefix string, ids []ID) (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
-	for _, id := range ids {
+	own := slices.Clone(ids) // cancel must not see what the caller does to ids later
+	for _, id := range own {
 		w, key := &s.watch[s.shardFor(types.UniqueID(id))], tableKey(prefix, types.UniqueID(id))
 		w.mu.Lock()
 		w.subs[key] = append(w.subs[key], ch)
@@ -382,7 +383,7 @@ func subscribe[ID ~[types.IDSize]byte](s *Store, prefix string, ids []ID) (<-cha
 		w.n.Add(1)
 	}
 	return ch, func() {
-		for _, id := range ids {
+		for _, id := range own {
 			w, key := &s.watch[s.shardFor(types.UniqueID(id))], tableKey(prefix, types.UniqueID(id))
 			w.mu.Lock()
 			if i := slices.Index(w.subs[key], ch); i >= 0 {

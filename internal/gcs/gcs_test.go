@@ -104,6 +104,9 @@ func TestObjectSubscription(t *testing.T) {
 					t.Fatal("no notification received")
 				}
 			}
+			// The subscription kept its own copy of the ids: what the caller
+			// does to its slice meanwhile does not strand a registration.
+			objs[1] = types.NewObjectID()
 			cancel()
 			if s.SubscriberCount() != 0 {
 				t.Fatal("cancel must remove the subscription")

@@ -9,7 +9,9 @@ package node
 import (
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -558,26 +560,16 @@ func (n *Node) WaitObjects(ctx context.Context, ids []types.ObjectID, k int, tim
 	if k <= 0 || k > len(ids) {
 		k = len(ids)
 	}
-	notify, cancel := n.gcs.SubscribeObject(ids...)
-	defer cancel()
-	var expired <-chan time.Time
-	if timeoutMillis >= 0 {
-		timer := time.NewTimer(time.Duration(timeoutMillis) * time.Millisecond)
-		defer timer.Stop()
-		expired = timer.C
-	}
 	ready := make([]types.ObjectID, 0, len(ids))
 	pending := make(map[types.ObjectID]bool, len(ids))
 	for _, id := range ids {
 		pending[id] = true
 	}
+	var notify <-chan struct{}
+	var expired <-chan time.Time
 	for {
+		// Ready = listed in the directory (a local copy not yet registered is not).
 		for id := range pending {
-			if n.store.Contains(id) {
-				ready = append(ready, id)
-				delete(pending, id)
-				continue
-			}
 			entry, ok, err := n.gcs.GetObject(ctx, id)
 			if err != nil {
 				return nil, err
@@ -589,6 +581,18 @@ func (n *Node) WaitObjects(ctx context.Context, ids []types.ObjectID, k int, tim
 		}
 		if len(ready) >= k || len(pending) == 0 {
 			return ready, nil
+		}
+		if notify == nil {
+			// Watch what is missing, then look again: earlier writes signalled nobody.
+			var cancel func()
+			notify, cancel = n.gcs.SubscribeObject(slices.Collect(maps.Keys(pending))...)
+			defer cancel()
+			if timeoutMillis >= 0 {
+				timer := time.NewTimer(time.Duration(timeoutMillis) * time.Millisecond)
+				defer timer.Stop()
+				expired = timer.C
+			}
+			continue
 		}
 		select {
 		case <-ctx.Done():

@@ -2,7 +2,9 @@ package node
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"ray/internal/gcs"
 	"ray/internal/netsim"
@@ -91,5 +93,72 @@ func TestWithdrawalRetrySkipsResidentObject(t *testing.T) {
 	}
 	if len(entry.Locations) != 1 || entry.Locations[0] != n.ID() {
 		t.Fatalf("valid location withdrawn for resident object: %v", entry.Locations)
+	}
+}
+
+// ray.Wait calls an object ready once the directory lists a location for it —
+// not when a copy has merely reached the local store, which happens before the
+// producer registers it (a caller that frees it then would leak copy and
+// location) — and it is woken by that write, watching only the ids it still
+// misses.
+func TestWaitObjectsReadyMeansRegistered(t *testing.T) {
+	n, store := newTestNode(t)
+	ctx := context.Background()
+	stored, listed := types.NewObjectID(), types.NewObjectID()
+	if err := n.Store().Put(stored, []byte("payload"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AddObjectLocation(ctx, listed, types.NewNodeID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
+		t.Fatal(err)
+	}
+	// Everything ready on the first look: no subscription, no timer, no wait.
+	if ready, err := n.WaitObjects(ctx, []types.ObjectID{listed}, 1, -1); err != nil || len(ready) != 1 {
+		t.Fatalf("WaitObjects(listed) = %v, %v", ready, err)
+	}
+
+	ids := []types.ObjectID{stored, listed}
+	done := make(chan []types.ObjectID, 1)
+	go func() {
+		ready, err := n.WaitObjects(ctx, ids, 2, -1)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- ready
+	}()
+	const early = "WaitObjects returned %v while the stored copy had no location in the directory"
+	for store.SubscriberCount() == 0 {
+		select {
+		case ready := <-done:
+			t.Fatalf(early, ready)
+		default:
+			runtime.Gosched()
+		}
+	}
+	if got := store.SubscriberCount(); got != 1 {
+		t.Fatalf("waiting on %d keys, want 1: only the unregistered object is still missing", got)
+	}
+	select {
+	case ready := <-done:
+		t.Fatalf(early, ready)
+	case <-time.After(30 * time.Millisecond):
+	}
+	if err := store.AddObjectLocation(ctx, stored, n.ID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
+		t.Fatal(err)
+	}
+	if ready := <-done; len(ready) != 2 {
+		t.Fatalf("ready = %v, want both objects", ready)
+	}
+
+	// A timeout returns what is ready and leaves no registration behind.
+	start := time.Now()
+	ready, err := n.WaitObjects(ctx, []types.ObjectID{types.NewObjectID(), listed}, 2, 20)
+	if err != nil || len(ready) != 1 || ready[0] != listed {
+		t.Fatalf("WaitObjects with timeout = %v, %v; want [listed]", ready, err)
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Fatalf("returned after %v, before the 20ms timeout", waited)
+	}
+	if got := store.SubscriberCount(); got != 0 {
+		t.Fatalf("%d subscriptions left behind", got)
 	}
 }

@@ -230,7 +230,9 @@ func (m *Manager) registerLocation(ctx context.Context, id types.ObjectID, size 
 // context instead of failing with someone else's cancellation.
 func (m *Manager) Pull(ctx context.Context, id types.ObjectID) error {
 	for {
-		// Deduplicate concurrent pulls; slot before store (see PutOwned).
+		// Deduplicate concurrent pulls. A producer takes the slot before it stores,
+		// so a copy seen (outside mu) before the slot is found free is registered.
+		local := m.local.Contains(id)
 		m.mu.Lock()
 		if ch, ok := m.inflight[id]; ok {
 			if ch == nil {
@@ -255,7 +257,7 @@ func (m *Manager) Pull(ctx context.Context, id types.ObjectID) error {
 				return ctx.Err()
 			}
 		}
-		if m.local.Contains(id) {
+		if local {
 			m.mu.Unlock()
 			return nil
 		}
@@ -321,10 +323,8 @@ func (m *Manager) pull(ctx context.Context, id types.ObjectID) error {
 	for {
 		if ctx.Err() != nil {
 			if cause := caller.Err(); cause != nil {
-				// The caller's own context ended (cancelled or past its
-				// deadline) — not a property of the object. Report the
-				// context error so dedup waiters with live contexts retry
-				// instead of inheriting this caller's failure.
+				// The caller's own context ended: report the context error, so
+				// dedup waiters with live contexts retry instead of inheriting it.
 				return fmt.Errorf("objectmanager: pull %s: %w", id, cause)
 			}
 			return fmt.Errorf("objectmanager: pull %s: %w", id, types.ErrObjectNotFound)
@@ -347,8 +347,7 @@ func (m *Manager) pull(ctx context.Context, id types.ObjectID) error {
 			// lineage layer can reconstruct it; waiting would never help.
 			return fmt.Errorf("objectmanager: %s has no replicas: %w", id, types.ErrObjectLost)
 		}
-		// Object not created yet: wait for a table update or timeout (which
-		// the top of the loop reports: a tick may win the select against it).
+		// Not created yet: wait for a table update or timeout (reported above).
 		select {
 		case <-ctx.Done():
 		case <-notify:

@@ -183,18 +183,6 @@ func (p *Pool) Fits(r Request) bool {
 	return true
 }
 
-// Exhausted reports whether nothing is left of any resource the request
-// names. After a Release(r) it means that everything r freed has been taken
-// again, so no request that did not fit before the release can fit now.
-func (p *Pool) Exhausted(r Request) bool {
-	for _, d := range r.demands {
-		if p.available[d.name] > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Acquire reserves the requested resources. It returns false (and changes
 // nothing) if the request does not fit.
 func (p *Pool) Acquire(r Request) bool {

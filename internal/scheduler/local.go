@@ -676,16 +676,12 @@ func (l *Local) acquire(req resources.Request, giveUp time.Duration) bool {
 }
 
 // release returns req to the pool and grants what is free to the parked tasks
-// it fits, so a release wakes exactly the goroutines it lets run, however many
-// are parked (thousands, under DirectDispatch), and none wakes on a timer.
+// it fits: it wakes exactly the goroutines it lets run, however many are parked.
 func (l *Local) release(req resources.Request) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.cfg.Pool.Release(req)
 	for ready, want := range l.parked {
-		if l.cfg.Pool.Exhausted(req) {
-			break
-		}
 		if l.cfg.Pool.Acquire(want) {
 			//lint:ignore mutexhold ready has room for this, its only send; granting under mu is the point
 			ready <- true
