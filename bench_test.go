@@ -36,14 +36,6 @@ func BenchmarkFig8aLocality(b *testing.B) { runExperiment(b, bench.Fig8aLocality
 // BenchmarkFig8bScalability regenerates Figure 8b (task throughput scaling).
 func BenchmarkFig8bScalability(b *testing.B) { runExperiment(b, bench.Fig8bScalability) }
 
-// BenchmarkThroughputBatched measures the batched GCS + scheduler hot path
-// against the synchronous per-task baseline.
-func BenchmarkThroughputBatched(b *testing.B) { runExperiment(b, bench.ThroughputBatched) }
-
-// BenchmarkTransferPipelining measures chunked, overlapped object pulls
-// against the blocking whole-object baseline on multi-input tasks.
-func BenchmarkTransferPipelining(b *testing.B) { runExperiment(b, bench.TransferPipelining) }
-
 // BenchmarkFig9ObjectStore regenerates Figure 9 (object store throughput/IOPS).
 func BenchmarkFig9ObjectStore(b *testing.B) { runExperiment(b, bench.Fig9ObjectStore) }
 

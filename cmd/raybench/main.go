@@ -7,7 +7,9 @@
 //	raybench -exp fig12a     # run one experiment
 //	raybench -list           # list experiment identifiers
 //	raybench -scale full     # larger configurations (slower)
-//	raybench -persist        # also write each result to BENCH_<experiment>.json
+//
+// Every experiment is a single run: performance claims are measured with
+// `bash benchmark/run.sh`, not here.
 package main
 
 import (
@@ -24,7 +26,6 @@ func main() {
 	exp := flag.String("exp", "", "experiment to run (empty = all); see -list")
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
-	persist := flag.Bool("persist", false, "write BENCH_<experiment>.json at the repository root for experiments with a machine-readable result")
 	flag.Parse()
 
 	registry := bench.Registry()
@@ -58,12 +59,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(table.String())
-		if *persist && table.Result != nil {
-			if err := bench.Persist(*table.Result); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: persist: %v\n", name, err)
-				os.Exit(1)
-			}
-		}
 		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 

@@ -25,14 +25,10 @@ func main() {
 	cpus := flag.Float64("cpus", 4, "CPUs per node")
 	tasks := flag.Int("tasks", 200, "number of tasks to run")
 	kill := flag.Int("kill", 1, "number of nodes to kill mid-run")
-	sync := flag.Bool("sync", false, "disable the batched control plane (synchronous GCS writes + per-node heartbeats, the ablation baseline)")
-	blocking := flag.Bool("blocking", false, "disable pipelined chunked object transfers (blocking whole-object pulls + serial dependency fetches, the ablation baseline)")
 	chunkBytes := flag.Int64("chunk-bytes", 0, "chunk granularity of pipelined object pulls (0 = 1 MiB)")
 	pipelineDepth := flag.Int("pipeline-depth", 0, "chunks per transfer message round trip (0 = 4)")
-	fifo := flag.Bool("fifo", false, "disable per-job fair-share dispatch (shared FIFO queues, the ablation baseline)")
 	weight := flag.Int("job-weight", 1, "fair-share weight of this driver's job")
 	spillDir := flag.String("spill-dir", "", "directory for spill-to-disk of primary object copies under memory pressure (empty = spilling disabled)")
-	noRefcount := flag.Bool("no-refcount", false, "disable ownership reference counting (objects released only by job-exit GC or eviction, the ablation baseline)")
 	storeBytes := flag.Int64("store-bytes", 0, "object store capacity per node in bytes (0 = 1 GiB)")
 	noTelemetry := flag.Bool("no-telemetry", false, "disable the metrics registry and task-lifecycle tracer (the telemetry_overhead ablation baseline)")
 	timeline := flag.String("timeline", "", "write the run's task-lifecycle spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
@@ -47,14 +43,9 @@ func main() {
 	cfg.CPUsPerNode = *cpus
 	cfg.SpilloverThreshold = 4
 	cfg.CheckpointInterval = 10
-	cfg.SyncWrites = *sync
-	cfg.PerNodeHeartbeats = *sync
-	cfg.BlockingTransfers = *blocking
 	cfg.ChunkBytes = *chunkBytes
 	cfg.PipelineDepth = *pipelineDepth
-	cfg.FIFOScheduling = *fifo
 	cfg.SpillDir = *spillDir
-	cfg.DisableRefCounting = *noRefcount
 	cfg.ObjectStoreBytes = *storeBytes
 	cfg.DisableTelemetry = *noTelemetry
 	cfg.TraceSampleEvery = *traceSample

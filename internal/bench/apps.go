@@ -534,24 +534,22 @@ func All(scale Scale) ([]*Table, error) {
 // -exp flag.
 func Registry() map[string]func(Scale) (*Table, error) {
 	return map[string]func(Scale) (*Table, error){
-		"fig8a":               Fig8aLocality,
-		"fig8b":               Fig8bScalability,
-		"throughput_batched":  ThroughputBatched,
-		"telemetry_overhead":  TelemetryOverhead,
-		"transfer_pipelining": TransferPipelining,
-		"multi_driver":        MultiDriver,
-		"larger_than_memory":  LargerThanMemory,
-		"fig9":                Fig9ObjectStore,
-		"fig10a":              Fig10aGCSFaultTolerance,
-		"fig10b":              Fig10bGCSFlush,
-		"fig11a":              Fig11aTaskReconstruction,
-		"fig11b":              Fig11bActorReconstruction,
-		"fig12a":              Fig12aAllreduce,
-		"fig12b":              Fig12bSchedulerAblation,
-		"fig13":               Fig13DistributedSGD,
-		"table3":              Table3Serving,
-		"table4":              Table4Simulation,
-		"fig14a":              Fig14aES,
-		"fig14b":              Fig14bPPO,
+		"fig8a":              Fig8aLocality,
+		"fig8b":              Fig8bScalability,
+		"telemetry_overhead": TelemetryOverhead,
+		"multi_driver":       MultiDriver,
+		"larger_than_memory": LargerThanMemory,
+		"fig9":               Fig9ObjectStore,
+		"fig10a":             Fig10aGCSFaultTolerance,
+		"fig10b":             Fig10bGCSFlush,
+		"fig11a":             Fig11aTaskReconstruction,
+		"fig11b":             Fig11bActorReconstruction,
+		"fig12a":             Fig12aAllreduce,
+		"fig12b":             Fig12bSchedulerAblation,
+		"fig13":              Fig13DistributedSGD,
+		"table3":             Table3Serving,
+		"table4":             Table4Simulation,
+		"fig14a":             Fig14aES,
+		"fig14b":             Fig14bPPO,
 	}
 }

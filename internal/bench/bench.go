@@ -43,10 +43,6 @@ type Table struct {
 	Columns []string
 	// Rows are the result rows, one string per column.
 	Rows [][]string
-	// Result is the machine-readable form of the run, for the experiments
-	// that have one. Running an experiment never writes it anywhere:
-	// `raybench -persist` hands it to Persist.
-	Result *Result
 }
 
 // AddRow appends a formatted row.
@@ -125,9 +121,6 @@ type benchFuncs struct {
 	noop ray.Func0[bool]
 	// consume takes one payload object and returns its size.
 	consume ray.Func1[[]byte, int]
-	// consume2 takes two payload objects and returns their combined size
-	// (the multi-input task of the transfer-pipelining experiment).
-	consume2 ray.Func2[[]byte, []byte, int]
 	// makeBytes produces a payload of the requested size.
 	makeBytes ray.Func1[int, []byte]
 	// chainStep sleeps sleepMillis then returns token+1.
@@ -154,11 +147,6 @@ func registerBenchFunctions(rt *core.Runtime) (benchFuncs, error) {
 	}
 	fns.consume, err = ray.Register1(rt, "bench.consume", "consumes one object and returns its size",
 		func(ctx *ray.Context, payload []byte) (int, error) { return len(payload), nil })
-	if err != nil {
-		return fns, err
-	}
-	fns.consume2, err = ray.Register2(rt, "bench.consume2", "consumes two objects and returns their combined size",
-		func(ctx *ray.Context, a, b []byte) (int, error) { return len(a) + len(b), nil })
 	if err != nil {
 		return fns, err
 	}

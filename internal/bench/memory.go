@@ -12,17 +12,10 @@ import (
 
 // LargerThanMemory drives a working set several times the cluster's aggregate
 // object-store capacity through a produce→consume→free cycle and measures how
-// the system degrades. With ownership reference counting on, the driver frees
-// each payload as soon as it is consumed, so eager reclamation keeps resident
-// bytes bounded well below capacity and the run barely touches disk. With
-// refcounting off (the -no-refcount ablation) every payload lives until
-// job-exit GC: the stores fill, primary copies spill to disk, and the run
-// completes only because spill-to-disk absorbs the overflow. Both variants
-// must finish — the gap is in resident/spilled bytes and latency, not in
-// completion.
-//
-// `raybench -persist` writes the run's numbers to
-// BENCH_larger_than_memory.json at the repository root.
+// the system degrades. The driver frees each payload as soon as it is
+// consumed, so ownership reference counting reclaims it eagerly: resident
+// bytes stay bounded well below capacity and the run barely touches disk
+// (spill-to-disk is on, for whatever memory pressure displaces anyway).
 func LargerThanMemory(scale Scale) (*Table, error) {
 	storeBytes := int64(256 << 10) // per node; 4 nodes → 1 MiB aggregate
 	objectSize := 32 << 10
@@ -38,65 +31,20 @@ func LargerThanMemory(scale Scale) (*Table, error) {
 
 	table := &Table{
 		Name:        "larger_than_memory",
-		Description: fmt.Sprintf("working set %s = %d× aggregate store capacity %s; refcounting vs -no-refcount, spill enabled", byteSize(numObjects*objectSize), multiple, byteSize(int(aggregate))),
-		Columns:     []string{"variant", "throughput (MB/s)", "p50 (ms)", "p99 (ms)", "peak resident", "peak spilled", "reclaimed", "spills"},
+		Description: fmt.Sprintf("working set %s = %d× aggregate store capacity %s; refcounting reclaims eagerly, spill enabled", byteSize(numObjects*objectSize), multiple, byteSize(int(aggregate))),
+		Columns:     []string{"throughput (MB/s)", "p50 (ms)", "p99 (ms)", "peak resident", "peak spilled", "reclaimed", "spills"},
 	}
-
-	variants := []struct {
-		name       string
-		noRefcount bool
-	}{
-		{"refcount", false},
-		{"no-refcount", true},
+	res, err := memoryRun(nodes, storeBytes, objectSize, numObjects)
+	if err != nil {
+		return nil, err
 	}
-	var rows []map[string]any
-	var primary memoryRunResult
-	for _, v := range variants {
-		res, err := memoryRun(nodes, storeBytes, objectSize, numObjects, v.noRefcount)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		if !v.noRefcount {
-			primary = res
-		}
-		table.AddRow(v.name, f(res.throughputMBps), f(res.p50Millis), f(res.p99Millis),
-			byteSize(int(res.peakResident)), byteSize(int(res.peakSpilled)),
-			fmt.Sprintf("%d", res.reclaimed), fmt.Sprintf("%d", res.spills))
-		rows = append(rows, map[string]any{
-			"variant":            v.name,
-			"throughput_mbps":    res.throughputMBps,
-			"p50_millis":         res.p50Millis,
-			"p99_millis":         res.p99Millis,
-			"peak_resident":      res.peakResident,
-			"peak_spilled":       res.peakSpilled,
-			"objects_reclaimed":  res.reclaimed,
-			"spills":             res.spills,
-			"restores":           res.restores,
-			"working_set_bytes":  int64(numObjects * objectSize),
-			"aggregate_capacity": aggregate,
-		})
-	}
-
-	table.Result = &Result{
-		Experiment: "larger_than_memory",
-		Config: map[string]any{
-			"nodes":                    nodes,
-			"object_store_bytes":       storeBytes,
-			"object_size":              objectSize,
-			"objects":                  numObjects,
-			"working_set_multiple":     multiple,
-			"aggregate_capacity_bytes": aggregate,
-		},
-		Throughput:     primary.throughputMBps,
-		ThroughputUnit: "MB/s",
-		P50Millis:      primary.p50Millis,
-		P99Millis:      primary.p99Millis,
-		Rows:           rows,
-	}
+	table.AddRow(f(res.throughputMBps), f(res.p50Millis), f(res.p99Millis),
+		byteSize(int(res.peakResident)), byteSize(int(res.peakSpilled)),
+		fmt.Sprintf("%d", res.reclaimed), fmt.Sprintf("%d", res.spills))
 	return table, nil
 }
 
-// memoryRunResult carries one variant's measurements.
+// memoryRunResult carries one run's measurements.
 type memoryRunResult struct {
 	throughputMBps float64
 	p50Millis      float64
@@ -105,10 +53,9 @@ type memoryRunResult struct {
 	peakSpilled    int64
 	reclaimed      int64
 	spills         int64
-	restores       int64
 }
 
-func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int, noRefcount bool) (memoryRunResult, error) {
+func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int) (memoryRunResult, error) {
 	var res memoryRunResult
 	spillDir, err := os.MkdirTemp("", "bench-spill-")
 	if err != nil {
@@ -121,7 +68,6 @@ func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int, noRefcou
 	cfg.CPUsPerNode = 4
 	cfg.ObjectStoreBytes = storeBytes
 	cfg.SpillDir = spillDir
-	cfg.DisableRefCounting = noRefcount
 	rt, d, err := newCluster(cfg)
 	if err != nil {
 		return res, err
@@ -167,9 +113,8 @@ func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int, noRefcou
 		}
 		latencies = append(latencies, time.Since(t0))
 		sample()
-		// The driver is done with this pair; with refcounting on, these
-		// become reclaims, with it off they are no-ops and the working set
-		// accumulates until spill absorbs it.
+		// The driver is done with this pair: its references were the last,
+		// so these frees reclaim both objects.
 		ray.Free(d, payload)
 		ray.Free(d, size)
 		sample()
@@ -181,9 +126,7 @@ func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int, noRefcou
 	res.p99Millis = percentileMillis(latencies, 0.99)
 	res.reclaimed = rt.Cluster().Stats().ObjectsReclaimed
 	for _, n := range rt.Cluster().NodeList() {
-		st := n.Store().Stats()
-		res.spills += st.Spills
-		res.restores += st.Restores
+		res.spills += n.Store().Stats().Spills
 	}
 	return res, nil
 }

@@ -204,84 +204,6 @@ func throughputRun(cfg core.Config, tasksPerNode int) (float64, int, error) {
 	return float64(total) / elapsed, total, nil
 }
 
-// ThroughputBatched measures the gain from the batched control-plane hot
-// path (the Figure 8b mechanism this codebase implements as GCS write
-// batching, coalesced heartbeats, and slot-pool dispatch): empty-task
-// throughput with full lineage recording, batched vs unbatched on the same
-// cluster shape. The unbatched baseline is exactly the seed configuration —
-// one synchronous chain-replicated GCS append per task event, one heartbeat
-// write per node per tick, one goroutine per dispatched task.
-func ThroughputBatched(scale Scale) (*Table, error) {
-	nodes := 4
-	tasksPerNode := 1500
-	if scale == Full {
-		nodes = 8
-		tasksPerNode = 5000
-	}
-	table := &Table{
-		Name:        "Throughput (batched)",
-		Description: "empty-task throughput with lineage recording: batched GCS+scheduler hot path vs synchronous baseline",
-		Columns:     []string{"mode", "tasks", "tasks/sec", "speedup vs unbatched"},
-	}
-	var base, primary float64
-	var rows []map[string]any
-	for _, batched := range []bool{false, true} {
-		throughput, total, err := throughputRun(throughputBatchedConfig(nodes, batched), tasksPerNode)
-		if err != nil {
-			return nil, err
-		}
-		mode := "unbatched"
-		if batched {
-			mode = "batched"
-			primary = throughput
-		} else {
-			base = throughput
-		}
-		table.AddRow(mode, fmt.Sprintf("%d", total), f(throughput), f(throughput/base))
-		rows = append(rows, map[string]any{
-			"mode":                 mode,
-			"tasks":                total,
-			"tasks_per_sec":        throughput,
-			"speedup_vs_unbatched": throughput / base,
-		})
-	}
-	table.Result = &Result{
-		Experiment: "throughput_batched",
-		Config: map[string]any{
-			"nodes":          nodes,
-			"cpus_per_node":  4,
-			"gcs_shards":     8,
-			"tasks_per_node": tasksPerNode,
-			"record_lineage": true,
-		},
-		Throughput:     primary,
-		ThroughputUnit: "tasks/s",
-		Rows:           rows,
-	}
-	return table, nil
-}
-
-// throughputBatchedConfig builds the cluster configuration for one
-// ThroughputBatched mode.
-func throughputBatchedConfig(nodes int, batched bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Nodes = nodes
-	cfg.CPUsPerNode = 4
-	cfg.GCSShards = 8
-	// Unlike Fig8b, lineage recording stays on: the point is the cost of the
-	// per-task control-plane appends themselves. The batched hot path is the
-	// default; the unbatched ablation restores the seed configuration —
-	// synchronous GCS appends, per-node heartbeats, goroutine-per-task
-	// dispatch.
-	cfg.RecordLineage = true
-	if !batched {
-		cfg.SyncWrites = true
-		cfg.PerNodeHeartbeats = true
-		cfg.DirectDispatch = true
-	}
-	return cfg
-}
-
 // Fig9ObjectStore reproduces Figure 9: single-client object store write
 // throughput for large objects and IOPS for small objects, as the number of
 // copy threads varies.

@@ -17,9 +17,8 @@ import (
 // subsystem: N concurrent drivers — a mixed workload of closed-loop micro
 // drivers, a parameter-server training driver, and one greedy driver
 // flooding the cluster with an open-loop task storm — share one cluster.
-// It measures per-driver task throughput under contention against a
-// single-driver baseline, compares the default weighted fair-share dispatch
-// (per-job deficit-round-robin queues) with the shared-FIFO ablation, and
+// It measures per-driver task throughput under weighted fair-share dispatch
+// (per-job deficit-round-robin queues) against a single-driver baseline, and
 // validates job-exit cleanup by killing the greedy driver mid-run: its
 // queued tasks must be cancelled, its actor terminated, and its objects
 // released, while the surviving drivers keep producing correct results.
@@ -32,23 +31,18 @@ func MultiDriver(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	fair, err := multiDriverContended(false, window, true)
-	if err != nil {
-		return nil, err
-	}
-	fifo, err := multiDriverContended(true, window, false)
+	fair, err := multiDriverContended(window)
 	if err != nil {
 		return nil, err
 	}
 	table := &Table{
 		Name: "multi_driver",
-		Description: "4 concurrent drivers (2 micro + paramserver + greedy flood): per-driver throughput under contention, " +
-			"fair-share dispatch vs shared-FIFO baseline, with a mid-run job kill",
-		Columns: []string{"mode", "solo micro tasks/s", "min micro tasks/s", "min/solo", "ps iters/s", "kill: cancelled/stopped/released"},
+		Description: "4 concurrent drivers (2 micro + paramserver + greedy flood): per-driver throughput under contention " +
+			"with fair-share dispatch, and a mid-run job kill",
+		Columns: []string{"solo micro tasks/s", "min micro tasks/s", "min/solo", "ps iters/s", "kill: cancelled/stopped/released"},
 	}
 	killCell := fmt.Sprintf("%d/%d/%d", fair.kill.TasksCancelled, fair.kill.ActorsStopped, fair.kill.ObjectsReleased)
-	table.AddRow("fair-share", f(solo), f(fair.minMicro()), f(fair.minMicro()/solo), f(fair.psIters), killCell)
-	table.AddRow("fifo (ablation)", f(solo), f(fifo.minMicro()), f(fifo.minMicro()/solo), f(fifo.psIters), "-")
+	table.AddRow(f(solo), f(fair.minMicro()), f(fair.minMicro()/solo), f(fair.psIters), killCell)
 	return table, nil
 }
 
@@ -58,7 +52,7 @@ type multiDriverStats struct {
 	micro []float64
 	// psIters is the parameter-server driver's iterations/sec.
 	psIters float64
-	// kill summarizes the greedy job's cleanup (fair run only).
+	// kill summarizes the greedy job's cleanup.
 	kill job.CleanupReport
 }
 
@@ -73,12 +67,11 @@ func (s *multiDriverStats) minMicro() float64 {
 }
 
 // multiDriverConfig builds the shared cluster shape: 4 nodes × 4 CPUs.
-func multiDriverConfig(fifo bool) core.Config {
+func multiDriverConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.CPUsPerNode = 4
 	cfg.GCSShards = 8
-	cfg.FIFOScheduling = fifo
 	// Micro drivers pin their latency-sensitive tasks to their own node, the
 	// usual locality pattern for interactive work.
 	cfg.LabelNodes = true
@@ -131,7 +124,7 @@ func microLoop(d *core.Driver, fns benchFuncs, nodeIdx int, window time.Duration
 // multiDriverSolo measures one micro driver alone on an idle cluster — the
 // single-driver baseline the acceptance ratio is computed against.
 func multiDriverSolo(window time.Duration) (float64, error) {
-	rt, err := core.Init(context.Background(), multiDriverConfig(false))
+	rt, err := core.Init(context.Background(), multiDriverConfig())
 	if err != nil {
 		return 0, err
 	}
@@ -201,11 +194,11 @@ func waitGreedyDrained(rt *core.Runtime, jobID types.JobID, timeout time.Duratio
 	}
 }
 
-// multiDriverContended runs the 4-driver mix and (optionally, fair mode
-// only) kills the greedy driver mid-run and validates its cleanup.
-func multiDriverContended(fifo bool, window time.Duration, withKill bool) (*multiDriverStats, error) {
+// multiDriverContended runs the 4-driver mix, then kills the greedy driver
+// mid-run and validates its cleanup.
+func multiDriverContended(window time.Duration) (*multiDriverStats, error) {
 	ctx := context.Background()
-	rt, err := core.Init(ctx, multiDriverConfig(fifo))
+	rt, err := core.Init(ctx, multiDriverConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -258,9 +251,8 @@ func multiDriverContended(fifo bool, window time.Duration, withKill bool) (*mult
 
 	// Greedy flood: a huge closed loop of cheap zero-resource tasks. The
 	// in-flight window (thousands of tasks) keeps a standing backlog in the
-	// dispatch queues for the whole run — under FIFO every other driver's
-	// task waits behind it; under fair share it only ever gets its
-	// deficit-round-robin share — while Get-pacing keeps the backlog bounded
+	// dispatch queues for the whole run, of which it only ever gets its
+	// deficit-round-robin share, while Get-pacing keeps the backlog bounded
 	// so the run drains in bounded time on any machine.
 	const floodWindow = 4096
 	floodCtx, stopFlood := context.WithCancel(ctx)
@@ -317,10 +309,6 @@ func multiDriverContended(fifo bool, window time.Duration, withKill bool) (*mult
 	case err := <-errCh:
 		return nil, err
 	default:
-	}
-
-	if !withKill {
-		return stats, nil
 	}
 
 	// Kill phase: terminate the greedy job while its flood is still running,

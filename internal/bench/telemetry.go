@@ -49,31 +49,8 @@ func TelemetryOverhead(scale Scale) (*Table, error) {
 			}
 		}
 	}
-	disabled, enabled := best[0], best[1]
-	var rows []map[string]any
 	for i, mode := range []string{"disabled", "enabled"} {
-		table.AddRow(mode, fmt.Sprintf("%d", totals[i]), f(best[i]), f(best[i]/disabled))
-		rows = append(rows, map[string]any{
-			"mode":              mode,
-			"tasks":             totals[i],
-			"tasks_per_sec":     best[i],
-			"ratio_vs_disabled": best[i] / disabled,
-		})
-	}
-	table.Result = &Result{
-		Experiment: "telemetry_overhead",
-		Config: map[string]any{
-			"nodes":              nodes,
-			"cpus_per_node":      4,
-			"gcs_shards":         8,
-			"tasks_per_node":     tasksPerNode,
-			"record_lineage":     true,
-			"trace_sample_every": 16,
-			"best_of":            reps,
-		},
-		Throughput:     enabled,
-		ThroughputUnit: "tasks/s",
-		Rows:           rows,
+		table.AddRow(mode, fmt.Sprintf("%d", totals[i]), f(best[i]), f(best[i]/best[0]))
 	}
 	return table, nil
 }

@@ -40,38 +40,17 @@ type Config struct {
 	GlobalSchedulers int
 	// Scheduling configures global scheduler policy.
 	Scheduling scheduler.GlobalConfig
-	// ActorWaitTimeout bounds how long an actor method call waits for the
-	// actor to come alive before failing. Zero means 30s.
-	ActorWaitTimeout time.Duration
 	// LabelNodes, when true, gives node i a custom resource "node<i>" so
 	// applications can pin tasks and actors to specific nodes (Ray's custom
 	// resource mechanism). The collective and training workloads use it to
 	// place one participant per node.
 	LabelNodes bool
-	// PerNodeHeartbeats restores one heartbeat loop (and one GCS write) per
-	// node per tick — the ablation baseline. By default heartbeats are
-	// coalesced: a single cluster-level aggregator writes every node's load
-	// to the GCS as one batched commit per shard per tick, so heartbeat
-	// write load does not grow with cluster size.
-	PerNodeHeartbeats bool
-	// FIFOScheduling restores the pre-fair-share dispatch order everywhere:
-	// the shared FIFO slot queue on every local scheduler and the direct
-	// (unqueued) forward path to the global schedulers. By default dispatch
-	// is weighted fair share per job: per-job queues drained deficit round
-	// robin, so one greedy driver cannot starve the others.
-	FIFOScheduling bool
-	// DispatchWorkers is the number of fair-share forward dispatch workers
-	// (0 = 16). Ignored under FIFOScheduling.
-	DispatchWorkers int
 	// DisableTelemetry turns off metric registration and span recording —
 	// the telemetry_overhead ablation baseline. By default the cluster
 	// creates a metrics registry and an enabled tracer and threads them into
 	// the GCS and every node; the heartbeat aggregator flushes buffered
 	// spans into the GCS span table each tick.
 	DisableTelemetry bool
-	// TracerCapacity bounds the in-memory span buffer between flushes
-	// (0 = telemetry.DefaultTracerCapacity).
-	TracerCapacity int
 	// TraceSampleEvery traces one task lifecycle in every n (rounded up to a
 	// power of two; 0 = 16, 1 = every task). Sampling is what keeps tracing
 	// cheap enough to default on; full capture is a timeline-demo setting.
@@ -103,8 +82,7 @@ type Cluster struct {
 	registry *worker.Registry
 	globals  *scheduler.Pool
 	jobs     *job.Manager
-	// dispatch is the fair-share forward dispatcher (nil under
-	// FIFOScheduling, which restores the direct forward path).
+	// dispatch is the fair-share forward dispatcher.
 	dispatch *dispatcher
 
 	mu    sync.RWMutex
@@ -115,7 +93,7 @@ type Cluster struct {
 	reconMu       sync.Mutex
 	reconInflight map[types.ActorID]chan error //guard:by reconMu
 
-	// coalesced heartbeat aggregator lifecycle.
+	// heartbeat aggregator lifecycle.
 	heartbeatCancel context.CancelFunc
 	heartbeatDone   chan struct{}
 	shutdownOnce    sync.Once
@@ -160,17 +138,11 @@ func New(cfg Config) *Cluster {
 	if cfg.GlobalSchedulers < 1 {
 		cfg.GlobalSchedulers = 1
 	}
-	if cfg.ActorWaitTimeout <= 0 {
-		cfg.ActorWaitTimeout = 30 * time.Second
-	}
-	if cfg.DispatchWorkers < 1 {
-		cfg.DispatchWorkers = 16
-	}
 	var metrics *telemetry.Registry
 	var tracer *telemetry.Tracer
 	if !cfg.DisableTelemetry {
 		metrics = telemetry.NewRegistry()
-		tracer = telemetry.NewTracer(cfg.TracerCapacity)
+		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
 		if cfg.TraceSampleEvery == 0 {
 			cfg.TraceSampleEvery = 16
 		}
@@ -190,11 +162,7 @@ func New(cfg Config) *Cluster {
 	c.globals = scheduler.NewPool(cfg.GlobalSchedulers, cfg.Scheduling, c.gcs)
 	c.gcs.SetReclaimer(c.reclaimObject)
 	c.jobs = job.NewManager(c.gcs, c)
-	if !cfg.FIFOScheduling {
-		c.dispatch = newDispatcher(c, cfg.DispatchWorkers, c.jobs.Weight)
-	}
-	c.cfg.Node.CoalescedHeartbeats = !cfg.PerNodeHeartbeats
-	c.cfg.Node.FIFOScheduling = cfg.FIFOScheduling
+	c.dispatch = newDispatcher(c, c.jobs.Weight)
 	c.cfg.Node.JobWeight = c.jobs.Weight
 	c.cfg.Node.Metrics = metrics
 	c.cfg.Node.Tracer = tracer
@@ -222,9 +190,8 @@ func (c *Cluster) addNodeLocked(cfg node.Config) *node.Node {
 	return n
 }
 
-// Start registers every node with the GCS and begins heartbeating — one loop
-// per node, or a single cluster-level aggregator when heartbeats are
-// coalesced.
+// Start registers every node with the GCS and starts the heartbeat
+// aggregator.
 func (c *Cluster) Start(ctx context.Context) error {
 	c.flushCtxMu.Lock()
 	if c.flushCtx == nil {
@@ -236,7 +203,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 			return err
 		}
 	}
-	if !c.cfg.PerNodeHeartbeats && c.heartbeatDone == nil {
+	if c.heartbeatDone == nil {
 		// The aggregator outlives Start's caller (Shutdown cancels it), so
 		// detach cancellation but keep the caller's context values.
 		hbCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
@@ -247,9 +214,10 @@ func (c *Cluster) Start(ctx context.Context) error {
 	return nil
 }
 
-// heartbeatLoop is the coalesced heartbeat aggregator: every tick it gathers
-// each alive node's load snapshot and writes the whole cluster's heartbeats
-// through one batched GCS commit per shard.
+// heartbeatLoop is the heartbeat aggregator: every tick it ticks each alive
+// node (HeartbeatTick) and writes the whole cluster's load through one batched
+// GCS commit per shard, so heartbeat write load does not grow with cluster
+// size.
 func (c *Cluster) heartbeatLoop(ctx context.Context) {
 	defer close(c.heartbeatDone)
 	interval := c.cfg.Node.HeartbeatInterval
@@ -267,7 +235,7 @@ func (c *Cluster) heartbeatLoop(ctx context.Context) {
 			alive := c.AliveNodes()
 			updates := make([]gcs.HeartbeatUpdate, 0, len(alive))
 			for _, n := range alive {
-				updates = append(updates, n.LoadUpdate())
+				updates = append(updates, n.HeartbeatTick(ctx))
 			}
 			//lint:ignore errdrop periodic refresh: the next tick re-sends the full batch, so a transient commit failure self-heals
 			_ = c.gcs.HeartbeatBatch(ctx, updates)
@@ -288,9 +256,7 @@ func (c *Cluster) Shutdown() {
 				n.Stop()
 			}
 		}
-		if c.dispatch != nil {
-			c.dispatch.stop()
-		}
+		c.dispatch.stop()
 		if c.heartbeatCancel != nil {
 			c.heartbeatCancel()
 			<-c.heartbeatDone
@@ -339,12 +305,8 @@ func (c *Cluster) GlobalSchedulers() *scheduler.Pool { return c.globals }
 func (c *Cluster) Jobs() *job.Manager { return c.jobs }
 
 // PendingForwardsForJob reports how many of the job's forwarded tasks await
-// fair-share dispatch (always 0 under FIFOScheduling, whose forwards never
-// queue).
+// fair-share dispatch.
 func (c *Cluster) PendingForwardsForJob(jobID types.JobID) int {
-	if c.dispatch == nil {
-		return 0
-	}
 	return c.dispatch.pendingFor(jobID)
 }
 
@@ -389,7 +351,6 @@ func (c *Cluster) HeadNode() *node.Node {
 // AddNode adds and starts a new node with the given configuration
 // (elastic scale-out, used by the Figure 11a experiment).
 func (c *Cluster) AddNode(ctx context.Context, cfg node.Config) (*node.Node, error) {
-	cfg.CoalescedHeartbeats = !c.cfg.PerNodeHeartbeats
 	n := c.addNodeLocked(cfg)
 	if err := n.Start(ctx); err != nil {
 		return nil, err
@@ -424,16 +385,12 @@ func (c *Cluster) ResolveStore(id types.NodeID) (*objectstore.Store, bool) {
 
 // ForwardTask implements bottom-up spillover: a local scheduler declined the
 // task, so a global scheduler replica picks a node and the task is delivered
-// to that node's local scheduler. Under fair-share scheduling (the default)
-// the task first queues in the per-job dispatch queue so concurrent forwards
-// from different jobs are served deficit round robin; FIFOScheduling places
-// directly in submission order.
+// to that node's local scheduler. The task first queues in the per-job
+// dispatch queue so concurrent forwards from different jobs are served
+// deficit round robin.
 func (c *Cluster) ForwardTask(ctx context.Context, spec *task.Spec) error {
 	c.forwards.Add(1)
-	if c.dispatch != nil {
-		return c.dispatch.forward(ctx, spec)
-	}
-	return c.placeTask(ctx, spec)
+	return c.dispatch.forward(ctx, spec)
 }
 
 // placeTask performs one placement: global scheduler decision plus delivery,
@@ -465,6 +422,10 @@ func (c *Cluster) placeTask(ctx context.Context, spec *task.Spec) error {
 	return fmt.Errorf("cluster: could not place task %s: %w", spec.ID, lastErr)
 }
 
+// actorWaitTimeout bounds how long an actor method call waits for the actor
+// to come alive before failing.
+const actorWaitTimeout = 30 * time.Second
+
 // RouteActorTask delivers an actor method call to the node hosting the actor,
 // waiting for pending actors to come alive and reconstructing actors whose
 // node has died.
@@ -475,14 +436,14 @@ func (c *Cluster) RouteActorTask(ctx context.Context, spec *task.Spec) error {
 	} else if terminal {
 		return fmt.Errorf("cluster: actor %s: %w", spec.ActorID, types.ErrJobTerminated)
 	}
-	deadline := time.Now().Add(c.cfg.ActorWaitTimeout)
+	deadline := time.Now().Add(actorWaitTimeout)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: actor %s not available within %v: %w",
-				spec.ActorID, c.cfg.ActorWaitTimeout, types.ErrTimeout)
+				spec.ActorID, actorWaitTimeout, types.ErrTimeout)
 		}
 		entry, ok, err := c.gcs.GetActor(ctx, spec.ActorID)
 		if err != nil {
@@ -524,11 +485,11 @@ func (c *Cluster) RouteActorTask(ctx context.Context, spec *task.Spec) error {
 }
 
 // awaitActor subscribes to the actor's table entry, then re-reads it after
-// every write until done accepts it, ctx ends or ActorWaitTimeout passes.
+// every write until done accepts it, ctx ends or actorWaitTimeout passes.
 func (c *Cluster) awaitActor(ctx context.Context, id types.ActorID, done func(entry *gcs.ActorEntry, ok bool) bool) error {
 	written, cancel := c.gcs.SubscribeActor(id)
 	defer cancel()
-	expired := time.NewTimer(c.cfg.ActorWaitTimeout)
+	expired := time.NewTimer(actorWaitTimeout)
 	defer expired.Stop()
 	for {
 		entry, ok, err := c.gcs.GetActor(ctx, id)
@@ -540,7 +501,7 @@ func (c *Cluster) awaitActor(ctx context.Context, id types.ActorID, done func(en
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-expired.C:
-			return fmt.Errorf("cluster: actor %s not available within %v: %w", id, c.cfg.ActorWaitTimeout, types.ErrTimeout)
+			return fmt.Errorf("cluster: actor %s not available within %v: %w", id, actorWaitTimeout, types.ErrTimeout)
 		}
 	}
 }
@@ -730,10 +691,7 @@ func (c *Cluster) jobTerminal(ctx context.Context, jobID types.JobID) (bool, err
 // slot queue. Running tasks are not interrupted here — they observe the job
 // context's cancellation.
 func (c *Cluster) CancelJobTasks(jobID types.JobID) int {
-	n := 0
-	if c.dispatch != nil {
-		n += c.dispatch.purge(jobID)
-	}
+	n := c.dispatch.purge(jobID)
 	for _, nd := range c.AliveNodes() {
 		n += nd.LocalScheduler().PurgeJob(jobID)
 	}

@@ -13,7 +13,7 @@ import (
 
 // forwardTicket is one task waiting in the fair-share dispatch queue for a
 // global-scheduler placement. Its submitter blocks on done, so placement
-// errors propagate to the caller exactly as on the direct path.
+// errors propagate to the caller.
 type forwardTicket struct {
 	ctx  context.Context
 	spec *task.Spec
@@ -38,14 +38,15 @@ type dispatcher struct {
 	purged     atomic.Int64
 }
 
-// newDispatcher starts workers dispatch goroutines.
-func newDispatcher(c *Cluster, workers int, weight func(types.JobID) int) *dispatcher {
-	if workers < 1 {
-		workers = 1
-	}
+// dispatchWorkers is the number of dispatch goroutines: how many placements
+// (global scheduler decision + SubmitPlaced) run at once.
+const dispatchWorkers = 16
+
+// newDispatcher starts the dispatch goroutines.
+func newDispatcher(c *Cluster, weight func(types.JobID) int) *dispatcher {
 	d := &dispatcher{c: c, q: job.NewFairQueue[*forwardTicket](weight)}
 	d.cond = sync.NewCond(&d.mu)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < dispatchWorkers; i++ {
 		go d.loop()
 	}
 	return d

@@ -58,37 +58,12 @@ type Config struct {
 	// restores them on demand, instead of dropping them and relying on
 	// lineage reconstruction.
 	SpillDir string
-	// DisableRefCounting turns off ownership-rooted reference counting (the
-	// -no-refcount ablation): objects are only released by job-exit GC or
-	// LRU eviction instead of eagerly when their last reference dies.
-	DisableRefCounting bool
 	// GCSShards and GCSReplication configure the Global Control Store.
 	GCSShards      int
 	GCSReplication int
-	// SyncWrites disables the GCS batching write path (per-shard pending
-	// buffers committed as single chain batches, amortizing per-task
-	// control-plane appends) and restores one synchronous chain commit per
-	// append. Batching is the default; SyncWrites is the ablation baseline.
-	SyncWrites bool
-	// GCSBatchFlushInterval and GCSBatchMaxEntries tune the batching write
-	// path (zero = 2ms / 256 entries).
+	// GCSBatchFlushInterval is the longest a control-plane write waits in
+	// its shard's pending buffer before it is chain-committed (zero = 2ms).
 	GCSBatchFlushInterval time.Duration
-	GCSBatchMaxEntries    int
-	// PerNodeHeartbeats restores one heartbeat GCS write per node per tick
-	// instead of the default single coalesced batch per tick (the ablation
-	// baseline).
-	PerNodeHeartbeats bool
-	// SchedulerSlots sets each local scheduler's reusable worker-slot count
-	// (0 = derive from CPU capacity).
-	SchedulerSlots int
-	// DirectDispatch restores goroutine-per-task dispatch in local
-	// schedulers (the pre-slot-pool baseline, kept for ablations).
-	DirectDispatch bool
-	// FIFOScheduling restores the pre-fair-share dispatch order (shared FIFO
-	// slot queues, direct forwards) — the ablation baseline in which one
-	// greedy driver's backlog starves every other driver's queued tasks. By
-	// default dispatch is weighted fair share per job.
-	FIFOScheduling bool
 	// GlobalSchedulers is the number of global scheduler replicas.
 	GlobalSchedulers int
 	// LocalityAware toggles locality-aware global placement (Figure 8a).
@@ -109,10 +84,6 @@ type Config struct {
 	// PipelineDepth is how many chunks each transfer message carries
 	// (0 = 4).
 	PipelineDepth int
-	// BlockingTransfers restores blocking whole-object pulls and serial
-	// dependency fetching (the transfer_pipelining ablation baseline;
-	// pipelined chunked transfers are the default).
-	BlockingTransfers bool
 	// InjectedSchedulerLatency adds artificial scheduling latency (Fig 12b).
 	InjectedSchedulerLatency time.Duration
 	// Network configures the simulated data plane.
@@ -133,9 +104,6 @@ type Config struct {
 	// power of two). 0 selects the default of 16 — cheap enough that tracing
 	// stays on in production; set 1 to capture every task (timeline demos).
 	TraceSampleEvery int
-	// TracerCapacity bounds the in-memory span buffer between GCS flushes
-	// (0 = telemetry default).
-	TracerCapacity int
 }
 
 // NodeLabel is the custom resource that pins work to the i-th node when the
@@ -183,10 +151,8 @@ func Init(ctx context.Context, cfg Config) (*Runtime, error) {
 		cfg.CPUsPerNode = 4
 	}
 	ccfg := cluster.Config{
-		Nodes:             cfg.Nodes,
-		LabelNodes:        cfg.LabelNodes,
-		PerNodeHeartbeats: cfg.PerNodeHeartbeats,
-		FIFOScheduling:    cfg.FIFOScheduling,
+		Nodes:      cfg.Nodes,
+		LabelNodes: cfg.LabelNodes,
 		Node: node.Config{
 			CPUs:                     cfg.CPUsPerNode,
 			GPUs:                     cfg.GPUsPerNode,
@@ -197,27 +163,20 @@ func Init(ctx context.Context, cfg Config) (*Runtime, error) {
 			TransferStreams:          cfg.TransferStreams,
 			ChunkBytes:               cfg.ChunkBytes,
 			PipelineDepth:            cfg.PipelineDepth,
-			BlockingTransfers:        cfg.BlockingTransfers,
 			CheckpointInterval:       cfg.CheckpointInterval,
 			RecordLineage:            cfg.RecordLineage,
 			InjectedSchedulerLatency: cfg.InjectedSchedulerLatency,
 			HeartbeatInterval:        cfg.HeartbeatInterval,
-			SchedulerSlots:           cfg.SchedulerSlots,
-			DirectDispatch:           cfg.DirectDispatch,
 		},
 		GCS: gcs.Config{
 			Shards:             max(cfg.GCSShards, 1),
 			ReplicationFactor:  max(cfg.GCSReplication, 1),
-			SyncWrites:         cfg.SyncWrites,
 			BatchFlushInterval: cfg.GCSBatchFlushInterval,
-			BatchMaxEntries:    cfg.GCSBatchMaxEntries,
-			DisableRefCounting: cfg.DisableRefCounting,
 		},
 		Network:          cfg.Network,
 		GlobalSchedulers: cfg.GlobalSchedulers,
 		DisableTelemetry: cfg.DisableTelemetry,
 		TraceSampleEvery: cfg.TraceSampleEvery,
-		TracerCapacity:   cfg.TracerCapacity,
 		Scheduling: scheduler.GlobalConfig{
 			LocalityAware:        cfg.LocalityAware,
 			BandwidthBytesPerSec: cfg.Network.BandwidthBytesPerSec,

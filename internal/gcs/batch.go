@@ -31,8 +31,8 @@ import (
 // acknowledgement (CommitFuture is the only one): put returns before the
 // entry is chain-replicated, and a shard that loses every replica in the
 // flush window loses the pending entries. The synchronous path
-// (Config.SyncWrites=true) is kept as the explicit ablation knob the
-// benchmarks compare against.
+// (Config.SyncWrites=true) stays as the reference this package's tests
+// compare against; it is also what a write takes after Close.
 type shardBatcher struct {
 	chain         *chain.Chain  //guard:init
 	flushInterval time.Duration //guard:init

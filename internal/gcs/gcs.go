@@ -47,13 +47,15 @@ type Config struct {
 	FlushThresholdBytes int64
 	// FlushWriter receives flushed entries. Defaults to io.Discard.
 	FlushWriter io.Writer
-	// SyncWrites disables the batching write path and restores one
-	// synchronous chain commit per table append. Batching — per-shard pending
-	// buffers (which double as a read overlay, preserving read-your-writes
-	// for this Store's clients) committed in groups via single chain commits
-	// — is the default: it amortizes per-task control-plane appends at the
-	// cost of a deferred durability acknowledgement, and the benchmarks show
-	// ~1.5x task throughput for it. Set SyncWrites for the ablation baseline.
+	// SyncWrites disables the batching write path: one synchronous chain
+	// commit per table append. Batching — per-shard pending buffers (which
+	// double as a read overlay, preserving read-your-writes for this Store's
+	// clients) committed in groups via single chain commits — is what every
+	// cluster runs: it amortizes per-task control-plane appends at the cost
+	// of a deferred durability acknowledgement. The synchronous store is the
+	// reference the tests of this package compare the batched one against,
+	// and the same code a write falls back to after Close; nothing above
+	// this package sets the field.
 	SyncWrites bool
 	// BatchFlushInterval is the longest a pending write waits before being
 	// committed. Zero means 2ms.
@@ -61,9 +63,6 @@ type Config struct {
 	// BatchMaxEntries triggers an early flush once a shard's pending buffer
 	// reaches this many distinct keys. Zero means 256.
 	BatchMaxEntries int
-	// DisableRefCounting turns the ownership reference ledger (refs.go) into
-	// a no-op, restoring wait-until-job-GC object lifetimes. Ablation knob.
-	DisableRefCounting bool
 	// Metrics receives GCS batch-flush instrumentation. A nil registry
 	// still works: metric handles degrade to detached counters.
 	Metrics *telemetry.Registry
@@ -118,8 +117,7 @@ type Store struct {
 	// hbMu serializes membership read-modify-writes (Heartbeat,
 	// HeartbeatBatch, MarkNodeDead) so a heartbeat that read a node as alive
 	// cannot write that stale state back over a concurrent MarkNodeDead and
-	// resurrect a dead node. Per-node heartbeat loops stop before their
-	// node's death is recorded, but the cluster's coalesced aggregator runs
+	// resurrect a dead node: the cluster's heartbeat aggregator runs
 	// concurrently with failure injection.
 	hbMu sync.Mutex
 
@@ -184,9 +182,6 @@ func New(cfg Config) *Store {
 	}
 	return s
 }
-
-// Batching reports whether the batching write path is active.
-func (s *Store) Batching() bool { return s.batchers != nil }
 
 // CommitFuture resolves once a batched write is durably chain-committed —
 // the optional flush-on-ack handle for callers that need durability before

@@ -37,11 +37,6 @@ func (s *Store) refs() *refLedger {
 	return s.refLedger
 }
 
-// RefCountingEnabled reports whether the ownership ledger is active. When
-// disabled (the -no-refcount ablation) Inc/Dec are no-ops and objects live
-// until job-exit GC or LRU eviction.
-func (s *Store) RefCountingEnabled() bool { return !s.cfg.DisableRefCounting }
-
 // SetReclaimer installs the callback invoked (outside the ledger lock) when
 // an object's reference count reaches zero. The cluster wires this to
 // store-copy deletion plus location withdrawal.
@@ -56,7 +51,7 @@ func (s *Store) SetReclaimer(fn func(ctx context.Context, id types.ObjectID)) {
 // action that hands the reference off (task submission, Put registration) so
 // the count can never be observed at zero while the reference is live.
 func (s *Store) IncObjectRefs(delta int64, ids ...types.ObjectID) {
-	if s.cfg.DisableRefCounting || len(ids) == 0 {
+	if len(ids) == 0 {
 		return
 	}
 	r := s.refs()
@@ -72,7 +67,7 @@ func (s *Store) IncObjectRefs(delta int64, ids ...types.ObjectID) {
 // synchronously, outside the lock. Decrements for unknown objects are
 // ignored (the ledger may have been purged by job GC).
 func (s *Store) DecObjectRefs(ctx context.Context, ids ...types.ObjectID) {
-	if s.cfg.DisableRefCounting || len(ids) == 0 {
+	if len(ids) == 0 {
 		return
 	}
 	r := s.refs()
@@ -103,9 +98,6 @@ func (s *Store) DecObjectRefs(ctx context.Context, ids ...types.ObjectID) {
 
 // ObjectRefCount reports the current count for one object (0 if untracked).
 func (s *Store) ObjectRefCount(id types.ObjectID) int64 {
-	if s.cfg.DisableRefCounting {
-		return 0
-	}
 	r := s.refs()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -115,9 +107,6 @@ func (s *Store) ObjectRefCount(id types.ObjectID) int64 {
 // TrackedObjectRefs reports how many objects currently hold a nonzero count
 // (for tests and stats).
 func (s *Store) TrackedObjectRefs() int {
-	if s.cfg.DisableRefCounting {
-		return 0
-	}
 	r := s.refs()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -128,7 +117,7 @@ func (s *Store) TrackedObjectRefs() int {
 // backstop calls it after force-releasing a job's objects so leaked counts
 // do not pin map entries forever.
 func (s *Store) ForgetObjectRefs(ids ...types.ObjectID) {
-	if s.cfg.DisableRefCounting || len(ids) == 0 {
+	if len(ids) == 0 {
 		return
 	}
 	r := s.refs()

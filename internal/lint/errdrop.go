@@ -24,7 +24,6 @@ var DefaultMustCheckCalls = []string{
 	"ray/internal/objectmanager.Manager.PutOwned",
 	"ray/internal/objectmanager.Manager.Pull",
 	"ray/internal/scheduler.TaskRunner.Fail",
-	"ray/internal/bench.Persist",
 }
 
 // ErrDrop flags ignored error results from the must-check set: assignments to

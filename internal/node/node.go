@@ -67,9 +67,6 @@ type Config struct {
 	// PipelineDepth is how many chunks ride each transfer message round trip
 	// (0 = 4).
 	PipelineDepth int
-	// BlockingTransfers restores whole-object blocking pulls and serial
-	// dependency fetching — the pre-pipelining ablation baseline.
-	BlockingTransfers bool
 	// CheckpointInterval is the actor checkpoint period (method count).
 	CheckpointInterval int64
 	// RecordLineage controls task-table writes (on for every experiment
@@ -78,23 +75,10 @@ type Config struct {
 	// InjectedSchedulerLatency adds artificial latency to local scheduling
 	// decisions (Figure 12b).
 	InjectedSchedulerLatency time.Duration
-	// HeartbeatInterval is how often load is reported to the GCS. Zero means
-	// 20ms (scaled in-process equivalent of the paper's 100ms heartbeats).
+	// HeartbeatInterval is how often the cluster's aggregator ticks this
+	// node (HeartbeatTick) and reports its load to the GCS. Zero means 20ms
+	// (scaled in-process equivalent of the paper's 100ms heartbeats).
 	HeartbeatInterval time.Duration
-	// CoalescedHeartbeats suppresses this node's own heartbeat loop because
-	// the cluster aggregates every node's load into one batched GCS write
-	// per tick (the default unless cluster.Config.PerNodeHeartbeats is set).
-	CoalescedHeartbeats bool
-	// SchedulerSlots sets the local scheduler's reusable worker-slot count
-	// (0 = derive from CPU capacity and GOMAXPROCS).
-	SchedulerSlots int
-	// DirectDispatch restores goroutine-per-task dispatch in the local
-	// scheduler (the unbatched ablation baseline).
-	DirectDispatch bool
-	// FIFOScheduling restores the shared FIFO slot queue instead of the
-	// default per-job fair-share queue (the cluster threads its own knob in
-	// here).
-	FIFOScheduling bool
 	// JobWeight maps jobs to fair-share weights for the slot queue (nil
 	// means every job weighs 1); wired by the cluster from its job manager.
 	JobWeight func(types.JobID) int
@@ -129,9 +113,6 @@ type Node struct {
 	reconstructor *lineage.Reconstructor
 	ids           *types.IDGenerator
 
-	heartbeatCancel context.CancelFunc
-	heartbeatDone   chan struct{}
-
 	dead    atomic.Bool
 	started atomic.Bool
 	submits atomic.Int64
@@ -139,7 +120,7 @@ type Node struct {
 	// pendingWithdraw holds object locations this node failed to withdraw
 	// from the GCS after evicting the local copy. A stale location entry
 	// points consumers at data the node no longer holds, so failed
-	// withdrawals are retried on every heartbeat until they commit.
+	// withdrawals are retried on every heartbeat tick until they commit.
 	withdrawMu      sync.Mutex
 	pendingWithdraw map[types.ObjectID]struct{} //guard:by withdrawMu
 }
@@ -152,9 +133,6 @@ var nodeOrigin atomic.Uint64
 func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker.Registry, peers objectmanager.PeerResolver, router Router) *Node {
 	if cfg.ObjectStoreBytes <= 0 {
 		cfg.ObjectStoreBytes = 1 << 30
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 20 * time.Millisecond
 	}
 	if cfg.TransferStreams <= 0 {
 		cfg.TransferStreams = 8
@@ -202,12 +180,11 @@ func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker
 		},
 	})
 	n.objects = objectmanager.New(objectmanager.Config{
-		TransferStreams:   cfg.TransferStreams,
-		ChunkBytes:        cfg.ChunkBytes,
-		PipelineDepth:     cfg.PipelineDepth,
-		BlockingTransfers: cfg.BlockingTransfers,
-		Metrics:           cfg.Metrics,
-		Tracer:            cfg.Tracer,
+		TransferStreams: cfg.TransferStreams,
+		ChunkBytes:      cfg.ChunkBytes,
+		PipelineDepth:   cfg.PipelineDepth,
+		Metrics:         cfg.Metrics,
+		Tracer:          cfg.Tracer,
 	}, id, n.store, store, network, peers)
 	n.workers = worker.NewPool(worker.PoolConfig{
 		NodeID:             id,
@@ -224,10 +201,6 @@ func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker
 		Pool:               n.pool,
 		SpilloverThreshold: cfg.SpilloverThreshold,
 		InjectedLatency:    cfg.InjectedSchedulerLatency,
-		WorkerSlots:        cfg.SchedulerSlots,
-		DirectDispatch:     cfg.DirectDispatch,
-		SerialPulls:        cfg.BlockingTransfers,
-		FIFOScheduling:     cfg.FIFOScheduling,
 		JobWeight:          cfg.JobWeight,
 		Metrics:            cfg.Metrics,
 		Tracer:             cfg.Tracer,
@@ -267,36 +240,28 @@ func (n *Node) Resources() *resources.Pool { return n.pool }
 // Dead reports whether the node has been killed.
 func (n *Node) Dead() bool { return n.dead.Load() }
 
-// Start registers the node in the GCS and begins heartbeating.
+// Start registers the node in the GCS. The cluster's aggregator heartbeats
+// for it from then on (HeartbeatTick); a node has no loop of its own.
 func (n *Node) Start(ctx context.Context) error {
 	if n.started.Swap(true) {
 		return nil
 	}
-	err := n.gcs.RegisterNode(ctx, &gcs.NodeEntry{
+	return n.gcs.RegisterNode(ctx, &gcs.NodeEntry{
 		ID:                 n.id,
 		State:              types.NodeAlive,
 		TotalResources:     n.pool.TotalSnapshot(),
 		AvailableResources: n.pool.Snapshot(),
 	})
-	if err != nil {
-		return err
-	}
-	if n.cfg.CoalescedHeartbeats {
-		// The cluster's aggregator reports this node's load in its batched
-		// per-tick write; no per-node loop.
-		return nil
-	}
-	hbCtx, cancel := context.WithCancel(context.Background())
-	n.heartbeatCancel = cancel
-	n.heartbeatDone = make(chan struct{})
-	go n.heartbeatLoop(hbCtx)
-	return nil
 }
 
-// LoadUpdate returns this node's current load as a HeartbeatUpdate for the
-// cluster's coalesced heartbeat writer. It includes the object store's
-// occupancy so the global scheduler can observe memory pressure.
-func (n *Node) LoadUpdate() gcs.HeartbeatUpdate {
+// HeartbeatTick is everything a node does on a heartbeat: it retries its
+// parked location withdrawals, then returns its current load for the caller
+// to write — the cluster's aggregator batches every node's into one commit
+// per shard, SendHeartbeat writes this node's alone. The update includes the
+// object store's occupancy so the global scheduler can observe memory
+// pressure.
+func (n *Node) HeartbeatTick(ctx context.Context) gcs.HeartbeatUpdate {
+	n.retryWithdrawals(ctx)
 	load := n.local.Load()
 	return gcs.HeartbeatUpdate{
 		ID:             n.id,
@@ -308,15 +273,13 @@ func (n *Node) LoadUpdate() gcs.HeartbeatUpdate {
 	}
 }
 
-// SendHeartbeat pushes the node's current load to the GCS immediately.
-// The periodic loop calls it; tests and benchmarks call it to make load
-// information visible without waiting.
+// SendHeartbeat runs one heartbeat tick now and pushes its load to the GCS;
+// tests call it to make load information visible without waiting.
 func (n *Node) SendHeartbeat(ctx context.Context) error {
 	if n.dead.Load() {
 		return types.ErrNodeDead
 	}
-	n.retryWithdrawals(ctx)
-	return n.gcs.Heartbeat(ctx, n.LoadUpdate())
+	return n.gcs.Heartbeat(ctx, n.HeartbeatTick(ctx))
 }
 
 // noteFailedWithdrawal parks an object whose location could not be withdrawn
@@ -331,8 +294,8 @@ func (n *Node) noteFailedWithdrawal(obj types.ObjectID) {
 }
 
 // retryWithdrawals re-attempts parked location withdrawals. Runs on every
-// heartbeat so a transient GCS failure cannot leave the object directory
-// pointing at evicted data forever.
+// heartbeat tick so a transient GCS failure cannot leave the object
+// directory pointing at evicted data forever.
 func (n *Node) retryWithdrawals(ctx context.Context) {
 	n.withdrawMu.Lock()
 	if len(n.pendingWithdraw) == 0 {
@@ -373,31 +336,10 @@ func (n *Node) PendingWithdrawals() int {
 	return len(n.pendingWithdraw)
 }
 
-func (n *Node) heartbeatLoop(ctx context.Context) {
-	defer close(n.heartbeatDone)
-	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			if n.dead.Load() {
-				return
-			}
-			_ = n.SendHeartbeat(ctx)
-		}
-	}
-}
-
-// Stop gracefully shuts the node down (stops heartbeats and draining the
-// scheduler). It does not simulate failure; use Kill for that.
+// Stop gracefully shuts the node down by draining the scheduler. It does not
+// simulate failure; use Kill for that.
 func (n *Node) Stop() {
 	n.local.Drain()
-	if n.heartbeatCancel != nil {
-		n.heartbeatCancel()
-		<-n.heartbeatDone
-	}
 }
 
 // Kill simulates a node failure: the scheduler drains, every object replica

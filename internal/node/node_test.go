@@ -96,6 +96,47 @@ func TestWithdrawalRetrySkipsResidentObject(t *testing.T) {
 	}
 }
 
+// The cluster's aggregator makes one call per node per tick, HeartbeatTick, and
+// no node has a loop of its own: that call must retry the parked withdrawals,
+// or an eviction whose withdrawal failed leaves a phantom location forever.
+// Both retry outcomes go through it: an evicted object's location is
+// withdrawn, a re-fetched (resident) object's stays.
+func TestHeartbeatTickRetriesWithdrawals(t *testing.T) {
+	n, store := newTestNode(t)
+	ctx := context.Background()
+
+	evicted, resident := types.NewObjectID(), types.NewObjectID()
+	if err := n.Store().Put(resident, []byte("payload"), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []types.ObjectID{evicted, resident} {
+		if err := store.AddObjectLocation(ctx, obj, n.ID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
+			t.Fatal(err)
+		}
+		n.noteFailedWithdrawal(obj)
+	}
+
+	if update := n.HeartbeatTick(ctx); update.ID != n.ID() {
+		t.Fatalf("HeartbeatTick reported node %v, want %v", update.ID, n.ID())
+	}
+
+	if got := n.PendingWithdrawals(); got != 0 {
+		t.Fatalf("PendingWithdrawals after a tick = %d, want 0", got)
+	}
+	if entry, ok, err := store.GetObject(ctx, evicted); err != nil {
+		t.Fatal(err)
+	} else if ok && len(entry.Locations) != 0 {
+		t.Fatalf("phantom location survived the tick: %v", entry.Locations)
+	}
+	entry, ok, err := store.GetObject(ctx, resident)
+	if err != nil || !ok {
+		t.Fatalf("resident object's entry missing: ok=%v err=%v", ok, err)
+	}
+	if len(entry.Locations) != 1 || entry.Locations[0] != n.ID() {
+		t.Fatalf("valid location withdrawn for resident object: %v", entry.Locations)
+	}
+}
+
 // ray.Wait calls an object ready once the directory lists a location for it —
 // not when a copy has merely reached the local store, which happens before the
 // producer registers it (a caller that frees it then would leak copy and

@@ -13,8 +13,7 @@
 // object, so a hot object is pulled from several sources at once, and a
 // window whose source dies mid-transfer fails over to another replica
 // without restarting the object. Objects no larger than one chunk keep the
-// single-message fast path; Config.BlockingTransfers restores one blocking
-// whole-object transfer per pull (the ablation baseline).
+// single-message fast path.
 //
 // Because object location metadata lives in the GCS rather than in the
 // scheduler, transfers never involve the scheduler — the decoupling of task
@@ -49,7 +48,7 @@ type PeerResolver interface {
 // Config controls manager behaviour.
 type Config struct {
 	// TransferStreams is the number of parallel streams used per pull: the
-	// stripe width of a blocking whole-object transfer, and the number of
+	// stripe width of a single-message transfer, and the number of
 	// concurrent chunk workers of a pipelined one. Ray uses multiple; the
 	// OpenMPI-like baseline in the allreduce experiment uses 1.
 	TransferStreams int
@@ -61,10 +60,6 @@ type Config struct {
 	// message round trip (the in-flight window per stream); higher depths
 	// amortize the per-message latency over more bytes. Zero means 4.
 	PipelineDepth int
-	// BlockingTransfers disables the chunked pipeline and restores one
-	// blocking whole-object network transfer per pull — the ablation
-	// baseline of the transfer_pipelining experiment.
-	BlockingTransfers bool
 	// PullTimeout bounds how long a pull waits for the object to appear in
 	// the object table before giving up (the lineage layer then decides
 	// whether to reconstruct). Zero means wait until the context is done.
@@ -358,8 +353,8 @@ func (m *Manager) pull(ctx context.Context, id types.ObjectID) error {
 	}
 }
 
-// fetchFrom copies the object from the entry's locations: a single blocking
-// whole-object transfer for small objects (or in blocking mode), the chunked
+// fetchFrom copies the object from the entry's locations: a single
+// whole-object transfer for objects no larger than one chunk, the chunked
 // pipeline for everything else.
 func (m *Manager) fetchFrom(ctx context.Context, id types.ObjectID, entry *gcs.ObjectEntry) error {
 	// Already local (e.g. we produced it between checks).
@@ -370,7 +365,7 @@ func (m *Manager) fetchFrom(ctx context.Context, id types.ObjectID, entry *gcs.O
 	if len(sources) == 0 {
 		return fmt.Errorf("objectmanager: no usable replica for %s: %w", id, types.ErrObjectLost)
 	}
-	if !m.cfg.BlockingTransfers && entry.Size > m.cfg.ChunkBytes {
+	if entry.Size > m.cfg.ChunkBytes {
 		return m.fetchChunked(ctx, id, entry, sources)
 	}
 	return m.fetchWhole(ctx, id, entry, sources)
@@ -395,8 +390,7 @@ func (m *Manager) liveSources(entry *gcs.ObjectEntry) []types.NodeID {
 }
 
 // fetchWhole moves the object as one blocking transfer striped over
-// TransferStreams streams — the small-object fast path and the ablation
-// baseline for large ones.
+// TransferStreams streams — the small-object fast path.
 func (m *Manager) fetchWhole(ctx context.Context, id types.ObjectID, entry *gcs.ObjectEntry, sources []types.NodeID) error {
 	var lastErr error
 	for _, src := range sources {
@@ -563,7 +557,7 @@ func (m *Manager) assemblyFor(id types.ObjectID, size int64, isError bool) (*ass
 	// Shrink the chunk when the object has fewer full chunks than streams,
 	// so every stream still carries a share (a 2 MB object over 8 streams
 	// moves as 8 × 256 KB, not 2 × 1 MB over a quarter of the streams) —
-	// matching the full striping the blocking path gets from Transfer.
+	// matching the full striping fetchWhole gets from Transfer.
 	chunkBytes := m.cfg.ChunkBytes
 	if perStream := (size + int64(m.cfg.TransferStreams) - 1) / int64(m.cfg.TransferStreams); chunkBytes > perStream {
 		chunkBytes = perStream

@@ -203,14 +203,14 @@ func TestDrainWakesParkedTasks(t *testing.T) {
 	waitFor(t, func() bool { return l.Stats().Completed == 2 }, "parent and holder complete")
 }
 
-// TestReleaseWakesOnlyWhatItGrants: under DirectDispatch every accepted task is
-// a goroutine, so thousands park for resources at once. A release must not
-// wake them all to race for what it freed: it acquires on behalf of exactly
-// the tasks it lets run, so the resources are taken again by the time it
-// returns and everyone else stays parked.
+// TestReleaseWakesOnlyWhatItGrants: tasks resuming from a blocking Get
+// re-acquire outside the slot bound, so thousands can park for resources at
+// once. A release must not wake them all to race for what it freed: it
+// acquires on behalf of exactly the tasks it lets run, so the resources are
+// taken again by the time it returns and everyone else stays parked.
 func TestReleaseWakesOnlyWhatItGrants(t *testing.T) {
 	const tasks = 2000
-	l := newLocal(LocalConfig{DirectDispatch: true}, &fakeRunner{}, &fakePuller{}, &fakeForwarder{})
+	l := newLocal(LocalConfig{}, &fakeRunner{}, &fakePuller{}, &fakeForwarder{})
 	if !l.acquire(resources.CPUs(4), 0) {
 		t.Fatal("could not take the pool")
 	}

@@ -2,8 +2,7 @@
 // (paper Section 4.2.2): per-node local schedulers that run tasks locally
 // whenever possible and forward to horizontally scalable global schedulers
 // only when a node is overloaded or cannot satisfy a task's resource
-// requirements. A centralized baseline scheduler (Spark/CIEL-like) is also
-// provided for the ablation experiments.
+// requirements.
 package scheduler
 
 import (

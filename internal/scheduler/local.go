@@ -57,39 +57,25 @@ type LocalConfig struct {
 	// InjectedLatency adds artificial delay to every local scheduling
 	// decision (Figure 12b ablation).
 	InjectedLatency time.Duration
-	// EMAAlpha is the exponential-averaging coefficient for task durations
-	// reported in heartbeats. Zero means 0.2.
-	EMAAlpha float64
 	// WorkerSlots is the number of reusable dispatch slots: the maximum
 	// number of worker goroutines concurrently driving tasks. Tasks beyond
-	// the slot count wait in a FIFO queue instead of each spawning a
+	// the slot count wait in the slot queue instead of each spawning a
 	// goroutine, which removes per-task goroutine churn from the submission
 	// hot path. A task that blocks on a Get/Wait lends its slot to queued
 	// work for the duration (like Ray workers blocking in ray.get), so
 	// nested task trees cannot deadlock on slots. Zero picks a default from
 	// the node's CPU capacity and GOMAXPROCS.
 	WorkerSlots int
-	// DirectDispatch restores the pre-slot-pool behaviour of one goroutine
-	// per accepted task. The scheduler-ablation benchmarks use it as the
-	// baseline.
-	DirectDispatch bool
 	// PullFanOut bounds how many of a task's dependencies are pulled
 	// concurrently before it runs, so a two-input task overlaps both
 	// transfers instead of paying them back to back. Zero means 4.
 	PullFanOut int
-	// SerialPulls restores the one-dependency-at-a-time pull loop (the
-	// blocking-transfer ablation baseline).
-	SerialPulls bool
-	// JobWeight maps a job to its fair-share weight for the per-job dispatch
-	// queue (nil, unknown jobs, and values < 1 mean weight 1). The cluster
-	// wires the job manager's weights in here.
+	// JobWeight maps a job to its fair-share weight for the slot queue, a
+	// per-job deficit-round-robin multi-queue in which each backlogged job
+	// receives dispatch slots in proportion to its weight (nil, unknown jobs,
+	// and values < 1 mean weight 1). The cluster wires the job manager's
+	// weights in here.
 	JobWeight func(types.JobID) int
-	// FIFOScheduling restores the single shared FIFO slot queue — the
-	// pre-fair-share ablation baseline in which one greedy job's backlog
-	// delays every other job's queued tasks behind it. By default the slot
-	// queue is a per-job deficit-round-robin multi-queue: each backlogged
-	// job receives dispatch slots in proportion to its weight.
-	FIFOScheduling bool
 	// Metrics receives dispatch-path instrumentation (queue depth, spill
 	// decisions, submit→dispatch latency, slot occupancy). A nil registry
 	// still works: handles degrade to detached metrics.
@@ -124,17 +110,12 @@ type Local struct {
 	// parked: what each waiting task asked for; release sends true, Drain closes.
 	parked map[chan bool]resources.Request //guard:by mu
 
-	// Slot pool state (used unless cfg.DirectDispatch). Guarded by poolMu,
-	// which is separate from mu so slot bookkeeping never contends with the
-	// queue/resource accounting above.
+	// Slot pool state. Guarded by poolMu, which is separate from mu so slot
+	// bookkeeping never contends with the queue/resource accounting above.
 	poolMu sync.Mutex
 	// fairQ is the per-job deficit-round-robin queue of accepted tasks
-	// awaiting a slot (the default). Guarded by poolMu.
+	// awaiting a slot. Guarded by poolMu.
 	fairQ *job.FairQueue[queuedTask] //guard:by poolMu
-	// taskQ is the shared FIFO used under cfg.FIFOScheduling; qHead indexes
-	// the next task so dequeue is O(1) without reallocating.
-	taskQ []queuedTask //guard:by poolMu
-	qHead int          //guard:by poolMu
 	// purged counts queued tasks dropped by job-exit cleanup.
 	purged atomic.Int64
 	// slotWorkers counts live worker goroutines, including blocked ones;
@@ -175,9 +156,6 @@ func NewLocal(cfg LocalConfig, runner TaskRunner, puller DependencyPuller, forwa
 	if cfg.SpilloverThreshold <= 0 {
 		cfg.SpilloverThreshold = 64
 	}
-	if cfg.EMAAlpha <= 0 || cfg.EMAAlpha > 1 {
-		cfg.EMAAlpha = 0.2
-	}
 	if cfg.WorkerSlots <= 0 {
 		cfg.WorkerSlots = defaultWorkerSlots(cfg.Pool)
 	}
@@ -193,6 +171,7 @@ func NewLocal(cfg LocalConfig, runner TaskRunner, puller DependencyPuller, forwa
 		parked:      make(map[chan bool]resources.Request),
 		queuedByJob: make(map[types.JobID]int),
 		avgTaskMs:   1,
+		fairQ:       job.NewFairQueue[queuedTask](cfg.JobWeight),
 		tracer:      cfg.Tracer,
 		nodeStr:     cfg.NodeID.String(),
 		queueDepth: cfg.Metrics.Gauge("ray_scheduler_queue_depth",
@@ -204,54 +183,7 @@ func NewLocal(cfg LocalConfig, runner TaskRunner, puller DependencyPuller, forwa
 		dispatchWait: cfg.Metrics.Histogram("ray_scheduler_dispatch_wait_seconds",
 			"Latency from local accept to dispatch (start of dependency resolution).", telemetry.DefLatencyBuckets),
 	}
-	if !cfg.FIFOScheduling {
-		l.fairQ = job.NewFairQueue[queuedTask](cfg.JobWeight)
-	}
 	return l
-}
-
-// --- Slot queue (guarded by poolMu) ------------------------------------------
-
-// queueLenLocked returns how many accepted tasks await a slot.
-//
-//guard:holds poolMu
-func (l *Local) queueLenLocked() int {
-	if l.fairQ != nil {
-		return l.fairQ.Len()
-	}
-	return len(l.taskQ) - l.qHead
-}
-
-// enqueueLocked adds an accepted task to the slot queue.
-//
-//guard:holds poolMu
-func (l *Local) enqueueLocked(qt queuedTask) {
-	if l.fairQ != nil {
-		l.fairQ.Push(qt.spec.Job, qt)
-		return
-	}
-	l.taskQ = append(l.taskQ, qt)
-}
-
-// dequeueLocked removes the next task to dispatch: deficit round robin
-// across jobs by default, FIFO under FIFOScheduling.
-//
-//guard:holds poolMu
-func (l *Local) dequeueLocked() (queuedTask, bool) {
-	if l.fairQ != nil {
-		return l.fairQ.Pop()
-	}
-	if len(l.taskQ)-l.qHead == 0 {
-		return queuedTask{}, false
-	}
-	qt := l.taskQ[l.qHead]
-	l.taskQ[l.qHead] = queuedTask{} // release references
-	l.qHead++
-	if l.qHead > 64 && l.qHead*2 >= len(l.taskQ) {
-		l.taskQ = append(l.taskQ[:0], l.taskQ[l.qHead:]...)
-		l.qHead = 0
-	}
-	return qt, true
 }
 
 // PurgeJob drops every queued (not yet dispatched) task of the job from the
@@ -259,22 +191,8 @@ func (l *Local) dequeueLocked() (queuedTask, bool) {
 // observe the job context's cancellation. It returns how many tasks were
 // dropped.
 func (l *Local) PurgeJob(jobID types.JobID) int {
-	var dropped []queuedTask
 	l.poolMu.Lock()
-	if l.fairQ != nil {
-		dropped = l.fairQ.Purge(jobID)
-	} else {
-		kept := l.taskQ[:0]
-		for i := l.qHead; i < len(l.taskQ); i++ {
-			if l.taskQ[i].spec.Job == jobID {
-				dropped = append(dropped, l.taskQ[i])
-			} else {
-				kept = append(kept, l.taskQ[i])
-			}
-		}
-		l.taskQ = kept
-		l.qHead = 0
-	}
+	dropped := l.fairQ.Purge(jobID)
 	l.poolMu.Unlock()
 	if len(dropped) == 0 {
 		return 0
@@ -373,9 +291,8 @@ func (l *Local) delay(ctx context.Context) error {
 	}
 }
 
-// accept queues the task locally and runs it asynchronously: through the
-// reusable slot pool by default, or on a dedicated goroutine per task under
-// DirectDispatch.
+// accept queues the task locally and runs it asynchronously through the
+// reusable slot pool.
 func (l *Local) accept(ctx context.Context, spec *task.Spec) error {
 	// A cancelled submission context (most commonly: the task's job was
 	// finished or killed) is rejected up front instead of queueing work that
@@ -394,12 +311,8 @@ func (l *Local) accept(ctx context.Context, spec *task.Spec) error {
 	l.scheduledLocal.Add(1)
 	l.queueDepth.Inc()
 	acceptedAt := time.Now()
-	if l.cfg.DirectDispatch {
-		go l.runTask(ctx, spec, acceptedAt)
-		return nil
-	}
 	l.poolMu.Lock()
-	l.enqueueLocked(queuedTask{ctx: ctx, spec: spec, acceptedAt: acceptedAt})
+	l.fairQ.Push(spec.Job, queuedTask{ctx: ctx, spec: spec, acceptedAt: acceptedAt})
 	l.spawnWorkerLocked()
 	l.poolMu.Unlock()
 	return nil
@@ -410,7 +323,7 @@ func (l *Local) accept(ctx context.Context, spec *task.Spec) error {
 //
 //guard:holds poolMu
 func (l *Local) spawnWorkerLocked() {
-	if l.queueLenLocked() > 0 && l.slotWorkers-l.slotBlocked < l.cfg.WorkerSlots {
+	if l.fairQ.Len() > 0 && l.slotWorkers-l.slotBlocked < l.cfg.WorkerSlots {
 		l.slotWorkers++
 		l.slotsBusy.Set(int64(l.slotWorkers - l.slotBlocked))
 		go l.slotWorker()
@@ -429,7 +342,7 @@ func (l *Local) slotWorker() {
 			l.poolMu.Unlock()
 			return
 		}
-		qt, ok := l.dequeueLocked()
+		qt, ok := l.fairQ.Pop()
 		if !ok {
 			l.slotWorkers--
 			l.slotsBusy.Set(int64(l.slotWorkers - l.slotBlocked))
@@ -556,32 +469,24 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 	// 3. Execute. Block hooks make a nested blocking Get release what this
 	//    task holds while it waits for its children: plain tasks release
 	//    their resources (otherwise a recursion deeper than the node's CPU
-	//    count deadlocks), and any task run through the slot pool lends its
-	//    dispatch slot to queued work for the same reason.
-	runCtx := ctx
+	//    count deadlocks), and every task lends its dispatch slot to queued
+	//    work for the same reason.
 	releaseResources := !isMethod && !spec.ActorCreation
-	lendSlot := !l.cfg.DirectDispatch
-	if releaseResources || lendSlot {
-		runCtx = types.WithBlockHooks(ctx, types.BlockHooks{
-			OnBlock: func() {
-				if releaseResources {
-					l.release(spec.Resources)
+	runCtx := types.WithBlockHooks(ctx, types.BlockHooks{
+		OnBlock: func() {
+			if releaseResources {
+				l.release(spec.Resources)
+			}
+			l.noteBlocked()
+		},
+		OnUnblock: func() {
+			if releaseResources {
+				for !l.acquire(spec.Resources, 0) { // a running task waits through drains
 				}
-				if lendSlot {
-					l.noteBlocked()
-				}
-			},
-			OnUnblock: func() {
-				if releaseResources {
-					for !l.acquire(spec.Resources, 0) { // a running task waits through drains
-					}
-				}
-				if lendSlot {
-					l.noteUnblocked()
-				}
-			},
-		})
-	}
+			}
+			l.noteUnblocked()
+		},
+	})
 	start := time.Now()
 	if spans != nil {
 		// The dispatch span covers dependency pulls, the spill decision, and
@@ -616,21 +521,15 @@ func (l *Local) runTask(ctx context.Context, spec *task.Spec, acceptedAt time.Ti
 }
 
 // pullDependencies makes every listed object local. With more than one
-// dependency (and unless SerialPulls restores the baseline), pulls run on up
-// to PullFanOut concurrent workers; the first failure cancels the rest and is
-// reported. Duplicate IDs are deduplicated by the object manager's inflight
-// table, so fanning out never double-transfers.
+// dependency, pulls run on up to PullFanOut concurrent workers; the first
+// failure cancels the rest and is reported. Duplicate IDs are deduplicated by
+// the object manager's inflight table, so fanning out never double-transfers.
 func (l *Local) pullDependencies(ctx context.Context, deps []types.ObjectID) error {
 	if len(deps) == 0 {
 		return nil
 	}
-	if len(deps) == 1 || l.cfg.SerialPulls {
-		for _, dep := range deps {
-			if err := l.puller.Pull(ctx, dep); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(deps) == 1 {
+		return l.puller.Pull(ctx, deps[0])
 	}
 	err := parallel.ForEach(ctx, l.cfg.PullFanOut, len(deps), func(pullCtx context.Context, i int) error {
 		return l.puller.Pull(pullCtx, deps[i])
@@ -702,10 +601,14 @@ func (l *Local) decJobQueuedLocked(jobID types.JobID, n int) {
 	}
 }
 
+// emaAlpha is the exponential-averaging coefficient for the task durations
+// reported in heartbeats.
+const emaAlpha = 0.2
+
 func (l *Local) observeDuration(d time.Duration) {
 	ms := float64(d.Microseconds()) / 1000
 	l.mu.Lock()
-	l.avgTaskMs = l.cfg.EMAAlpha*ms + (1-l.cfg.EMAAlpha)*l.avgTaskMs
+	l.avgTaskMs = emaAlpha*ms + (1-emaAlpha)*l.avgTaskMs
 	l.mu.Unlock()
 }
 
@@ -765,7 +668,7 @@ type LocalStats struct {
 	FailSinkErrors int64
 	Queued         int
 	// SlotWorkers is the number of live slot-pool worker goroutines
-	// (including blocked ones); zero under DirectDispatch.
+	// (including blocked ones).
 	SlotWorkers int
 	// SlotQueueLen is the number of accepted tasks still waiting for a slot.
 	SlotQueueLen int
@@ -778,7 +681,7 @@ func (l *Local) Stats() LocalStats {
 	l.mu.Unlock()
 	l.poolMu.Lock()
 	workers := l.slotWorkers
-	slotQueue := l.queueLenLocked()
+	slotQueue := l.fairQ.Len()
 	l.poolMu.Unlock()
 	return LocalStats{
 		ScheduledLocally: l.scheduledLocal.Load(),
@@ -798,16 +701,7 @@ func (l *Local) Stats() LocalStats {
 func (l *Local) PendingForJob(jobID types.JobID) int {
 	l.poolMu.Lock()
 	defer l.poolMu.Unlock()
-	if l.fairQ != nil {
-		return l.fairQ.PendingFor(jobID)
-	}
-	n := 0
-	for i := l.qHead; i < len(l.taskQ); i++ {
-		if l.taskQ[i].spec.Job == jobID {
-			n++
-		}
-	}
-	return n
+	return l.fairQ.PendingFor(jobID)
 }
 
 // StatsName implements telemetry.Reporter (namespaced per node by callers).

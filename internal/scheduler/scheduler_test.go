@@ -612,66 +612,6 @@ func TestPoolRoundRobin(t *testing.T) {
 	}
 }
 
-// --- Centralized baseline tests --------------------------------------------------
-
-func TestCentralizedSerializesDecisions(t *testing.T) {
-	nodes := []types.NodeID{types.NewNodeID(), types.NewNodeID()}
-	c := NewCentralized(nodes, 5*time.Millisecond)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Schedule(context.Background(), simpleSpec(1)); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	// 8 decisions × 5ms serialized ≥ 40ms, whereas a distributed scheduler
-	// would overlap them.
-	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Fatalf("centralized scheduler should serialize decisions, finished in %v", elapsed)
-	}
-	if c.Decisions() != 8 {
-		t.Fatal("decision count wrong")
-	}
-}
-
-func TestCentralizedBalancesLoad(t *testing.T) {
-	nodes := []types.NodeID{types.NewNodeID(), types.NewNodeID()}
-	c := NewCentralized(nodes, 0)
-	counts := make(map[types.NodeID]int)
-	for i := 0; i < 10; i++ {
-		n, err := c.Schedule(context.Background(), simpleSpec(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[n]++
-	}
-	if counts[nodes[0]] != 5 || counts[nodes[1]] != 5 {
-		t.Fatalf("expected even split, got %v", counts)
-	}
-	c.TaskFinished(nodes[0])
-	n, _ := c.Schedule(context.Background(), simpleSpec(1))
-	if n != nodes[0] {
-		t.Fatal("least-loaded node not chosen after completion")
-	}
-	// Empty scheduler errors.
-	empty := NewCentralized(nil, 0)
-	if _, err := empty.Schedule(context.Background(), simpleSpec(1)); err == nil {
-		t.Fatal("expected error with no nodes")
-	}
-	// Cancelled context with latency fails.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	slow := NewCentralized(nodes, time.Second)
-	if _, err := slow.Schedule(ctx, simpleSpec(1)); err == nil {
-		t.Fatal("cancelled schedule must fail")
-	}
-}
-
 // --- Slot pool tests -------------------------------------------------------------
 
 func TestSlotPoolBoundsConcurrentWorkers(t *testing.T) {
@@ -741,21 +681,6 @@ func TestSlotPoolBlockedTaskLendsSlot(t *testing.T) {
 	}
 }
 
-func TestDirectDispatchKnob(t *testing.T) {
-	runner := &fakeRunner{duration: 10 * time.Millisecond}
-	l := newLocal(LocalConfig{DirectDispatch: true, SpilloverThreshold: 100}, runner, &fakePuller{}, &fakeForwarder{})
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if err := l.Submit(ctx, simpleSpec(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Stats().SlotWorkers != 0 {
-		t.Fatal("direct dispatch must not start slot workers")
-	}
-	waitFor(t, func() bool { return l.Stats().Completed == 4 }, "tasks complete")
-}
-
 // trackingPuller records the maximum number of concurrently in-flight pulls.
 type trackingPuller struct {
 	running atomic.Int32
@@ -796,21 +721,6 @@ func TestMultiDependencyPullsOverlap(t *testing.T) {
 	}
 	if puller.maxConc.Load() < 2 {
 		t.Fatalf("dependency pulls never overlapped (max concurrency %d)", puller.maxConc.Load())
-	}
-}
-
-func TestSerialPullsRestoresBaseline(t *testing.T) {
-	runner := &fakeRunner{}
-	puller := &trackingPuller{}
-	l := newLocal(LocalConfig{SerialPulls: true}, runner, puller, &fakeForwarder{})
-	spec := simpleSpec(1)
-	spec.Args = []task.Arg{task.RefArg(types.NewObjectID()), task.RefArg(types.NewObjectID())}
-	if err := l.Submit(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return l.Stats().Completed == 1 }, "task completion")
-	if puller.maxConc.Load() != 1 {
-		t.Fatalf("serial mode overlapped pulls (max concurrency %d)", puller.maxConc.Load())
 	}
 }
 
