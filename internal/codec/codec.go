@@ -152,7 +152,19 @@ func storeUint[T uint | uint8 | uint16 | uint32 | uint64](p *T, v uint64) error 
 // destination of its kind (signed, unsigned, float) wide enough to hold it,
 // as with gob. A destination of the wrong type yields an error wrapping
 // ErrTypeMismatch; a truncated or oversized payload one wrapping ErrCorrupt.
-func Decode(data []byte, out any) error {
+// The decoded value shares no memory with data: it is the caller's own.
+func Decode(data []byte, out any) error { return decode(data, out, false) }
+
+// DecodeBorrowed is Decode, except that a []byte destination is a view of
+// data (cap == len, so an append reallocates instead of growing into it), not
+// a copy of it. The view is read-only and pins nothing: it stays valid for
+// as long as it is held because the object store never reuses a payload
+// buffer. Every other destination decodes exactly as with Decode — numeric
+// slices included: the payload sits at offset 1 of data, and numeric code
+// updates what it decoded in place.
+func DecodeBorrowed(data []byte, out any) error { return decode(data, out, true) }
+
+func decode(data []byte, out any, borrow bool) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: empty", ErrCorrupt)
 	}
@@ -205,6 +217,10 @@ func Decode(data []byte, out any) error {
 		p, ok := out.(*[]byte)
 		if !ok {
 			return mismatch("[]byte", out)
+		}
+		if borrow && len(payload) > 0 {
+			*p = payload[:len(payload):len(payload)]
+			return nil
 		}
 		*p = append([]byte(nil), payload...)
 		return nil

@@ -34,16 +34,16 @@ func TestFloat32RoundTrip(t *testing.T) {
 }
 
 func TestBytesAndStringRoundTrip(t *testing.T) {
-	var b []byte
-	if err := Decode(MustEncode([]byte{1, 2, 3}), &b); err != nil || !reflect.DeepEqual(b, []byte{1, 2, 3}) {
+	b, err := decodeBoth(t, MustEncode([]byte{1, 2, 3}), reflect.TypeOf([]byte(nil)))
+	if err != nil || !reflect.DeepEqual(b, []byte{1, 2, 3}) {
 		t.Fatalf("bytes round trip: %v %v", b, err)
 	}
-	var s string
-	if err := Decode(MustEncode("hello"), &s); err != nil || s != "hello" {
+	s, err := decodeBoth(t, MustEncode("hello"), reflect.TypeOf(""))
+	if err != nil || s != "hello" {
 		t.Fatalf("string round trip: %q %v", s, err)
 	}
-	var empty []byte
-	if err := Decode(MustEncode([]byte{}), &empty); err != nil || len(empty) != 0 {
+	empty, err := decodeBoth(t, MustEncode([]byte{}), reflect.TypeOf([]byte(nil)))
+	if err != nil || len(empty.([]byte)) != 0 {
 		t.Fatal("empty bytes round trip failed")
 	}
 }

@@ -77,6 +77,56 @@ func class(t reflect.Type) string {
 	}
 }
 
+// errClass is what a caller can tell apart about a decode failure.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrTypeMismatch):
+		return "mismatch"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	default:
+		return "gob"
+	}
+}
+
+// decodeBoth decodes data into a fresh destination of type dt with Decode and
+// with DecodeBorrowed and holds the pair to DecodeBorrowed's contract: the
+// same error class and the same value, and only a []byte destination shares
+// memory with the input — as exactly the payload, with no spare capacity to
+// append into. It returns what Decode produced.
+func decodeBoth(t testing.TB, data []byte, dt reflect.Type) (any, error) {
+	t.Helper()
+	input := bytes.Clone(data)
+	own, view := reflect.New(dt), reflect.New(dt)
+	err := Decode(input, own.Interface())
+	berr := DecodeBorrowed(input, view.Interface())
+	if errClass(err) != errClass(berr) {
+		t.Fatalf("into *%v: Decode says %v, DecodeBorrowed says %v", dt, err, berr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	got, borrowed := own.Elem().Interface(), view.Elem().Interface()
+	if !same(got, borrowed) {
+		t.Fatalf("into *%v: Decode gives %v, DecodeBorrowed gives %v", dt, got, borrowed)
+	}
+	if b, ok := borrowed.([]byte); ok && len(b) > 0 {
+		if &b[0] != &input[1] || cap(b) != len(b) {
+			t.Fatalf("borrowed []byte is not the payload itself (cap %d, len %d)", cap(b), len(b))
+		}
+		return got, nil
+	}
+	for i := range input {
+		input[i] ^= 0xFF
+	}
+	if !same(got, borrowed) {
+		t.Fatalf("into *%v: the borrowed value changed with its input: it shares memory", dt)
+	}
+	return got, nil
+}
+
 func TestTaggedKindsRoundTrip(t *testing.T) {
 	for _, s := range samples() {
 		data, err := Encode(s.v)
@@ -86,11 +136,11 @@ func TestTaggedKindsRoundTrip(t *testing.T) {
 		if data[0] != s.tag {
 			t.Errorf("%T encodes with tag %d, want %d", s.v, data[0], s.tag)
 		}
-		dst := reflect.New(reflect.TypeOf(s.v))
-		if err := Decode(data, dst.Interface()); err != nil {
+		got, err := decodeBoth(t, data, reflect.TypeOf(s.v))
+		if err != nil {
 			t.Fatalf("decode %T(%v): %v", s.v, s.v, err)
 		}
-		if got := dst.Elem().Interface(); !same(got, s.v) {
+		if !same(got, s.v) {
 			t.Errorf("%T round trip: got %v, want %v", s.v, got, s.v)
 		}
 	}
@@ -224,8 +274,8 @@ func TestScalarAllocs(t *testing.T) {
 	}
 }
 
-// FuzzDecode: no input, well formed or not, makes Decode panic, whatever the
-// destination.
+// FuzzDecode: no input, well formed or not, makes Decode or DecodeBorrowed
+// panic, whatever the destination, and the two agree on every input.
 func FuzzDecode(f *testing.F) {
 	seeds := [][]byte{oldEncode(f, 42), oldEncode(f, struct{ A, B int }{1, 2})}
 	for _, s := range samples() {
@@ -244,10 +294,31 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, s := range samples() {
 			// The error is the expected outcome for most inputs; the
-			// property is only that Decode returns.
-			_ = Decode(data, reflect.New(reflect.TypeOf(s.v)).Interface())
+			// property is that both return, with the same answer.
+			_, _ = decodeBoth(t, data, reflect.TypeOf(s.v))
 		}
-		_ = Decode(data, &struct{ A, B int }{})
+		_, _ = decodeBoth(t, data, reflect.TypeOf(struct{ A, B int }{}))
 		_ = Decode(data, nil)
+		_ = DecodeBorrowed(data, nil)
 	})
+}
+
+// BenchmarkDecodeBytes4M prices the consumer's end of a 4 MiB []byte hop:
+// Decode allocates and copies the payload, DecodeBorrowed hands out a view.
+func BenchmarkDecodeBytes4M(b *testing.B) {
+	data := MustEncode(make([]byte, 4<<20))
+	for _, c := range []struct {
+		name   string
+		decode func([]byte, any) error
+	}{{"Decode", Decode}, {"DecodeBorrowed", DecodeBorrowed}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(data, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -181,6 +182,13 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !isGoSource(e.Name()) {
+			continue
+		}
+		// A //go:build pair (race / !race) declares one name twice: check
+		// the file set the default build would compile.
+		if match, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", path, err)
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

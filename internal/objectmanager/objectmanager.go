@@ -175,7 +175,8 @@ func (m *Manager) NodeID() types.NodeID { return m.nodeID }
 // calls). If a previous copy of the object was just evicted from the
 // local store, the location registration waits for the eviction's location
 // removal to land first, so the directory never loses track of a resident
-// replica to out-of-order updates.
+// replica to out-of-order updates. Like PutOwned, it hands data over to the
+// store: the caller must not write to it again.
 func (m *Manager) Put(ctx context.Context, id types.ObjectID, data []byte, isError bool, creator types.TaskID) error {
 	return m.PutOwned(ctx, id, data, isError, creator, types.NilJobID)
 }
@@ -186,6 +187,9 @@ func (m *Manager) Put(ctx context.Context, id types.ObjectID, data []byte, isErr
 // the object unowned. Locally produced objects are primary copies: under
 // memory pressure they spill to disk instead of evicting (replicas fetched
 // from other nodes just evict — the primary can always serve them again).
+// The store adopts data instead of copying it (objectstore.Store.PutPrimary):
+// the producer — a task's encoded result, TaskContext.Put's encoded value —
+// never writes to the buffer again, so the encode is the one copy on this hop.
 // While it stores and registers, the producer holds the inflight slot (unless
 // a pull does: that one reads the directory), so Pull calls the object local
 // only once its location is readable: freed sooner, copy and location leak.

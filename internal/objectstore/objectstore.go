@@ -35,7 +35,12 @@ type Object struct {
 	// ID identifies the object cluster-wide.
 	ID types.ObjectID
 	// Data is the serialized payload. Callers must never mutate it: the
-	// buffer is shared zero-copy by every reader on the node.
+	// buffer is shared zero-copy by every reader on the node, and tasks
+	// receive their []byte arguments as views of it. The store never reuses a
+	// payload buffer — eviction, spill, restore, Delete and DropAll drop the
+	// store's reference and nothing else — so a view held past unpin or
+	// reclamation stays valid and unchanged; the garbage collector frees the
+	// buffer when the last view goes.
 	Data []byte
 	// IsError marks objects that hold a serialized application error
 	// (a failed task stores its error so consumers re-raise it at Get).
@@ -161,21 +166,27 @@ func New(cfg Config) *Store {
 	}
 }
 
-// Put stores data under id, copying it into a store-owned buffer. Storing an
-// object that already exists (resident or spilled) is a no-op (objects are
-// immutable, so the existing copy is identical). Put fails with
-// types.ErrStoreFull if the object cannot fit even after evicting every
+// Put stores data under id, copying it into a store-owned buffer: the call
+// for a caller that keeps its buffer, and for the wire copy of a whole-object
+// transfer. Storing an object that already exists (resident or spilled) is a
+// no-op (objects are immutable, so the existing copy is identical). Put fails
+// with types.ErrStoreFull if the object cannot fit even after evicting every
 // unpinned object.
 func (s *Store) Put(id types.ObjectID, data []byte, isError bool) error {
 	return s.put(id, data, isError, false)
 }
 
-// PutPrimary is Put for the creator node's copy: under memory pressure the
-// store spills it to disk instead of discarding it.
+// PutPrimary stores the creator node's copy — under memory pressure the
+// store spills it to disk instead of discarding it — and adopts data as the
+// store's buffer instead of copying it: the creator hands over the buffer its
+// encoder just made and must never write to it again. (It need not be
+// fresh: one buffer adopted under many IDs is many identical immutable
+// objects.)
 func (s *Store) PutPrimary(id types.ObjectID, data []byte, isError bool) error {
 	return s.put(id, data, isError, true)
 }
 
+// put inserts the object: a primary adopts data, anything else copies it.
 func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) error {
 	s.puts.Add(1)
 	size := int64(len(data))
@@ -183,9 +194,18 @@ func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) 
 		return fmt.Errorf("objectstore: object %s (%d bytes) exceeds capacity %d: %w",
 			id, size, s.cfg.CapacityBytes, types.ErrStoreFull)
 	}
-	// Copy outside the lock: this is the memcpy that dominates large-object
-	// creation time in the paper's Figure 9.
-	buf := s.copyPayload(data)
+	buf := data
+	if !primary {
+		// Look before copying: a duplicate (a pull that lost the race to a
+		// local re-production, a second put of a value already stored) must
+		// not pay for a payload-sized buffer only to throw it away. Then copy
+		// outside the lock — the memcpy that dominates large-object creation
+		// time in the paper's Figure 9 — and look again at insert.
+		if s.Contains(id) {
+			return nil
+		}
+		buf = s.copyPayload(data)
+	}
 
 	s.mu.Lock()
 	if _, ok := s.objects[id]; ok {

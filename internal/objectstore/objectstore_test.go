@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -563,5 +564,68 @@ func TestFailedPutStillNotifiesPartialEvictions(t *testing.T) {
 	defer cancel()
 	if err := s.WaitEvictions(ctx, victim); err != nil {
 		t.Fatalf("WaitEvictions hung after failed Put: %v", err)
+	}
+}
+
+// A put of an object the store already holds, resident or spilled, looks
+// before it copies: 100 duplicate 1 MiB Puts allocate next to nothing (at the
+// parent each one copied the payload, took the lock and threw the copy away).
+func TestDuplicatePutCopiesNothing(t *testing.T) {
+	const size = 1 << 20
+	s := New(Config{CapacityBytes: size + size/2, SpillDir: t.TempDir()})
+	spilled, resident := types.NewObjectID(), types.NewObjectID()
+	payload := bytes.Repeat([]byte("d"), size)
+	for _, id := range []types.ObjectID{spilled, resident} {
+		if err := s.PutPrimary(id, payload, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.SpilledCount != 1 || st.Objects != 1 {
+		t.Fatalf("setup: want one spilled and one resident object, got %+v", st)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		for _, id := range []types.ObjectID{spilled, resident} {
+			if err := s.Put(id, payload, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= size {
+		t.Fatalf("100 duplicate puts allocated %d bytes, want < %d", grew, size)
+	}
+	if st := s.Stats(); st.SpilledCount != 1 || st.Objects != 1 || st.Used != size {
+		t.Fatalf("duplicate puts changed the store: %+v", st)
+	}
+}
+
+// PutPrimary adopts the creator's buffer where Put copies the caller's, and
+// one buffer adopted under two IDs is two equal readable objects (a raw
+// function may return the same buffer on every call).
+func TestPutPrimaryAdoptsItsBuffer(t *testing.T) {
+	s := New(DefaultConfig())
+	a, b, c := types.NewObjectID(), types.NewObjectID(), types.NewObjectID()
+	data := []byte("handed over")
+	for _, id := range []types.ObjectID{a, b} {
+		if err := s.PutPrimary(id, data, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(c, data, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []types.ObjectID{a, b} {
+		obj, ok := s.Get(id)
+		if !ok || &obj.Data[0] != &data[0] || len(obj.Data) != len(data) {
+			t.Fatalf("primary %s does not hold the buffer it was handed", id)
+		}
+	}
+	if obj, ok := s.Get(c); !ok || &obj.Data[0] == &data[0] || !bytes.Equal(obj.Data, data) {
+		t.Fatal("Put must hold its own copy")
+	}
+	if s.Used() != int64(3*len(data)) {
+		t.Fatalf("used=%d, want %d", s.Used(), 3*len(data))
 	}
 }

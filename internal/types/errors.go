@@ -65,6 +65,13 @@ var (
 	// or been killed: its queued tasks are cancelled, its lineage is no longer
 	// replayable, and its actors and objects have been released.
 	ErrJobTerminated = errors.New("ray: job terminated")
+
+	// ErrArgumentMutated indicates a function or actor method wrote to one of
+	// its argument buffers, which are read-only views of the object store
+	// shared with every other reader on the node. Only a -race build checks
+	// for it; the task's outputs become error objects naming the function
+	// and the argument.
+	ErrArgumentMutated = errors.New("ray: task wrote to a read-only argument")
 )
 
 // TaskError wraps an application-level error raised inside a remote function

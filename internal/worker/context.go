@@ -246,7 +246,11 @@ func (c *TaskContext) blockingSection(fn func() error) error {
 }
 
 // GetRaw blocks until the object is available and returns its raw payload.
-// If the object is an error object the application error is returned.
+// If the object is an error object the application error is returned. The
+// payload is the local store's own buffer, shared with every other reader:
+// a read-only view, valid for as long as it is held (the store never reuses
+// a payload buffer); bytes.Clone it before writing. Get decodes a value the
+// caller owns.
 func (c *TaskContext) GetRaw(id types.ObjectID) ([]byte, error) {
 	var data []byte
 	var isError bool

@@ -3,6 +3,7 @@ package worker
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +114,10 @@ func (p *Pool) Run(ctx context.Context, spec *task.Spec) error {
 // that reclamation bounce off the store. The second result is the
 // application error (stored as error objects), the third an infrastructure
 // error (the task did not run).
+//
+// The argument buffers are the store's own (and the spec's inline values):
+// read-only by contract, which a -race build enforces by digesting each one
+// before and after the body and failing the task on a difference.
 func (p *Pool) execute(ctx context.Context, tctx *TaskContext, spec *task.Spec) ([][]byte, error, error) {
 	args, pinned, argErr, err := p.resolveArgs(ctx, spec)
 	defer p.unpinAll(pinned)
@@ -123,6 +128,35 @@ func (p *Pool) execute(ctx context.Context, tctx *TaskContext, spec *task.Spec) 
 		// An input was an error object: propagate it to every output without
 		// running the task (the paper's error-propagation semantics).
 		return nil, argErr, nil
+	}
+	var before []uint64
+	if raceEnabled {
+		before = digestArgs(args)
+	}
+	outs, appErr, err := p.runBody(ctx, tctx, spec, args)
+	if raceEnabled && err == nil {
+		for i, sum := range digestArgs(args) {
+			if sum != before[i] {
+				return nil, fmt.Errorf("worker: %s wrote to argument %d: %w", spec.Function, i, types.ErrArgumentMutated), nil
+			}
+		}
+	}
+	return outs, appErr, err
+}
+
+var digestSeed = maphash.MakeSeed()
+
+func digestArgs(args [][]byte) []uint64 {
+	sums := make([]uint64, len(args))
+	for i, a := range args {
+		sums[i] = maphash.Bytes(digestSeed, a)
+	}
+	return sums
+}
+
+// runBody runs the constructor, method or function the spec names.
+func (p *Pool) runBody(ctx context.Context, tctx *TaskContext, spec *task.Spec, args [][]byte) ([][]byte, error, error) {
+	switch {
 	case spec.ActorCreation:
 		if appErr := p.createActor(ctx, tctx, spec, args); appErr != nil {
 			return nil, appErr, nil

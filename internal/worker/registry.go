@@ -21,6 +21,16 @@ import (
 // declared return. Returning an error marks every output of the task as an
 // error object, which consumers re-raise at Get (exactly the paper's
 // semantics for application failures).
+//
+// Buffers cross this boundary without a copy, in both directions. Each args[i]
+// is the object store's own buffer (or the spec's inline value), shared with
+// every other reader: a read-only view, valid for as long as it is held —
+// the store never reuses a payload buffer — and to be cloned (bytes.Clone)
+// before any write; a -race build fails a task that wrote to one with
+// types.ErrArgumentMutated. Each returned buffer is handed over: the store
+// adopts it as the object, so the function must never write to it again. It
+// need not be fresh: returning the same buffer from every call is fine, and
+// what codec.Encode returns always qualifies.
 type Function func(ctx *TaskContext, args [][]byte) ([][]byte, error)
 
 // Checkpointable is implemented by actor instances that support user-defined
@@ -36,13 +46,16 @@ type Checkpointable interface {
 // StateConstructor builds a fresh actor state (the body of the actor creation
 // task). The returned value is the instance the class's method table
 // dispatches against; if it also implements Checkpointable it participates in
-// checkpointing.
+// checkpointing. args are read-only views, as for Function.
 type StateConstructor func(ctx *TaskContext, args [][]byte) (any, error)
 
 // ActorMethodImpl is one entry of a class's method table: it receives the
 // actor's state (as returned by the class's StateConstructor) plus the
 // serialized arguments, and returns the serialized outputs. The typed ray
-// package generates these wrappers at registration time.
+// package generates these wrappers at registration time. Function's buffer
+// contract applies: args are read-only views, returned buffers are handed
+// over and never written again (an actor that returns its state buffer must
+// return an encoding or a copy of it).
 type ActorMethodImpl func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error)
 
 // MethodSpec describes one registered actor method: its implementation plus

@@ -63,6 +63,9 @@ func RegisterActorClass0[S any](rt *Runtime, name, doc string, ctor func(ctx *Co
 }
 
 // RegisterActorClass1 registers an actor class whose constructor takes an A.
+// As for remote functions (Register1), a []byte constructor parameter is a
+// borrowed read-only view of the stored object, valid for as long as the
+// actor holds it; bytes.Clone it to get state the actor may change.
 func RegisterActorClass1[S, A any](rt *Runtime, name, doc string, ctor func(ctx *Context, a A) (*S, error)) (Class1[S, A], error) {
 	err := rt.RegisterActorClass(name, doc, func(ctx *worker.TaskContext, args [][]byte) (any, error) {
 		a, err := decode1[A](args, 0)
@@ -75,7 +78,8 @@ func RegisterActorClass1[S, A any](rt *Runtime, name, doc string, ctor func(ctx 
 }
 
 // RegisterActorClass2 registers an actor class whose constructor takes an A
-// and a B.
+// and a B ([]byte parameters are borrowed read-only views, see
+// RegisterActorClass1).
 func RegisterActorClass2[S, A, B any](rt *Runtime, name, doc string, ctor func(ctx *Context, a A, b B) (*S, error)) (Class2[S, A, B], error) {
 	err := rt.RegisterActorClass(name, doc, func(ctx *worker.TaskContext, args [][]byte) (any, error) {
 		a, err := decode1[A](args, 0)
@@ -177,7 +181,8 @@ func stateOf[S any](class, method string, state any) (*S, error) {
 // ActorMethod0 declares a no-argument method S -> R on the class: the typed
 // implementation becomes the class's dispatch entry and the returned
 // ClassMethod0 is the caller-side handle. Each method name may be declared
-// once per class registration.
+// once per class registration. The result is encoded before the method
+// returns, so a method may return its state and go on changing it.
 func ActorMethod0[S, R any](c Class[S], name string, impl func(ctx *Context, s *S) (R, error)) (ClassMethod0[S, R], error) {
 	class, err := methodDecl[S](c, name, 0, func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
 		s, err := stateOf[S](c.actorClass().name, name, state)
@@ -189,7 +194,10 @@ func ActorMethod0[S, R any](c Class[S], name string, impl func(ctx *Context, s *
 	return ClassMethod0[S, R]{class: class, name: name}, err
 }
 
-// ActorMethod1 declares a one-argument method (S, A) -> R on the class.
+// ActorMethod1 declares a one-argument method (S, A) -> R on the class. A
+// []byte parameter is a borrowed read-only view of the stored object: the
+// actor may keep it for as long as it likes — it never changes, even after
+// the object is freed — and must bytes.Clone it before writing.
 func ActorMethod1[S, A, R any](c Class[S], name string, impl func(ctx *Context, s *S, a A) (R, error)) (ClassMethod1[S, A, R], error) {
 	class, err := methodDecl[S](c, name, 1, func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
 		s, err := stateOf[S](c.actorClass().name, name, state)
@@ -205,7 +213,8 @@ func ActorMethod1[S, A, R any](c Class[S], name string, impl func(ctx *Context, 
 	return ClassMethod1[S, A, R]{class: class, name: name}, err
 }
 
-// ActorMethod2 declares a two-argument method (S, A, B) -> R on the class.
+// ActorMethod2 declares a two-argument method (S, A, B) -> R on the class
+// ([]byte parameters are borrowed read-only views, see ActorMethod1).
 func ActorMethod2[S, A, B, R any](c Class[S], name string, impl func(ctx *Context, s *S, a A, b B) (R, error)) (ClassMethod2[S, A, B, R], error) {
 	class, err := methodDecl[S](c, name, 2, func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
 		s, err := stateOf[S](c.actorClass().name, name, state)

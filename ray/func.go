@@ -176,13 +176,15 @@ func (f FuncN) Remote(c Caller, args ...any) ([]RawRef, error) {
 	return c.CallContext().Call(f.name, buildOpts(f.opts), args...)
 }
 
-// decode1 decodes the single argument slot i into a fresh T.
+// decode1 decodes the single argument slot i into a T. A []byte argument is
+// borrowed, not copied: it is a read-only view of the store's buffer (or of
+// the task spec's inline value), which the worker pool holds for the call.
 func decode1[T any](args [][]byte, i int) (T, error) {
 	var out T
 	if i >= len(args) {
 		return out, fmt.Errorf("ray: argument %d missing (task submitted with %d)", i, len(args))
 	}
-	if err := codec.Decode(args[i], &out); err != nil {
+	if err := codec.DecodeBorrowed(args[i], &out); err != nil {
 		return out, fmt.Errorf("ray: decode argument %d: %w", i, err)
 	}
 	return out, nil
@@ -218,7 +220,9 @@ func encode2(v1, v2 any, err error) ([][]byte, error) {
 
 // Register0 registers a no-argument remote function under name and returns
 // its typed handle. The implementation works with Go values; serialization
-// happens in the generated wrapper.
+// happens in the generated wrapper: the result is encoded once, into the
+// buffer the object store then holds, so the function may keep and change
+// what it returned.
 func Register0[R any](rt *Runtime, name, doc string, impl func(ctx *Context) (R, error)) (Func0[R], error) {
 	err := rt.RegisterN(name, doc, 1, func(ctx *worker.TaskContext, args [][]byte) ([][]byte, error) {
 		r, err := impl(ctx)
@@ -228,7 +232,11 @@ func Register0[R any](rt *Runtime, name, doc string, impl func(ctx *Context) (R,
 }
 
 // Register1 registers a remote function A -> R under name and returns its
-// typed handle.
+// typed handle. As for every Register function: a []byte parameter is a
+// borrowed, read-only view of the stored object, valid for as long as it is
+// held (bytes.Clone it before writing; a -race build fails a task that wrote
+// to one); every other parameter type is decoded into a value the function
+// owns.
 func Register1[A, R any](rt *Runtime, name, doc string, impl func(ctx *Context, a A) (R, error)) (Func1[A, R], error) {
 	err := rt.RegisterN(name, doc, 1, func(ctx *worker.TaskContext, args [][]byte) ([][]byte, error) {
 		a, err := decode1[A](args, 0)
@@ -242,7 +250,8 @@ func Register1[A, R any](rt *Runtime, name, doc string, impl func(ctx *Context, 
 }
 
 // Register2 registers a remote function (A, B) -> R under name and returns
-// its typed handle.
+// its typed handle. []byte parameters are borrowed read-only views (see
+// Register1).
 func Register2[A, B, R any](rt *Runtime, name, doc string, impl func(ctx *Context, a A, b B) (R, error)) (Func2[A, B, R], error) {
 	err := rt.RegisterN(name, doc, 1, func(ctx *worker.TaskContext, args [][]byte) ([][]byte, error) {
 		a, err := decode1[A](args, 0)
@@ -260,7 +269,8 @@ func Register2[A, B, R any](rt *Runtime, name, doc string, impl func(ctx *Contex
 }
 
 // Register3 registers a remote function (A, B, C) -> R under name and
-// returns its typed handle.
+// returns its typed handle. []byte parameters are borrowed read-only views
+// (see Register1).
 func Register3[A, B, C, R any](rt *Runtime, name, doc string, impl func(ctx *Context, a A, b B, c C) (R, error)) (Func3[A, B, C, R], error) {
 	err := rt.RegisterN(name, doc, 1, func(ctx *worker.TaskContext, args [][]byte) ([][]byte, error) {
 		a, err := decode1[A](args, 0)
@@ -284,7 +294,8 @@ func Register3[A, B, C, R any](rt *Runtime, name, doc string, impl func(ctx *Con
 // Register0R2 registers a no-argument remote function producing a pair
 // (R1, R2) under name. Registration records the two-object arity in the GCS
 // function table, and the handle's Remote yields one typed future per output
-// — no drop to FuncN/RawRef for the common two-return shape.
+// — no drop to FuncN/RawRef for the common two-return shape. The R2 forms
+// follow Register1's rule: []byte parameters are borrowed read-only views.
 func Register0R2[R1, R2 any](rt *Runtime, name, doc string, impl func(ctx *Context) (R1, R2, error)) (Func0R2[R1, R2], error) {
 	err := rt.RegisterN(name, doc, 2, func(ctx *worker.TaskContext, args [][]byte) ([][]byte, error) {
 		r1, r2, err := impl(ctx)
@@ -326,6 +337,8 @@ func Register2R2[A, B, R1, R2 any](rt *Runtime, name, doc string, impl func(ctx 
 // RegisterFuncN registers a raw remote function — serialized arguments in,
 // serialized outputs out, numReturns declared outputs — and returns the
 // variadic handle. The declared arity is recorded in the GCS function table.
+// worker.Function states the raw buffer contract: arguments are read-only
+// views, returned buffers are handed over and never written again.
 func RegisterFuncN(rt *Runtime, name, doc string, numReturns int, fn worker.Function) (FuncN, error) {
 	err := rt.RegisterN(name, doc, numReturns, fn)
 	f := FuncN{name: name}

@@ -29,6 +29,13 @@
 // chains like square.RemoteRef(driver, square.Remote(driver, 7)) never block
 // the caller.
 //
+// Who owns which bytes: a function's result is encoded once and that buffer
+// becomes the stored object; a []byte parameter of a remote function, actor
+// method or actor constructor is a borrowed, read-only view of the stored
+// object — valid for as long as it is held, bytes.Clone it before writing;
+// every other parameter type, and everything Get returns, is a value the
+// receiver owns.
+//
 // The stringly-typed layer underneath (core.Driver.Call1, worker.CallOptions
 // literals) remains available to internal plumbing and benchmarks, but
 // application code should not need it.
@@ -99,6 +106,7 @@ func Shutdown(ctx context.Context, d *Driver) (CleanupReport, error) {
 
 // Get blocks until the future is available and returns its value — the
 // ray.get of Table 1, typed: the result type is carried by the reference.
+// The value is decoded for this caller and is its own to modify.
 func Get[T any](c Caller, ref ObjectRef[T]) (T, error) {
 	var out T
 	if ref.inline != nil {
@@ -117,7 +125,8 @@ func GetInto(c Caller, ref RawRef, out any) error {
 
 // Put stores a value in the object store and returns a typed future for it —
 // the ray.put of Table 1. Use it to share one large value across many task
-// submissions without re-serializing it into every task spec.
+// submissions without re-serializing it into every task spec. The value is
+// encoded before Put returns: changing it afterwards never reaches the store.
 func Put[T any](c Caller, value T) (ObjectRef[T], error) {
 	id, err := c.CallContext().Put(value)
 	return ObjectRef[T]{ID: id}, err
