@@ -21,34 +21,27 @@ import (
 )
 
 func main() {
-	nodes := flag.Int("nodes", 4, "number of nodes")
-	cpus := flag.Float64("cpus", 4, "CPUs per node")
+	// The demo's own settings; every knob flag binds straight into cfg.
+	cfg := ray.DefaultConfig()
+	cfg.SpilloverThreshold = 4
+	cfg.CheckpointInterval = 10
+	cfg.TraceSampleEvery = 1
+	flag.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "number of nodes")
+	flag.Float64Var(&cfg.CPUs, "cpus", cfg.CPUs, "CPUs per node (0 = 4)")
+	flag.Int64Var(&cfg.ChunkBytes, "chunk-bytes", cfg.ChunkBytes, "chunk granularity of pipelined object pulls (0 = 1 MiB)")
+	flag.IntVar(&cfg.PipelineDepth, "pipeline-depth", cfg.PipelineDepth, "chunks per transfer message round trip (0 = 4)")
+	flag.StringVar(&cfg.SpillDir, "spill-dir", cfg.SpillDir, "directory for spill-to-disk of primary object copies under memory pressure (empty = spilling disabled)")
+	flag.Int64Var(&cfg.ObjectStoreBytes, "store-bytes", cfg.ObjectStoreBytes, "object store capacity per node in bytes (0 = 1 GiB)")
+	flag.IntVar(&cfg.TraceSampleEvery, "trace-sample", cfg.TraceSampleEvery, "trace one task lifecycle in every N (rounded up to a power of two); the demo defaults to full capture, the library default is 16")
 	tasks := flag.Int("tasks", 200, "number of tasks to run")
 	kill := flag.Int("kill", 1, "number of nodes to kill mid-run")
-	chunkBytes := flag.Int64("chunk-bytes", 0, "chunk granularity of pipelined object pulls (0 = 1 MiB)")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "chunks per transfer message round trip (0 = 4)")
 	weight := flag.Int("job-weight", 1, "fair-share weight of this driver's job")
-	spillDir := flag.String("spill-dir", "", "directory for spill-to-disk of primary object copies under memory pressure (empty = spilling disabled)")
-	storeBytes := flag.Int64("store-bytes", 0, "object store capacity per node in bytes (0 = 1 GiB)")
-	noTelemetry := flag.Bool("no-telemetry", false, "disable the metrics registry and task-lifecycle tracer (the telemetry_overhead ablation baseline)")
 	timeline := flag.String("timeline", "", "write the run's task-lifecycle spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-	traceSample := flag.Int("trace-sample", 1, "trace one task lifecycle in every N (rounded up to a power of two); the demo defaults to full capture, the library default is 16")
 	httpAddr := flag.String("http", "", "serve /metrics, /statusz, /timeline and /debug/pprof/* on this address (e.g. 127.0.0.1:8077; empty = off)")
 	linger := flag.Duration("linger", 0, "keep the process (and the -http endpoint) alive this long after the run, for scraping")
 	flag.Parse()
 
 	ctx := context.Background()
-	cfg := ray.DefaultConfig()
-	cfg.Nodes = *nodes
-	cfg.CPUsPerNode = *cpus
-	cfg.SpilloverThreshold = 4
-	cfg.CheckpointInterval = 10
-	cfg.ChunkBytes = *chunkBytes
-	cfg.PipelineDepth = *pipelineDepth
-	cfg.SpillDir = *spillDir
-	cfg.ObjectStoreBytes = *storeBytes
-	cfg.DisableTelemetry = *noTelemetry
-	cfg.TraceSampleEvery = *traceSample
 	rt, err := ray.Init(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -112,7 +105,7 @@ func main() {
 	}
 	inc := incM.Bind(actor)
 
-	fmt.Printf("running %d tasks across %d nodes, killing %d node(s) mid-run...\n", *tasks, *nodes, *kill)
+	fmt.Printf("running %d tasks across %d nodes, killing %d node(s) mid-run...\n", *tasks, cfg.Nodes, *kill)
 	killed := 0
 	var refs []ray.ObjectRef[int]
 	for i := 0; i < *tasks; i++ {

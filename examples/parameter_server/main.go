@@ -19,7 +19,6 @@ func main() {
 
 	cfg := ray.DefaultConfig()
 	cfg.Nodes = 4
-	cfg.CPUsPerNode = 4
 	cfg.LabelNodes = true
 	rt, err := ray.Init(ctx, cfg)
 	if err != nil {

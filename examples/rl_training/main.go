@@ -20,7 +20,6 @@ func main() {
 
 	cfg := ray.DefaultConfig()
 	cfg.Nodes = 4
-	cfg.CPUsPerNode = 4
 	cfg.LabelNodes = true
 	rt, err := ray.Init(ctx, cfg)
 	if err != nil {
@@ -62,6 +61,6 @@ func main() {
 		result.TotalRollouts, result.TotalTimesteps, result.Elapsed.Round(1e6))
 
 	stats := rt.Cluster().Stats()
-	fmt.Printf("cluster: %d tasks forwarded to global schedulers, %d actor-method routes\n",
+	fmt.Printf("cluster: %d tasks forwarded to the global scheduler, %d actor-method routes\n",
 		stats.Forwards, stats.ActorRoutes)
 }

@@ -67,7 +67,7 @@ func Fig12aAllreduce(scale Scale) (*Table, error) {
 func allreduceRun(participants, payloadBytes, streams int) (time.Duration, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = participants
-	cfg.CPUsPerNode = 2
+	cfg.CPUs = 2
 	cfg.LabelNodes = true
 	cfg.TransferStreams = streams
 	cfg.Network = realisticNetwork(1.0)
@@ -123,7 +123,7 @@ func Fig12bSchedulerAblation(scale Scale) (*Table, error) {
 func allreduceWithLatency(participants, payloadBytes int, added time.Duration) (time.Duration, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = participants
-	cfg.CPUsPerNode = 2
+	cfg.CPUs = 2
 	cfg.LabelNodes = true
 	cfg.Network = realisticNetwork(1.0)
 	cfg.InjectedSchedulerLatency = added
@@ -181,7 +181,6 @@ func Fig13DistributedSGD(scale Scale) (*Table, error) {
 func sgdRun(replicas int, strategy sgd.Strategy, layers []int, iterations int) (float64, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = replicas + 1
-	cfg.CPUsPerNode = 4
 	cfg.LabelNodes = true
 	rt, d, err := newCluster(cfg)
 	if err != nil {
@@ -245,7 +244,7 @@ func Table3Serving(scale Scale) (*Table, error) {
 func servingRun(stateBytes int, evalDelay time.Duration, requests int) (restThroughput, rayThroughput float64, err error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 1
-	cfg.CPUsPerNode = 8
+	cfg.CPUs = 8
 	rt, d, err := newCluster(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -328,7 +327,7 @@ func Table4Simulation(scale Scale) (*Table, error) {
 func raySimulationRun(workers, totalRollouts, maxSteps int) (float64, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 1
-	cfg.CPUsPerNode = float64(workers)
+	cfg.CPUs = float64(workers)
 	rt, d, err := newCluster(cfg)
 	if err != nil {
 		return 0, err
@@ -402,7 +401,6 @@ func Fig14aES(scale Scale) (*Table, error) {
 func esRun(workers, rollouts, iterations int, reference bool) (time.Duration, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = workers
-	cfg.CPUsPerNode = 4
 	cfg.LabelNodes = true
 	rt, d, err := newCluster(cfg)
 	if err != nil {
@@ -472,8 +470,8 @@ func Fig14bPPO(scale Scale) (*Table, error) {
 func ppoRun(sims, stepsPerIter, iterations int, synchronous bool) (time.Duration, int, int, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 2
-	cfg.CPUsPerNode = float64(sims)
-	cfg.GPUsPerNode = 1
+	cfg.CPUs = float64(sims)
+	cfg.GPUs = 1
 	rt, d, err := newCluster(cfg)
 	if err != nil {
 		return 0, 0, 0, err
@@ -536,7 +534,6 @@ func Registry() map[string]func(Scale) (*Table, error) {
 	return map[string]func(Scale) (*Table, error){
 		"fig8a":              Fig8aLocality,
 		"fig8b":              Fig8bScalability,
-		"telemetry_overhead": TelemetryOverhead,
 		"multi_driver":       MultiDriver,
 		"larger_than_memory": LargerThanMemory,
 		"fig9":               Fig9ObjectStore,

@@ -50,7 +50,6 @@ func Fig11aTaskReconstruction(scale Scale) (*Table, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 4
-	cfg.CPUsPerNode = 4
 	cfg.SpilloverThreshold = 2
 	rt, d, err := newCluster(cfg)
 	if err != nil {
@@ -182,7 +181,6 @@ func actorReconstructionRun(actors, methodsBefore int, checkpoint bool) ([]strin
 	// Four CPUs per node: each actor holds one CPU, so the eight actors are
 	// forced to spread beyond the driver's node (killing a node then actually
 	// loses some) while leaving spare capacity to host the reconstructions.
-	cfg.CPUsPerNode = 4
 	if checkpoint {
 		cfg.CheckpointInterval = 10
 	}

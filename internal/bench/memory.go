@@ -65,7 +65,6 @@ func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int) (memoryR
 
 	cfg := core.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.CPUsPerNode = 4
 	cfg.ObjectStoreBytes = storeBytes
 	cfg.SpillDir = spillDir
 	rt, d, err := newCluster(cfg)

@@ -51,7 +51,7 @@ func Fig8aLocality(scale Scale) (*Table, error) {
 func localityRun(aware bool, objectSize, numTasks int) (time.Duration, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 2
-	cfg.CPUsPerNode = 8
+	cfg.CPUs = 8
 	cfg.LabelNodes = true
 	cfg.LocalityAware = aware
 	cfg.SpilloverThreshold = 1 // force every task through the global scheduler
@@ -131,7 +131,6 @@ func Fig8bScalability(scale Scale) (*Table, error) {
 func scalabilityRun(nodes, tasksPerNode int) (float64, int, error) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.CPUsPerNode = 4
 	cfg.RecordLineage = false // the paper's empty tasks measure scheduler+GCS dispatch throughput
 	cfg.GCSShards = 8
 	return throughputRun(cfg, tasksPerNode)

@@ -70,7 +70,6 @@ func (s *multiDriverStats) minMicro() float64 {
 func multiDriverConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 4
-	cfg.CPUsPerNode = 4
 	cfg.GCSShards = 8
 	// Micro drivers pin their latency-sensitive tasks to their own node, the
 	// usual locality pattern for interactive work.

@@ -1,5 +1,5 @@
 // Package cluster wires nodes, the Global Control Store, and the global
-// scheduler replicas into one runnable Ray cluster, and implements the
+// scheduler into one runnable Ray cluster, and implements the
 // cluster-wide concerns no single node can handle alone: routing forwarded
 // tasks to the node the global scheduler picked, routing actor method calls
 // to the node hosting the actor, reconstructing actors after node failures,
@@ -26,52 +26,52 @@ import (
 	"ray/internal/worker"
 )
 
-// Config describes a cluster.
+// Config describes a cluster; it is the only cluster config (core.Config and
+// ray.Config are aliases of it). Per-node knobs live in the embedded
+// node.Config (cfg.CPUs, cfg.SpillDir, ...) and apply to every node the
+// cluster builds; the rest are cluster-wide. A knob left at zero takes the
+// default of the constructor that consumes it.
 type Config struct {
-	// Nodes is the initial node count.
+	node.Config
+	// Nodes is the initial node count (0 = 1).
 	Nodes int
-	// Node is the per-node configuration applied to every initial node.
-	Node node.Config
-	// GCS configures the Global Control Store.
-	GCS gcs.Config
-	// Network configures the simulated data plane.
+	// GCSShards is the number of Global Control Store shards (0 = 1); every
+	// shard is a chain of gcsReplication replicas.
+	GCSShards int
+	// GCSBatchFlushInterval is the longest a control-plane write waits in
+	// its shard's pending buffer before it is chain-committed (0 = 2ms).
+	GCSBatchFlushInterval time.Duration
+	// LocalityAware toggles locality-aware global placement (Figure 8a).
+	LocalityAware bool
+	// Network configures the simulated data plane; the global scheduler
+	// prices remote inputs at its bandwidth.
 	Network netsim.Config
-	// GlobalSchedulers is the number of global scheduler replicas.
-	GlobalSchedulers int
-	// Scheduling configures global scheduler policy.
-	Scheduling scheduler.GlobalConfig
-	// LabelNodes, when true, gives node i a custom resource "node<i>" so
+	// LabelNodes, when true, gives node i a custom resource NodeLabel(i) so
 	// applications can pin tasks and actors to specific nodes (Ray's custom
 	// resource mechanism). The collective and training workloads use it to
 	// place one participant per node.
 	LabelNodes bool
-	// DisableTelemetry turns off metric registration and span recording —
-	// the telemetry_overhead ablation baseline. By default the cluster
-	// creates a metrics registry and an enabled tracer and threads them into
-	// the GCS and every node; the heartbeat aggregator flushes buffered
-	// spans into the GCS span table each tick.
-	DisableTelemetry bool
 	// TraceSampleEvery traces one task lifecycle in every n (rounded up to a
 	// power of two; 0 = 16, 1 = every task). Sampling is what keeps tracing
-	// cheap enough to default on; full capture is a timeline-demo setting.
+	// cheap enough to stay on; full capture is a timeline-demo setting.
 	TraceSampleEvery int
 }
+
+// gcsReplication is the chain length of every GCS shard.
+const gcsReplication = 2
 
 // NodeLabel is the custom resource name that pins work to the i-th node when
 // the cluster was built with LabelNodes.
 func NodeLabel(i int) string { return fmt.Sprintf("node%d", i) }
 
-// DefaultConfig returns a 4-node cluster with instant (zero-delay) data plane,
-// suitable for tests.
+// DefaultConfig returns a small test-friendly cluster: 4 nodes × 4 CPUs,
+// 4 GCS shards, locality-aware placement, lineage recording on, instant
+// (zero-delay) data plane. Every other knob is at zero, i.e. at its
+// consumer's default (1 GiB stores, 8 transfer streams, 1-in-16 tracing).
 func DefaultConfig() Config {
-	return Config{
-		Nodes:            4,
-		Node:             node.DefaultConfig(),
-		GCS:              gcs.DefaultConfig(),
-		Network:          netsim.InstantConfig(),
-		GlobalSchedulers: 1,
-		Scheduling:       scheduler.DefaultGlobalConfig(),
-	}
+	cfg := Config{Nodes: 4, GCSShards: 4, LocalityAware: true, Network: netsim.InstantConfig()}
+	cfg.RecordLineage = true
+	return cfg
 }
 
 // Cluster is a running Ray cluster.
@@ -80,7 +80,7 @@ type Cluster struct {
 	gcs      *gcs.Store
 	network  *netsim.Network
 	registry *worker.Registry
-	globals  *scheduler.Pool
+	global   *scheduler.Global
 	jobs     *job.Manager
 	// dispatch is the fair-share forward dispatcher.
 	dispatch *dispatcher
@@ -98,8 +98,8 @@ type Cluster struct {
 	heartbeatDone   chan struct{}
 	shutdownOnce    sync.Once
 
-	// Telemetry: nil when Config.DisableTelemetry (every consumer of these
-	// handles is nil-safe).
+	// Telemetry, threaded into the GCS and every node; the heartbeat
+	// aggregator flushes buffered spans into the GCS span table each tick.
 	metrics *telemetry.Registry //guard:init
 	tracer  *telemetry.Tracer   //guard:init
 	// flushCtx carries Start's context values (detached from cancellation)
@@ -112,14 +112,14 @@ type Cluster struct {
 	reconstructedA   atomic.Int64
 	objectsReclaimed atomic.Int64
 
-	// pendingWithdraw holds the object locations reclamation and job-exit
-	// cleanup could not finish with, for the heartbeat aggregator to retry
-	// until they commit. The value tells the two cases apart. False: the
-	// replica was deleted but the GCS withdrawal failed, and the stale
-	// location points consumers at deleted data. True: the store refused the
-	// delete because a running task still pins the replica, so replica and
-	// location both remain and the retry has to delete the one before it
-	// withdraws the other.
+	// pendingWithdraw is the cluster's one withdrawal ledger: the object
+	// locations that eviction, reclamation and job-exit cleanup could not
+	// finish with, for the heartbeat aggregator to retry until they commit.
+	// The value tells the two cases apart. False: the replica is gone but
+	// the GCS withdrawal failed, and the stale location points consumers at
+	// missing data. True: the store refused the delete because a running
+	// task still pins the replica, so replica and location both remain and
+	// the retry has to delete the one before it withdraws the other.
 	withdrawMu      sync.Mutex
 	pendingWithdraw map[withdrawal]bool //guard:by withdrawMu
 }
@@ -131,27 +131,30 @@ type withdrawal struct {
 }
 
 // New builds a cluster (nodes are created but not started; call Start).
-func New(cfg Config) *Cluster {
+func New(cfg Config) *Cluster { return newCluster(cfg, false) }
+
+// newCluster is New over a GCS that commits every write synchronously when
+// syncWrites is set: the reference store of the gcs tests, which one cluster
+// test runs a whole cluster over.
+func newCluster(cfg Config, syncWrites bool) *Cluster {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
-	if cfg.GlobalSchedulers < 1 {
-		cfg.GlobalSchedulers = 1
+	if cfg.TraceSampleEvery == 0 {
+		cfg.TraceSampleEvery = 16
 	}
-	var metrics *telemetry.Registry
-	var tracer *telemetry.Tracer
-	if !cfg.DisableTelemetry {
-		metrics = telemetry.NewRegistry()
-		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
-		if cfg.TraceSampleEvery == 0 {
-			cfg.TraceSampleEvery = 16
-		}
-		tracer.SetSampleEvery(cfg.TraceSampleEvery)
-	}
-	cfg.GCS.Metrics = metrics
+	metrics := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(telemetry.DefaultTracerCapacity)
+	tracer.SetSampleEvery(cfg.TraceSampleEvery)
 	c := &Cluster{
-		cfg:           cfg,
-		gcs:           gcs.New(cfg.GCS),
+		cfg: cfg,
+		gcs: gcs.New(gcs.Config{
+			Shards:             cfg.GCSShards,
+			ReplicationFactor:  gcsReplication,
+			BatchFlushInterval: cfg.GCSBatchFlushInterval,
+			SyncWrites:         syncWrites,
+			Metrics:            metrics,
+		}),
 		network:       netsim.New(cfg.Network),
 		registry:      worker.NewRegistry(),
 		nodes:         make(map[types.NodeID]*node.Node),
@@ -159,34 +162,36 @@ func New(cfg Config) *Cluster {
 		metrics:       metrics,
 		tracer:        tracer,
 	}
-	c.globals = scheduler.NewPool(cfg.GlobalSchedulers, cfg.Scheduling, c.gcs)
+	placement := scheduler.DefaultGlobalConfig()
+	placement.LocalityAware = cfg.LocalityAware
+	placement.BandwidthBytesPerSec = cfg.Network.BandwidthBytesPerSec
+	placement.InjectedLatency = cfg.InjectedSchedulerLatency
+	c.global = scheduler.NewGlobal(placement, c.gcs)
 	c.gcs.SetReclaimer(c.reclaimObject)
 	c.jobs = job.NewManager(c.gcs, c)
 	c.dispatch = newDispatcher(c, c.jobs.Weight)
-	c.cfg.Node.JobWeight = c.jobs.Weight
-	c.cfg.Node.Metrics = metrics
-	c.cfg.Node.Tracer = tracer
 	for i := 0; i < cfg.Nodes; i++ {
-		ncfg := c.cfg.Node
-		if cfg.LabelNodes {
-			custom := make(map[string]float64, len(ncfg.CustomResources)+1)
-			for k, v := range ncfg.CustomResources {
-				custom[k] = v
-			}
-			custom[NodeLabel(i)] = 1e6
-			ncfg.CustomResources = custom
-		}
-		c.addNodeLocked(ncfg)
+		c.addNode(cfg.Config)
 	}
 	return c
 }
 
-func (c *Cluster) addNodeLocked(cfg node.Config) *node.Node {
-	n := node.New(cfg, c.gcs, c.network, c.registry, c, c)
+// addNode builds a node from its knobs and the cluster's wiring — shared
+// services, telemetry, job weights and, with LabelNodes, the label of its
+// position — and registers it. Every node is built here, initial or added.
+func (c *Cluster) addNode(cfg node.Config) *node.Node {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := node.Wiring{
+		GCS: c.gcs, Network: c.network, Registry: c.registry, Peers: c, Router: c,
+		JobWeight: c.jobs.Weight, Metrics: c.metrics, Tracer: c.tracer,
+	}
+	if c.cfg.LabelNodes {
+		w.Labels = map[string]float64{NodeLabel(len(c.order)): 1e6}
+	}
+	n := node.New(cfg, w)
 	c.nodes[n.ID()] = n
 	c.order = append(c.order, n.ID())
-	c.mu.Unlock()
 	return n
 }
 
@@ -220,7 +225,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 // size.
 func (c *Cluster) heartbeatLoop(ctx context.Context) {
 	defer close(c.heartbeatDone)
-	interval := c.cfg.Node.HeartbeatInterval
+	interval := c.cfg.HeartbeatInterval
 	if interval <= 0 {
 		interval = 20 * time.Millisecond
 	}
@@ -235,7 +240,7 @@ func (c *Cluster) heartbeatLoop(ctx context.Context) {
 			alive := c.AliveNodes()
 			updates := make([]gcs.HeartbeatUpdate, 0, len(alive))
 			for _, n := range alive {
-				updates = append(updates, n.HeartbeatTick(ctx))
+				updates = append(updates, n.HeartbeatTick())
 			}
 			//lint:ignore errdrop periodic refresh: the next tick re-sends the full batch, so a transient commit failure self-heals
 			_ = c.gcs.HeartbeatBatch(ctx, updates)
@@ -278,11 +283,10 @@ func (c *Cluster) Shutdown() {
 // GCS returns the cluster's Global Control Store.
 func (c *Cluster) GCS() *gcs.Store { return c.gcs }
 
-// Metrics returns the cluster's metrics registry (nil when telemetry is
-// disabled; metric constructors on a nil registry still work).
+// Metrics returns the cluster's metrics registry.
 func (c *Cluster) Metrics() *telemetry.Registry { return c.metrics }
 
-// Tracer returns the cluster's span tracer (nil when telemetry is disabled).
+// Tracer returns the cluster's span tracer.
 func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
 
 // FlushTelemetry drains buffered spans into the GCS span table so exports
@@ -296,9 +300,6 @@ func (c *Cluster) Network() *netsim.Network { return c.network }
 
 // Registry returns the shared function/actor registry.
 func (c *Cluster) Registry() *worker.Registry { return c.registry }
-
-// GlobalSchedulers returns the global scheduler pool.
-func (c *Cluster) GlobalSchedulers() *scheduler.Pool { return c.globals }
 
 // Jobs returns the cluster's job manager: drivers register through it at
 // attach time and detach (finish/kill) through it for job-exit cleanup.
@@ -348,10 +349,10 @@ func (c *Cluster) HeadNode() *node.Node {
 	return alive[0]
 }
 
-// AddNode adds and starts a new node with the given configuration
-// (elastic scale-out, used by the Figure 11a experiment).
+// AddNode adds and starts a new node with the given knobs, wired like every
+// other node (elastic scale-out, used by the Figure 11a experiment).
 func (c *Cluster) AddNode(ctx context.Context, cfg node.Config) (*node.Node, error) {
-	n := c.addNodeLocked(cfg)
+	n := c.addNode(cfg)
 	if err := n.Start(ctx); err != nil {
 		return nil, err
 	}
@@ -384,7 +385,7 @@ func (c *Cluster) ResolveStore(id types.NodeID) (*objectstore.Store, bool) {
 // --- scheduler.Forwarder / node.Router -------------------------------------------
 
 // ForwardTask implements bottom-up spillover: a local scheduler declined the
-// task, so a global scheduler replica picks a node and the task is delivered
+// task, so the global scheduler picks a node and the task is delivered
 // to that node's local scheduler. The task first queues in the per-job
 // dispatch queue so concurrent forwards from different jobs are served
 // deficit round robin.
@@ -401,7 +402,7 @@ func (c *Cluster) placeTask(ctx context.Context, spec *task.Spec) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		target, err := c.globals.Schedule(ctx, spec)
+		target, err := c.global.Schedule(ctx, spec)
 		if err != nil {
 			return err
 		}
@@ -601,7 +602,7 @@ func (c *Cluster) doReconstructActor(ctx context.Context, id types.ActorID) erro
 	}
 
 	// Pick a new home for the actor and replay its creation there.
-	target, err := c.globals.Schedule(ctx, creation.Spec)
+	target, err := c.global.Schedule(ctx, creation.Spec)
 	if err != nil {
 		return err
 	}
@@ -724,9 +725,16 @@ func (c *Cluster) StopJobActors(ctx context.Context, jobID types.JobID) int {
 	return stopped
 }
 
+// ParkWithdrawal implements node.Router: the node evicted its copy of obj
+// but the GCS withdrawal failed.
+func (c *Cluster) ParkWithdrawal(obj types.ObjectID, nodeID types.NodeID) {
+	c.noteFailedWithdrawal(obj, nodeID, false)
+}
+
 // noteFailedWithdrawal parks an object location for retry by the heartbeat
-// aggregator: its GCS withdrawal failed after the replica was deleted, or
-// (pinned) the store refused to delete the replica in the first place.
+// aggregator: its GCS withdrawal failed after the replica was deleted or
+// evicted, or (pinned) the store refused to delete the replica in the first
+// place.
 func (c *Cluster) noteFailedWithdrawal(obj types.ObjectID, nodeID types.NodeID, pinned bool) {
 	c.withdrawMu.Lock()
 	if c.pendingWithdraw == nil {
@@ -737,12 +745,13 @@ func (c *Cluster) noteFailedWithdrawal(obj types.ObjectID, nodeID types.NodeID, 
 }
 
 // retryWithdrawals re-attempts parked location withdrawals so neither a
-// transient GCS failure during reclamation nor a pin held at that moment can
-// leave a replica or its directory entry behind forever. A withdrawal whose
-// replica was deleted becomes stale — and is dropped — if the node has
-// meanwhile re-fetched the object: the location is valid again and must
-// stay. One parked on a pinned replica deletes the replica first, and waits
-// for a later tick while the pin holds.
+// transient GCS failure during eviction or reclamation nor a pin held at
+// that moment can leave a replica or its directory entry behind forever. A
+// withdrawal whose replica is gone becomes stale — and is dropped — if the
+// node has meanwhile re-fetched the object: the location is valid again and
+// must stay. One parked on a pinned replica deletes the replica first, and
+// waits for a later tick while the pin holds. A dead node's entries are
+// withdrawn outright: nothing it listed exists any more.
 func (c *Cluster) retryWithdrawals(ctx context.Context) {
 	c.withdrawMu.Lock()
 	if len(c.pendingWithdraw) == 0 {
@@ -779,8 +788,8 @@ func (c *Cluster) clearWithdrawal(w withdrawal) {
 	c.withdrawMu.Unlock()
 }
 
-// PendingWithdrawals reports how many reclaimed-object location withdrawals
-// still await a successful GCS commit.
+// PendingWithdrawals reports how many parked location withdrawals still
+// await a successful GCS commit.
 func (c *Cluster) PendingWithdrawals() int {
 	c.withdrawMu.Lock()
 	defer c.withdrawMu.Unlock()
@@ -884,15 +893,11 @@ func (c *Cluster) Reporters() []telemetry.Reporter {
 
 // Stats returns a snapshot of cluster counters.
 func (c *Cluster) Stats() Stats {
-	var decisions int64
-	for _, g := range c.globals.Replicas() {
-		decisions += g.Decisions()
-	}
 	return Stats{
 		Forwards:            c.forwards.Load(),
 		ActorRoutes:         c.actorRoutes.Load(),
 		ActorsReconstructed: c.reconstructedA.Load(),
-		GlobalDecisions:     decisions,
+		GlobalDecisions:     c.global.Decisions(),
 		ObjectsReclaimed:    c.objectsReclaimed.Load(),
 	}
 }

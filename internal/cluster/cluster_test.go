@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"ray/internal/codec"
-	"ray/internal/gcs"
-	"ray/internal/netsim"
 	"ray/internal/node"
 	"ray/internal/resources"
 	"ray/internal/types"
@@ -21,7 +19,12 @@ import (
 // functions registered. The cleanup shuts it down.
 func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	c := New(cfg)
+	return startTestCluster(t, New(cfg))
+}
+
+// startTestCluster starts c and registers the test functions on it.
+func startTestCluster(t *testing.T, c *Cluster) *Cluster {
+	t.Helper()
 	if err := c.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestAddNodeAndKillNode(t *testing.T) {
 	c := newTestCluster(t, cfg)
 	ctx := context.Background()
 
-	added, err := c.AddNode(ctx, cfg.Node)
+	added, err := c.AddNode(ctx, cfg.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +168,8 @@ func TestAddNodeAndKillNode(t *testing.T) {
 func TestForwardTaskSpillsOverloadedNode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2
-	cfg.Node.CPUs = 1
-	cfg.Node.SpilloverThreshold = 1
+	cfg.CPUs = 1
+	cfg.SpilloverThreshold = 1
 	c := newTestCluster(t, cfg)
 
 	// Make load visible to the global scheduler before the burst.
@@ -281,14 +284,10 @@ func TestClusterRunsTasksEndToEndBothControlPlanes(t *testing.T) {
 	for _, mode := range []string{"batched", "sync"} {
 		t.Run(mode, func(t *testing.T) {
 			sync := mode == "sync"
-			cfg := Config{
-				Nodes:            3,
-				Node:             node.Config{CPUs: 4, RecordLineage: true, HeartbeatInterval: 5 * time.Millisecond},
-				GCS:              gcs.Config{Shards: 4, ReplicationFactor: 2, SyncWrites: sync},
-				Network:          netsim.InstantConfig(),
-				GlobalSchedulers: 1,
-			}
-			c := newTestCluster(t, cfg)
+			cfg := DefaultConfig()
+			cfg.Nodes = 3
+			cfg.HeartbeatInterval = 5 * time.Millisecond
+			c := startTestCluster(t, newCluster(cfg, sync))
 			d := driverOn(c.HeadNode())
 			refs := make([]types.ObjectID, 50)
 			for i := range refs {
@@ -358,7 +357,7 @@ func TestWithdrawalRetry(t *testing.T) {
 	if err := c.GCS().AddObjectLocation(ctx, obj, n.ID(), 8, types.NewTaskID(), types.NilJobID); err != nil {
 		t.Fatal(err)
 	}
-	c.noteFailedWithdrawal(obj, n.ID(), false)
+	c.ParkWithdrawal(obj, n.ID())
 	if got := c.PendingWithdrawals(); got != 1 {
 		t.Fatalf("PendingWithdrawals = %d, want 1", got)
 	}
@@ -391,7 +390,7 @@ func TestWithdrawalRetrySkipsRefetchedObject(t *testing.T) {
 	if err := c.GCS().AddObjectLocation(ctx, obj, n.ID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
 		t.Fatal(err)
 	}
-	c.noteFailedWithdrawal(obj, n.ID(), false)
+	c.ParkWithdrawal(obj, n.ID())
 
 	c.retryWithdrawals(ctx)
 
@@ -404,6 +403,66 @@ func TestWithdrawalRetrySkipsRefetchedObject(t *testing.T) {
 	}
 	if len(entry.Locations) != 1 || entry.Locations[0] != n.ID() {
 		t.Fatalf("valid location withdrawn for resident object: %v", entry.Locations)
+	}
+}
+
+// A node that parks an eviction-time withdrawal and then dies must not leave
+// the directory naming it: the node's own ledger died with it and Kill only
+// withdraws what its store still holds, so the cluster's ledger has to retry
+// the entry — otherwise WaitObjects calls the object ready forever.
+func TestWithdrawalRetryOnDeadNode(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	c := newTestCluster(t, cfg)
+	ctx := context.Background()
+	n := c.AliveNodes()[1]
+
+	obj := types.NewObjectID()
+	if err := c.GCS().AddObjectLocation(ctx, obj, n.ID(), 8, types.NewTaskID(), types.NilJobID); err != nil {
+		t.Fatal(err)
+	}
+	c.ParkWithdrawal(obj, n.ID()) // what n's eviction callback does when the GCS refuses
+	if err := c.KillNode(ctx, n.ID()); err != nil {
+		t.Fatal(err)
+	}
+	c.retryWithdrawals(ctx)
+
+	if got := c.PendingWithdrawals(); got != 0 {
+		t.Fatalf("PendingWithdrawals after retry = %d, want 0", got)
+	}
+	if entry, ok, err := c.GCS().GetObject(ctx, obj); err != nil {
+		t.Fatal(err)
+	} else if ok && len(entry.Locations) != 0 {
+		t.Fatalf("the directory still names the dead node: %v", entry.Locations)
+	}
+}
+
+// No node has a loop of its own: the running heartbeat aggregator is what
+// retries a parked eviction withdrawal, with nobody calling retryWithdrawals.
+func TestAggregatorRetriesEvictionWithdrawal(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 1
+	cfg.HeartbeatInterval = time.Millisecond
+	c := newTestCluster(t, cfg)
+	ctx := context.Background()
+	n := c.AliveNodes()[0]
+
+	obj := types.NewObjectID()
+	if err := c.GCS().AddObjectLocation(ctx, obj, n.ID(), 8, types.NewTaskID(), types.NilJobID); err != nil {
+		t.Fatal(err)
+	}
+	c.ParkWithdrawal(obj, n.ID())
+	deadline := time.Now().Add(5 * time.Second)
+	for c.PendingWithdrawals() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the aggregator never retried the parked withdrawal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if entry, ok, err := c.GCS().GetObject(ctx, obj); err != nil {
+		t.Fatal(err)
+	} else if ok && len(entry.Locations) != 0 {
+		t.Fatalf("phantom location survived the aggregator: %v", entry.Locations)
 	}
 }
 

@@ -23,7 +23,7 @@ type forwardTicket struct {
 // dispatcher is the cluster's fair-share forward path: tasks a local
 // scheduler declined are queued per job and placed by a fixed pool of
 // dispatch workers in deficit-round-robin order, so one greedy job's
-// spillover burst cannot monopolize the global schedulers while other jobs'
+// spillover burst cannot monopolize the global scheduler while other jobs'
 // forwards starve behind it. Placement itself (global scheduler decision +
 // SubmitPlaced) is unchanged; only the order of service is.
 type dispatcher struct {

@@ -14,7 +14,7 @@ func newRuntime(t *testing.T, nodes int) (*core.Runtime, *core.Driver) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.CPUsPerNode = 4
+	cfg.CPUs = 4
 	cfg.LabelNodes = true
 	rt, err := core.Init(context.Background(), cfg)
 	if err != nil {

@@ -17,16 +17,13 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ray/internal/cluster"
 	"ray/internal/codec"
 	"ray/internal/gcs"
 	"ray/internal/job"
-	"ray/internal/netsim"
 	"ray/internal/node"
 	"ray/internal/resources"
-	"ray/internal/scheduler"
 	"ray/internal/types"
 	"ray/internal/worker"
 )
@@ -43,68 +40,9 @@ type (
 	TaskContext = worker.TaskContext
 )
 
-// Config describes the cluster a Runtime manages. The zero value is unusable;
-// start from DefaultConfig.
-type Config struct {
-	// Nodes is the number of nodes in the simulated cluster.
-	Nodes int
-	// CPUsPerNode and GPUsPerNode set each node's capacity.
-	CPUsPerNode float64
-	GPUsPerNode float64
-	// ObjectStoreBytes is each node's object store capacity (0 = 1 GiB).
-	ObjectStoreBytes int64
-	// SpillDir, when set, enables spill-to-disk: each node writes primary
-	// copies displaced by memory pressure under SpillDir/<nodeID> and
-	// restores them on demand, instead of dropping them and relying on
-	// lineage reconstruction.
-	SpillDir string
-	// GCSShards and GCSReplication configure the Global Control Store.
-	GCSShards      int
-	GCSReplication int
-	// GCSBatchFlushInterval is the longest a control-plane write waits in
-	// its shard's pending buffer before it is chain-committed (zero = 2ms).
-	GCSBatchFlushInterval time.Duration
-	// GlobalSchedulers is the number of global scheduler replicas.
-	GlobalSchedulers int
-	// LocalityAware toggles locality-aware global placement (Figure 8a).
-	LocalityAware bool
-	// SpilloverThreshold is the local queue length that triggers forwarding.
-	SpilloverThreshold int
-	// CheckpointInterval is the actor checkpoint period in method calls
-	// (0 disables checkpointing).
-	CheckpointInterval int64
-	// RecordLineage toggles task-table writes (leave on except for the raw
-	// throughput microbenchmark).
-	RecordLineage bool
-	// TransferStreams is the number of parallel streams per object transfer.
-	TransferStreams int
-	// ChunkBytes is the chunk granularity of pipelined object pulls
-	// (0 = 1 MiB).
-	ChunkBytes int64
-	// PipelineDepth is how many chunks each transfer message carries
-	// (0 = 4).
-	PipelineDepth int
-	// InjectedSchedulerLatency adds artificial scheduling latency (Fig 12b).
-	InjectedSchedulerLatency time.Duration
-	// Network configures the simulated data plane.
-	Network netsim.Config
-	// HeartbeatInterval is how often nodes report load to the GCS.
-	HeartbeatInterval time.Duration
-	// LabelNodes gives node i a custom resource named NodeLabel(i) so
-	// applications can pin actors or tasks to specific nodes.
-	LabelNodes bool
-	// CustomResourcesPerNode adds extra named resources to every node.
-	CustomResourcesPerNode map[string]float64
-	// DisableTelemetry turns off the metrics registry and the task-lifecycle
-	// tracer (the telemetry_overhead ablation baseline). Telemetry defaults
-	// on: the overhead benchmark keeps it within a few percent of disabled
-	// throughput.
-	DisableTelemetry bool
-	// TraceSampleEvery traces one task lifecycle in every n (rounded up to a
-	// power of two). 0 selects the default of 16 — cheap enough that tracing
-	// stays on in production; set 1 to capture every task (timeline demos).
-	TraceSampleEvery int
-}
+// Config describes the cluster a Runtime manages: cluster.Config, the one
+// place every knob is declared. Start from DefaultConfig.
+type Config = cluster.Config
 
 // NodeLabel is the custom resource that pins work to the i-th node when the
 // runtime was built with LabelNodes.
@@ -118,19 +56,7 @@ func OnNode(i int) resources.Request {
 
 // DefaultConfig returns a small test-friendly cluster: 4 nodes × 4 CPUs,
 // instant data plane, lineage recording on.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:            4,
-		CPUsPerNode:      4,
-		GCSShards:        4,
-		GCSReplication:   2,
-		GlobalSchedulers: 1,
-		LocalityAware:    true,
-		RecordLineage:    true,
-		TransferStreams:  8,
-		Network:          netsim.InstantConfig(),
-	}
-}
+func DefaultConfig() Config { return cluster.DefaultConfig() }
 
 // Runtime owns a running cluster and its function registry.
 type Runtime struct {
@@ -144,58 +70,11 @@ type Runtime struct {
 
 // Init builds and starts a cluster.
 func Init(ctx context.Context, cfg Config) (*Runtime, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.CPUsPerNode <= 0 {
-		cfg.CPUsPerNode = 4
-	}
-	ccfg := cluster.Config{
-		Nodes:      cfg.Nodes,
-		LabelNodes: cfg.LabelNodes,
-		Node: node.Config{
-			CPUs:                     cfg.CPUsPerNode,
-			GPUs:                     cfg.GPUsPerNode,
-			CustomResources:          cfg.CustomResourcesPerNode,
-			ObjectStoreBytes:         cfg.ObjectStoreBytes,
-			SpillDir:                 cfg.SpillDir,
-			SpilloverThreshold:       cfg.SpilloverThreshold,
-			TransferStreams:          cfg.TransferStreams,
-			ChunkBytes:               cfg.ChunkBytes,
-			PipelineDepth:            cfg.PipelineDepth,
-			CheckpointInterval:       cfg.CheckpointInterval,
-			RecordLineage:            cfg.RecordLineage,
-			InjectedSchedulerLatency: cfg.InjectedSchedulerLatency,
-			HeartbeatInterval:        cfg.HeartbeatInterval,
-		},
-		GCS: gcs.Config{
-			Shards:             max(cfg.GCSShards, 1),
-			ReplicationFactor:  max(cfg.GCSReplication, 1),
-			BatchFlushInterval: cfg.GCSBatchFlushInterval,
-		},
-		Network:          cfg.Network,
-		GlobalSchedulers: cfg.GlobalSchedulers,
-		DisableTelemetry: cfg.DisableTelemetry,
-		TraceSampleEvery: cfg.TraceSampleEvery,
-		Scheduling: scheduler.GlobalConfig{
-			LocalityAware:        cfg.LocalityAware,
-			BandwidthBytesPerSec: cfg.Network.BandwidthBytesPerSec,
-			InjectedLatency:      cfg.InjectedSchedulerLatency,
-			MemoryWatermark:      scheduler.DefaultGlobalConfig().MemoryWatermark,
-		},
-	}
-	cl := cluster.New(ccfg)
+	cl := cluster.New(cfg)
 	if err := cl.Start(ctx); err != nil {
 		return nil, fmt.Errorf("core: start cluster: %w", err)
 	}
 	return &Runtime{cfg: cfg, cluster: cl}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Cluster exposes the underlying cluster (failure injection, stats).

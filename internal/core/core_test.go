@@ -333,7 +333,7 @@ func TestTasksAndActorsCompose(t *testing.T) {
 func TestResourceAwareScheduling(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 3
-	cfg.GPUsPerNode = 0
+	cfg.GPUs = 0
 	rt, err := Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"ray/internal/chain"
-	"ray/internal/netsim"
 	"ray/internal/telemetry"
 	"ray/internal/types"
 )
@@ -38,9 +37,6 @@ type Config struct {
 	Shards int
 	// ReplicationFactor is the chain length per shard.
 	ReplicationFactor int
-	// Network, when non-nil, charges message latencies on every shard
-	// operation so GCS round trips are visible in experiments.
-	Network *netsim.Network
 	// FlushThresholdBytes, when > 0, triggers flushing of completed-task
 	// lineage and event-log entries to FlushWriter once the resident size of
 	// the GCS exceeds the threshold (Figure 10b).
@@ -66,11 +62,6 @@ type Config struct {
 	// Metrics receives GCS batch-flush instrumentation. A nil registry
 	// still works: metric handles degrade to detached counters.
 	Metrics *telemetry.Registry
-}
-
-// DefaultConfig returns a small in-process GCS: 4 shards, 2-way replication.
-func DefaultConfig() Config {
-	return Config{Shards: 4, ReplicationFactor: 2}
 }
 
 // Store is the Global Control Store.
@@ -170,10 +161,7 @@ func New(cfg Config) *Store {
 		actorsByJob: make(map[types.JobID]map[types.ActorID]struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		ch := chain.New(chain.Config{
-			ReplicationFactor: cfg.ReplicationFactor,
-			Network:           cfg.Network,
-		})
+		ch := chain.New(chain.Config{ReplicationFactor: cfg.ReplicationFactor})
 		s.shards = append(s.shards, ch)
 		s.watch[i].subs = make(map[string][]chan struct{})
 		if !cfg.SyncWrites {

@@ -12,7 +12,6 @@ import (
 	"maps"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,37 +28,39 @@ import (
 	"ray/internal/worker"
 )
 
-// Router is the cluster-level routing surface a node needs: delivering actor
-// method calls to the node hosting the actor, and forwarding tasks the local
-// scheduler declined to a global scheduler. The cluster package implements it.
+// Router is the cluster-level surface a node needs: delivering actor method
+// calls to the node hosting the actor, forwarding tasks the local scheduler
+// declined to a global scheduler, and the withdrawal ledger that retries a
+// location the node could not withdraw. The cluster package implements it.
 type Router interface {
 	scheduler.Forwarder
 	// RouteActorTask delivers an actor method invocation to the node hosting
 	// the actor, waiting for the actor to come alive and reconstructing it if
 	// its node has failed.
 	RouteActorTask(ctx context.Context, spec *task.Spec) error
+	// ParkWithdrawal records that node evicted its copy of obj but could not
+	// withdraw the location from the GCS; the ledger retries it until it
+	// commits, even after the node dies.
+	ParkWithdrawal(obj types.ObjectID, node types.NodeID)
 }
 
-// Config describes one node.
+// Config holds one node's knobs. A field left at zero takes the default of
+// the constructor that consumes it.
 type Config struct {
-	// CPUs, GPUs and MemoryMB are the node's resource capacities.
-	CPUs     float64
-	GPUs     float64
-	MemoryMB float64
-	// CustomResources are additional named resources (e.g. a per-node label
-	// such as "node3":1, which tasks can request to pin themselves to a
-	// specific node — the same mechanism Ray exposes as custom resources).
-	CustomResources map[string]float64
-	// ObjectStoreBytes is the object store capacity. Zero means 1 GiB.
+	// CPUs and GPUs are the node's resource capacities (CPUs 0 = 4).
+	CPUs float64
+	GPUs float64
+	// ObjectStoreBytes is the object store capacity (0 = 1 GiB).
 	ObjectStoreBytes int64
 	// SpillDir, when set, enables spill-to-disk: primary copies displaced by
 	// memory pressure are written under SpillDir/<nodeID> and restored on
 	// demand instead of being dropped and reconstructed through lineage.
 	SpillDir string
 	// SpilloverThreshold is the local scheduler queue length that triggers
-	// forwarding to the global scheduler.
+	// forwarding to the global scheduler (0 = 64).
 	SpilloverThreshold int
-	// TransferStreams is the number of parallel streams for object pulls.
+	// TransferStreams is the number of parallel streams for object pulls
+	// (0 = 8).
 	TransferStreams int
 	// ChunkBytes is the chunk granularity of pipelined object pulls
 	// (0 = 1 MiB).
@@ -67,20 +68,34 @@ type Config struct {
 	// PipelineDepth is how many chunks ride each transfer message round trip
 	// (0 = 4).
 	PipelineDepth int
-	// CheckpointInterval is the actor checkpoint period (method count).
+	// CheckpointInterval is the actor checkpoint period in method calls
+	// (0 disables checkpointing).
 	CheckpointInterval int64
 	// RecordLineage controls task-table writes (on for every experiment
 	// except the raw task-throughput microbenchmark).
 	RecordLineage bool
-	// InjectedSchedulerLatency adds artificial latency to local scheduling
-	// decisions (Figure 12b).
+	// InjectedSchedulerLatency adds artificial latency to local and global
+	// scheduling decisions (Figure 12b).
 	InjectedSchedulerLatency time.Duration
 	// HeartbeatInterval is how often the cluster's aggregator ticks this
 	// node (HeartbeatTick) and reports its load to the GCS. Zero means 20ms
 	// (scaled in-process equivalent of the paper's 100ms heartbeats).
 	HeartbeatInterval time.Duration
+}
+
+// Wiring is what a node is plugged into: the services the whole cluster
+// shares and what the cluster decides for this node. None of it is a knob.
+type Wiring struct {
+	GCS      *gcs.Store
+	Network  *netsim.Network
+	Registry *worker.Registry
+	Peers    objectmanager.PeerResolver
+	Router   Router
+	// Labels are extra named resources, e.g. "node3": 1e6, which tasks can
+	// request to pin themselves to this node (Ray's custom resources).
+	Labels map[string]float64
 	// JobWeight maps jobs to fair-share weights for the slot queue (nil
-	// means every job weighs 1); wired by the cluster from its job manager.
+	// means every job weighs 1).
 	JobWeight func(types.JobID) int
 	// Metrics receives hot-path instrumentation for this node's scheduler
 	// and object manager. A nil registry still works: handles degrade to
@@ -91,19 +106,14 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// DefaultConfig returns a 4-CPU node with defaults suitable for tests.
-func DefaultConfig() Config {
-	return Config{CPUs: 4, ObjectStoreBytes: 1 << 30, RecordLineage: true}
-}
-
 // Node is one simulated machine in the cluster.
 type Node struct {
-	id      types.NodeID
-	idStr   string // id.String(), formatted once for span labels
-	cfg     Config
-	gcs     *gcs.Store
-	network *netsim.Network
-	router  Router
+	id     types.NodeID
+	idStr  string // id.String(), formatted once for span labels
+	cfg    Config
+	gcs    *gcs.Store
+	router Router
+	tracer *telemetry.Tracer
 
 	pool          *resources.Pool
 	store         *objectstore.Store
@@ -116,26 +126,14 @@ type Node struct {
 	dead    atomic.Bool
 	started atomic.Bool
 	submits atomic.Int64
-
-	// pendingWithdraw holds object locations this node failed to withdraw
-	// from the GCS after evicting the local copy. A stale location entry
-	// points consumers at data the node no longer holds, so failed
-	// withdrawals are retried on every heartbeat tick until they commit.
-	withdrawMu      sync.Mutex
-	pendingWithdraw map[types.ObjectID]struct{} //guard:by withdrawMu
 }
 
 var nodeOrigin atomic.Uint64
 
-// New constructs a node. The caller must call Start before submitting work
-// and should register the node with the cluster (which provides the Router
-// and peer resolution).
-func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker.Registry, peers objectmanager.PeerResolver, router Router) *Node {
-	if cfg.ObjectStoreBytes <= 0 {
-		cfg.ObjectStoreBytes = 1 << 30
-	}
-	if cfg.TransferStreams <= 0 {
-		cfg.TransferStreams = 8
+// New constructs a node. The caller must call Start before submitting work.
+func New(cfg Config, w Wiring) *Node {
+	if cfg.CPUs <= 0 {
+		cfg.CPUs = 4
 	}
 	id := types.NewNodeID()
 	ids := types.NewIDGenerator(nodeOrigin.Add(1))
@@ -144,21 +142,16 @@ func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker
 	if cfg.GPUs > 0 {
 		caps[resources.GPU] = cfg.GPUs
 	}
-	if cfg.MemoryMB > 0 {
-		caps[resources.Memory] = cfg.MemoryMB
-	}
-	for name, quantity := range cfg.CustomResources {
-		caps[name] = quantity
-	}
+	maps.Copy(caps, w.Labels)
 	n := &Node{
-		id:      id,
-		idStr:   id.String(),
-		cfg:     cfg,
-		gcs:     store,
-		network: network,
-		router:  router,
-		pool:    resources.NewPool(caps),
-		ids:     ids,
+		id:     id,
+		idStr:  id.String(),
+		cfg:    cfg,
+		gcs:    w.GCS,
+		router: w.Router,
+		tracer: w.Tracer,
+		pool:   resources.NewPool(caps),
+		ids:    ids,
 	}
 	spillDir := ""
 	if cfg.SpillDir != "" {
@@ -173,9 +166,9 @@ func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker
 		OnEvict: func(obj types.ObjectID, size int64) {
 			// Eviction removes this node from the object's location set so
 			// the directory never points at data we no longer hold. A failed
-			// withdrawal must not vanish: park it for the heartbeat retry.
-			if err := store.RemoveObjectLocation(context.Background(), obj, id); err != nil {
-				n.noteFailedWithdrawal(obj)
+			// withdrawal must not vanish: the cluster's ledger retries it.
+			if err := w.GCS.RemoveObjectLocation(context.Background(), obj, id); err != nil {
+				w.Router.ParkWithdrawal(obj, id)
 			}
 		},
 	})
@@ -183,17 +176,17 @@ func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker
 		TransferStreams: cfg.TransferStreams,
 		ChunkBytes:      cfg.ChunkBytes,
 		PipelineDepth:   cfg.PipelineDepth,
-		Metrics:         cfg.Metrics,
-		Tracer:          cfg.Tracer,
-	}, id, n.store, store, network, peers)
+		Metrics:         w.Metrics,
+		Tracer:          w.Tracer,
+	}, id, n.store, w.GCS, w.Network, w.Peers)
 	n.workers = worker.NewPool(worker.PoolConfig{
 		NodeID:             id,
 		CheckpointInterval: cfg.CheckpointInterval,
 		RecordLineage:      cfg.RecordLineage,
-		Tracer:             cfg.Tracer,
-	}, registry, n.objects, store, ids)
+		Tracer:             w.Tracer,
+	}, w.Registry, n.objects, w.GCS, ids)
 	n.workers.SetRuntime(n)
-	n.reconstructor = lineage.New(store, func(ctx context.Context, entry *gcs.TaskEntry) error {
+	n.reconstructor = lineage.New(w.GCS, func(ctx context.Context, entry *gcs.TaskEntry) error {
 		return n.resubmit(ctx, entry.Spec)
 	})
 	n.local = scheduler.NewLocal(scheduler.LocalConfig{
@@ -201,9 +194,9 @@ func New(cfg Config, store *gcs.Store, network *netsim.Network, registry *worker
 		Pool:               n.pool,
 		SpilloverThreshold: cfg.SpilloverThreshold,
 		InjectedLatency:    cfg.InjectedSchedulerLatency,
-		JobWeight:          cfg.JobWeight,
-		Metrics:            cfg.Metrics,
-		Tracer:             cfg.Tracer,
+		JobWeight:          w.JobWeight,
+		Metrics:            w.Metrics,
+		Tracer:             w.Tracer,
 	}, n.workers, n, n.router)
 	return n
 }
@@ -254,14 +247,11 @@ func (n *Node) Start(ctx context.Context) error {
 	})
 }
 
-// HeartbeatTick is everything a node does on a heartbeat: it retries its
-// parked location withdrawals, then returns its current load for the caller
-// to write — the cluster's aggregator batches every node's into one commit
-// per shard, SendHeartbeat writes this node's alone. The update includes the
-// object store's occupancy so the global scheduler can observe memory
-// pressure.
-func (n *Node) HeartbeatTick(ctx context.Context) gcs.HeartbeatUpdate {
-	n.retryWithdrawals(ctx)
+// HeartbeatTick returns the node's current load for the caller to write —
+// the cluster's aggregator batches every node's into one commit per shard,
+// SendHeartbeat writes this node's alone. The update includes the object
+// store's occupancy so the global scheduler can observe memory pressure.
+func (n *Node) HeartbeatTick() gcs.HeartbeatUpdate {
 	load := n.local.Load()
 	return gcs.HeartbeatUpdate{
 		ID:             n.id,
@@ -279,61 +269,7 @@ func (n *Node) SendHeartbeat(ctx context.Context) error {
 	if n.dead.Load() {
 		return types.ErrNodeDead
 	}
-	return n.gcs.Heartbeat(ctx, n.HeartbeatTick(ctx))
-}
-
-// noteFailedWithdrawal parks an object whose location could not be withdrawn
-// from the GCS when its local copy was evicted.
-func (n *Node) noteFailedWithdrawal(obj types.ObjectID) {
-	n.withdrawMu.Lock()
-	if n.pendingWithdraw == nil {
-		n.pendingWithdraw = make(map[types.ObjectID]struct{})
-	}
-	n.pendingWithdraw[obj] = struct{}{}
-	n.withdrawMu.Unlock()
-}
-
-// retryWithdrawals re-attempts parked location withdrawals. Runs on every
-// heartbeat tick so a transient GCS failure cannot leave the object
-// directory pointing at evicted data forever.
-func (n *Node) retryWithdrawals(ctx context.Context) {
-	n.withdrawMu.Lock()
-	if len(n.pendingWithdraw) == 0 {
-		n.withdrawMu.Unlock()
-		return
-	}
-	pending := make([]types.ObjectID, 0, len(n.pendingWithdraw))
-	for obj := range n.pendingWithdraw {
-		pending = append(pending, obj)
-	}
-	n.withdrawMu.Unlock()
-
-	for _, obj := range pending {
-		// The object may have been re-fetched since the eviction; a resident
-		// copy makes the parked withdrawal stale — the location is valid
-		// again and must stay.
-		if n.store.Contains(obj) {
-			n.clearWithdrawal(obj)
-			continue
-		}
-		if err := n.gcs.RemoveObjectLocation(ctx, obj, n.id); err == nil {
-			n.clearWithdrawal(obj)
-		}
-	}
-}
-
-func (n *Node) clearWithdrawal(obj types.ObjectID) {
-	n.withdrawMu.Lock()
-	delete(n.pendingWithdraw, obj)
-	n.withdrawMu.Unlock()
-}
-
-// PendingWithdrawals reports how many evicted-object location withdrawals
-// still await a successful GCS commit.
-func (n *Node) PendingWithdrawals() int {
-	n.withdrawMu.Lock()
-	defer n.withdrawMu.Unlock()
-	return len(n.pendingWithdraw)
+	return n.gcs.Heartbeat(ctx, n.HeartbeatTick())
 }
 
 // Stop gracefully shuts the node down by draining the scheduler. It does not
@@ -388,8 +324,8 @@ func (n *Node) SubmitSpec(ctx context.Context, spec *task.Spec) error {
 		return fmt.Errorf("node %s: %w", n.id, types.ErrNodeDead)
 	}
 	n.submits.Add(1)
-	if cfg := n.cfg; cfg.Tracer.Sampled(spec.ID[15]) {
-		cfg.Tracer.Record(telemetry.Span{
+	if n.tracer.Sampled(spec.ID[15]) {
+		n.tracer.Record(telemetry.Span{
 			Task: spec.ID.String(), Name: spec.Function, Phase: telemetry.PhaseSubmit,
 			Node: n.idStr, Job: spec.Job.String(),
 			StartUnixNano: time.Now().UnixNano(),

@@ -23,6 +23,7 @@ type noopRouter struct{}
 
 func (noopRouter) ForwardTask(context.Context, *task.Spec) error    { return nil }
 func (noopRouter) RouteActorTask(context.Context, *task.Spec) error { return nil }
+func (noopRouter) ParkWithdrawal(types.ObjectID, types.NodeID)      {}
 
 var _ Router = noopRouter{}
 var _ scheduler.Forwarder = noopRouter{}
@@ -34,107 +35,9 @@ func newTestNode(t *testing.T) (*Node, *gcs.Store) {
 		//lint:ignore errdrop test teardown of an in-memory store
 		_ = store.Close()
 	})
-	n := New(DefaultConfig(), store, netsim.New(netsim.InstantConfig()), worker.NewRegistry(), noopResolver{}, noopRouter{})
+	n := New(Config{}, Wiring{GCS: store, Network: netsim.New(netsim.InstantConfig()), Registry: worker.NewRegistry(),
+		Peers: noopResolver{}, Router: noopRouter{}})
 	return n, store
-}
-
-// Regression test for eviction-time location withdrawals: a withdrawal the
-// GCS rejected must be parked and retried on the next heartbeat, not
-// dropped — a phantom location would make fetchers dial this node for an
-// object it no longer holds.
-func TestWithdrawalRetry(t *testing.T) {
-	n, store := newTestNode(t)
-	ctx := context.Background()
-
-	obj := types.NewObjectID()
-	if err := store.AddObjectLocation(ctx, obj, n.ID(), 4, types.NewTaskID(), types.NilJobID); err != nil {
-		t.Fatal(err)
-	}
-	n.noteFailedWithdrawal(obj)
-	if got := n.PendingWithdrawals(); got != 1 {
-		t.Fatalf("PendingWithdrawals = %d, want 1", got)
-	}
-
-	n.retryWithdrawals(ctx)
-
-	if got := n.PendingWithdrawals(); got != 0 {
-		t.Fatalf("PendingWithdrawals after retry = %d, want 0", got)
-	}
-	if entry, ok, err := store.GetObject(ctx, obj); err != nil {
-		t.Fatal(err)
-	} else if ok && len(entry.Locations) != 0 {
-		t.Fatalf("stale location survived retry: %v", entry.Locations)
-	}
-}
-
-// A parked withdrawal is stale once the object is resident again (re-fetched
-// after the eviction): the retry must drop it without touching the GCS.
-func TestWithdrawalRetrySkipsResidentObject(t *testing.T) {
-	n, store := newTestNode(t)
-	ctx := context.Background()
-
-	obj := types.NewObjectID()
-	if err := n.Store().Put(obj, []byte("payload"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.AddObjectLocation(ctx, obj, n.ID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
-		t.Fatal(err)
-	}
-	n.noteFailedWithdrawal(obj)
-
-	n.retryWithdrawals(ctx)
-
-	if got := n.PendingWithdrawals(); got != 0 {
-		t.Fatalf("stale withdrawal not cleared: PendingWithdrawals = %d", got)
-	}
-	entry, ok, err := store.GetObject(ctx, obj)
-	if err != nil || !ok {
-		t.Fatalf("object entry missing: ok=%v err=%v", ok, err)
-	}
-	if len(entry.Locations) != 1 || entry.Locations[0] != n.ID() {
-		t.Fatalf("valid location withdrawn for resident object: %v", entry.Locations)
-	}
-}
-
-// The cluster's aggregator makes one call per node per tick, HeartbeatTick, and
-// no node has a loop of its own: that call must retry the parked withdrawals,
-// or an eviction whose withdrawal failed leaves a phantom location forever.
-// Both retry outcomes go through it: an evicted object's location is
-// withdrawn, a re-fetched (resident) object's stays.
-func TestHeartbeatTickRetriesWithdrawals(t *testing.T) {
-	n, store := newTestNode(t)
-	ctx := context.Background()
-
-	evicted, resident := types.NewObjectID(), types.NewObjectID()
-	if err := n.Store().Put(resident, []byte("payload"), false); err != nil {
-		t.Fatal(err)
-	}
-	for _, obj := range []types.ObjectID{evicted, resident} {
-		if err := store.AddObjectLocation(ctx, obj, n.ID(), 7, types.NewTaskID(), types.NilJobID); err != nil {
-			t.Fatal(err)
-		}
-		n.noteFailedWithdrawal(obj)
-	}
-
-	if update := n.HeartbeatTick(ctx); update.ID != n.ID() {
-		t.Fatalf("HeartbeatTick reported node %v, want %v", update.ID, n.ID())
-	}
-
-	if got := n.PendingWithdrawals(); got != 0 {
-		t.Fatalf("PendingWithdrawals after a tick = %d, want 0", got)
-	}
-	if entry, ok, err := store.GetObject(ctx, evicted); err != nil {
-		t.Fatal(err)
-	} else if ok && len(entry.Locations) != 0 {
-		t.Fatalf("phantom location survived the tick: %v", entry.Locations)
-	}
-	entry, ok, err := store.GetObject(ctx, resident)
-	if err != nil || !ok {
-		t.Fatalf("resident object's entry missing: ok=%v err=%v", ok, err)
-	}
-	if len(entry.Locations) != 1 || entry.Locations[0] != n.ID() {
-		t.Fatalf("valid location withdrawn for resident object: %v", entry.Locations)
-	}
 }
 
 // ray.Wait calls an object ready once the directory lists a location for it —

@@ -50,7 +50,7 @@ type Config struct {
 	// TransferStreams is the number of parallel streams used per pull: the
 	// stripe width of a single-message transfer, and the number of
 	// concurrent chunk workers of a pipelined one. Ray uses multiple; the
-	// OpenMPI-like baseline in the allreduce experiment uses 1.
+	// OpenMPI-like baseline in the allreduce experiment uses 1. Zero means 8.
 	TransferStreams int
 	// ChunkBytes is the chunk granularity of the pipelined pull path.
 	// Objects no larger than one chunk use the single-message fast path.
@@ -76,11 +76,9 @@ type Config struct {
 // zero, mirroring Ray's ~1 MiB transfer chunks.
 const DefaultChunkBytes = 1 << 20
 
-// DefaultConfig returns an 8-stream pipelined transfer configuration
-// (1 MiB chunks, 4-chunk windows).
-func DefaultConfig() Config {
-	return Config{TransferStreams: 8, ChunkBytes: DefaultChunkBytes, PipelineDepth: 4}
-}
+// DefaultConfig returns the zero Config, which New turns into an 8-stream
+// pipelined transfer configuration (1 MiB chunks, 4-chunk windows).
+func DefaultConfig() Config { return Config{} }
 
 // Manager is one node's object manager.
 type Manager struct {
@@ -135,7 +133,7 @@ type assembly struct {
 // New creates an object manager for the given node.
 func New(cfg Config, nodeID types.NodeID, local *objectstore.Store, store *gcs.Store, network *netsim.Network, peers PeerResolver) *Manager {
 	if cfg.TransferStreams < 1 {
-		cfg.TransferStreams = 1
+		cfg.TransferStreams = 8
 	}
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = DefaultChunkBytes
@@ -163,6 +161,9 @@ func New(cfg Config, nodeID types.NodeID, local *objectstore.Store, store *gcs.S
 			"Pulls that ended on the safety re-poll with no notification pending."),
 	}
 }
+
+// Config returns the configuration the manager runs with, defaults applied.
+func (m *Manager) Config() Config { return m.cfg }
 
 // Local returns the node's local object store.
 func (m *Manager) Local() *objectstore.Store { return m.local }

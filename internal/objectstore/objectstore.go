@@ -82,10 +82,11 @@ type Config struct {
 	SpillDir string
 }
 
-// DefaultConfig returns a 1 GiB store with 8 copy threads, matching the
-// paper's object-store microbenchmark setup (Figure 9).
+// DefaultConfig returns a store with 8 copy threads and New's defaults
+// otherwise (1 GiB), matching the paper's object-store microbenchmark setup
+// (Figure 9).
 func DefaultConfig() Config {
-	return Config{CapacityBytes: 1 << 30, CopyThreads: 8, CopyThreshold: 512 * 1024}
+	return Config{CopyThreads: 8}
 }
 
 // Store is a single node's object store. It is safe for concurrent use.

@@ -275,7 +275,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.Puts != 1 || st.Gets != 2 || st.Hits != 1 || st.Objects != 1 || st.Used != 1 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
-	if s.Capacity() != DefaultConfig().CapacityBytes {
+	if s.Capacity() != 1<<30 {
 		t.Fatal("capacity wrong")
 	}
 }

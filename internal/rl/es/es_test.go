@@ -12,7 +12,7 @@ func newDriver(t *testing.T, nodes int) *core.Driver {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.CPUsPerNode = 4
+	cfg.CPUs = 4
 	cfg.LabelNodes = true
 	rt, err := core.Init(context.Background(), cfg)
 	if err != nil {

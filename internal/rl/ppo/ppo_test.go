@@ -12,8 +12,8 @@ func newDriver(t *testing.T, nodes int, gpus float64) *core.Driver {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.CPUsPerNode = 4
-	cfg.GPUsPerNode = gpus
+	cfg.CPUs = 4
+	cfg.GPUs = gpus
 	rt, err := core.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,15 +24,11 @@ type GlobalConfig struct {
 	// Disabling it reproduces the "unaware" line of Figure 8a.
 	LocalityAware bool
 	// BandwidthBytesPerSec is the assumed transfer bandwidth used to convert
-	// remote input bytes into estimated transfer time. It is refined at run
-	// time by exponential averaging over observed transfers.
+	// remote input bytes into estimated transfer time.
 	BandwidthBytesPerSec float64
 	// InjectedLatency adds artificial delay to every scheduling decision,
 	// reproducing the scheduler-latency ablation of Figure 12b.
 	InjectedLatency time.Duration
-	// EMAAlpha is the exponential-averaging coefficient for observed task
-	// durations and bandwidth (paper Section 4.2.2). Zero means 0.2.
-	EMAAlpha float64
 	// MemoryWatermark is the object-store occupancy fraction (used/capacity,
 	// reported via heartbeats) above which a node is considered close to
 	// eviction: placing a task there would likely spill or evict objects to
@@ -46,60 +41,38 @@ type GlobalConfig struct {
 // 25 Gbps interconnect, steering work away from nodes above 80% object-store
 // occupancy.
 func DefaultGlobalConfig() GlobalConfig {
-	return GlobalConfig{LocalityAware: true, BandwidthBytesPerSec: 3.125e9, EMAAlpha: 0.2, MemoryWatermark: 0.8}
+	return GlobalConfig{LocalityAware: true, BandwidthBytesPerSec: 3.125e9, MemoryWatermark: 0.8}
 }
 
-// Global is one global scheduler replica. Replicas are stateless: every
-// scheduling decision is made from GCS state (node heartbeats and object
-// locations), so adding replicas scales the control plane horizontally.
+// unreportedTaskMillis is the task time assumed for a node whose heartbeats
+// have not reported an average yet.
+const unreportedTaskMillis = 5
+
+// Global is the global scheduler. It is stateless: every scheduling decision
+// is made from GCS state (node heartbeats and object locations), which is
+// what lets the paper scale it out by adding replicas. In one process
+// replicas would decide exactly alike, so a cluster runs one.
 type Global struct {
-	cfg GlobalConfig
-	gcs *gcs.Store
-
-	mu           sync.Mutex
-	avgTaskMs    float64 //guard:by mu — exponentially averaged task execution time
-	avgBandwidth float64 //guard:by mu — exponentially averaged transfer bandwidth
-
+	cfg       GlobalConfig
+	gcs       *gcs.Store
 	decisions atomic.Int64
 }
 
-// NewGlobal creates a global scheduler replica backed by the given GCS.
+// NewGlobal creates a global scheduler backed by the given GCS.
 func NewGlobal(cfg GlobalConfig, store *gcs.Store) *Global {
 	if cfg.BandwidthBytesPerSec <= 0 {
 		cfg.BandwidthBytesPerSec = DefaultGlobalConfig().BandwidthBytesPerSec
 	}
-	if cfg.EMAAlpha <= 0 || cfg.EMAAlpha > 1 {
-		cfg.EMAAlpha = 0.2
-	}
-	return &Global{cfg: cfg, gcs: store, avgBandwidth: cfg.BandwidthBytesPerSec, avgTaskMs: 5}
+	return &Global{cfg: cfg, gcs: store}
 }
 
-// Decisions returns how many placement decisions this replica has made.
+// Decisions returns how many placement decisions the scheduler has made.
 func (g *Global) Decisions() int64 { return g.decisions.Load() }
 
-// ObserveTaskDuration folds an observed task execution time into the
-// exponential average used for queue-delay estimation.
-func (g *Global) ObserveTaskDuration(d time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.avgTaskMs = g.cfg.EMAAlpha*float64(d.Milliseconds()) + (1-g.cfg.EMAAlpha)*g.avgTaskMs
-}
-
-// ObserveBandwidth folds an observed transfer bandwidth (bytes/sec) into the
-// exponential average used for transfer-delay estimation.
-func (g *Global) ObserveBandwidth(bytesPerSec float64) {
-	if bytesPerSec <= 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.avgBandwidth = g.cfg.EMAAlpha*bytesPerSec + (1-g.cfg.EMAAlpha)*g.avgBandwidth
-}
-
 // Schedule picks the node with the lowest estimated waiting time for the
-// task: (queued tasks × average task duration) + (remote input bytes ÷
-// average bandwidth), considering only nodes whose total resources can
-// satisfy the request (paper Section 4.2.2).
+// task: (queued tasks × the node's average task time) + (remote input bytes
+// ÷ bandwidth), considering only nodes whose total resources can satisfy
+// the request (paper Section 4.2.2).
 func (g *Global) Schedule(ctx context.Context, spec *task.Spec) (types.NodeID, error) {
 	g.decisions.Add(1)
 	if g.cfg.InjectedLatency > 0 {
@@ -138,11 +111,6 @@ func (g *Global) Schedule(ctx context.Context, spec *task.Spec) (types.NodeID, e
 		}
 	}
 
-	g.mu.Lock()
-	avgTaskMs := g.avgTaskMs
-	bandwidth := g.avgBandwidth
-	g.mu.Unlock()
-
 	// Two candidate tiers: nodes whose *currently available* resources fit
 	// the request (preferred — the task can start immediately), and nodes
 	// whose total capacity fits it (fallback — the task must queue there).
@@ -165,7 +133,7 @@ func (g *Global) Schedule(ctx context.Context, spec *task.Spec) (types.NodeID, e
 		// Queueing delay estimate.
 		avg := n.AvgTaskMillis
 		if avg <= 0 {
-			avg = avgTaskMs
+			avg = unreportedTaskMillis
 		}
 		cost := float64(n.QueueLength) * avg
 		// Transfer delay estimate for inputs not already on the node.
@@ -176,7 +144,7 @@ func (g *Global) Schedule(ctx context.Context, spec *task.Spec) (types.NodeID, e
 					remoteBytes += d.size
 				}
 			}
-			cost += float64(remoteBytes) / bandwidth * 1000 // milliseconds
+			cost += float64(remoteBytes) / g.cfg.BandwidthBytesPerSec * 1000 // milliseconds
 		}
 		if pressured {
 			cost += memoryPressurePenaltyMillis
@@ -211,38 +179,4 @@ func containsNode(nodes []types.NodeID, id types.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Pool is a set of global scheduler replicas with round-robin selection.
-// All replicas share state through the GCS, so adding replicas removes the
-// global scheduler as a bottleneck (paper Section 4.2.2).
-type Pool struct {
-	replicas []*Global
-	next     atomic.Uint64
-}
-
-// NewPool creates n global scheduler replicas.
-func NewPool(n int, cfg GlobalConfig, store *gcs.Store) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{}
-	for i := 0; i < n; i++ {
-		p.replicas = append(p.replicas, NewGlobal(cfg, store))
-	}
-	return p
-}
-
-// Pick returns the next replica (round-robin).
-func (p *Pool) Pick() *Global {
-	idx := p.next.Add(1)
-	return p.replicas[int(idx)%len(p.replicas)]
-}
-
-// Replicas returns all replicas.
-func (p *Pool) Replicas() []*Global { return p.replicas }
-
-// Schedule delegates to the next replica.
-func (p *Pool) Schedule(ctx context.Context, spec *task.Spec) (types.NodeID, error) {
-	return p.Pick().Schedule(ctx, spec)
 }

@@ -226,6 +226,9 @@ func defaultWorkerSlots(pool *resources.Pool) int {
 // NodeID returns the owning node's ID.
 func (l *Local) NodeID() types.NodeID { return l.cfg.NodeID }
 
+// Config returns the configuration the scheduler runs with, defaults applied.
+func (l *Local) Config() LocalConfig { return l.cfg }
+
 // Submit is the bottom-up entry point: tasks created on this node (by its
 // driver or by workers running nested tasks) are offered to the local
 // scheduler first. If the node is overloaded or can never satisfy the task's

@@ -567,48 +567,33 @@ func TestGlobalInjectedLatency(t *testing.T) {
 	}
 }
 
-func TestGlobalExponentialAveraging(t *testing.T) {
-	store := gcs.New(gcs.Config{Shards: 1, ReplicationFactor: 1})
-	defer store.Close()
-	g := NewGlobal(GlobalConfig{LocalityAware: true, EMAAlpha: 0.5, BandwidthBytesPerSec: 1e9}, store)
-	g.ObserveTaskDuration(100 * time.Millisecond)
-	g.ObserveTaskDuration(100 * time.Millisecond)
-	g.mu.Lock()
-	avg := g.avgTaskMs
-	g.mu.Unlock()
-	if avg < 50 || avg > 100 {
-		t.Fatalf("EMA of task duration implausible: %v", avg)
-	}
-	g.ObserveBandwidth(2e9)
-	g.ObserveBandwidth(0) // ignored
-	g.mu.Lock()
-	bw := g.avgBandwidth
-	g.mu.Unlock()
-	if bw <= 1e9 || bw > 2e9 {
-		t.Fatalf("EMA of bandwidth implausible: %v", bw)
-	}
-}
-
-func TestPoolRoundRobin(t *testing.T) {
-	store := gcs.New(gcs.Config{Shards: 1, ReplicationFactor: 1})
-	defer store.Close()
-	registerNode(t, store, 8, 0, 0, 1)
-	p := NewPool(3, DefaultGlobalConfig(), store)
-	if len(p.Replicas()) != 3 {
-		t.Fatal("replica count wrong")
-	}
-	for i := 0; i < 9; i++ {
-		if _, err := p.Schedule(context.Background(), simpleSpec(1)); err != nil {
+// TestGlobalCostConstants pins the two estimates the placement cost rests on:
+// a node that has reported no task time queues at 5 ms per task, and remote
+// bytes cost exactly the configured bandwidth. A node two tasks deep (10 ms)
+// loses to an idle node 9 MB away at 1 GB/s (9 ms) and beats one 11 MB away.
+func TestGlobalCostConstants(t *testing.T) {
+	for _, tc := range []struct {
+		remoteBytes int64
+		wantHolder  bool
+	}{{9e6, false}, {11e6, true}} {
+		store := gcs.New(gcs.Config{Shards: 1, ReplicationFactor: 1})
+		defer store.Close()
+		holder := registerNode(t, store, 8, 0, 2, 0)
+		idle := registerNode(t, store, 8, 0, 0, 0)
+		obj := types.NewObjectID()
+		if err := store.AddObjectLocation(context.Background(), obj, holder, tc.remoteBytes, types.NilTaskID, types.NilJobID); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, r := range p.Replicas() {
-		if r.Decisions() != 3 {
-			t.Fatalf("round robin uneven: %d", r.Decisions())
+		spec := simpleSpec(1)
+		spec.Args = []task.Arg{task.RefArg(obj)}
+		g := NewGlobal(GlobalConfig{LocalityAware: true, BandwidthBytesPerSec: 1e9}, store)
+		want := idle
+		if tc.wantHolder {
+			want = holder
 		}
-	}
-	if NewPool(0, DefaultGlobalConfig(), store).Replicas() == nil {
-		t.Fatal("pool must clamp to at least one replica")
+		if node, err := g.Schedule(context.Background(), spec); err != nil || node != want {
+			t.Errorf("input %d B on a node queueing 2 tasks: placed on %v (%v), want %v", tc.remoteBytes, node, err, want)
+		}
 	}
 }
 

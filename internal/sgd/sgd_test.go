@@ -11,7 +11,7 @@ func newDriver(t *testing.T, nodes int, gpusPerNode float64) *core.Driver {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.GPUsPerNode = gpusPerNode
+	cfg.GPUs = gpusPerNode
 	cfg.LabelNodes = true
 	rt, err := core.Init(context.Background(), cfg)
 	if err != nil {

@@ -20,8 +20,6 @@ import (
 type PoolConfig struct {
 	// NodeID identifies the owning node.
 	NodeID types.NodeID
-	// Driver is the default driver attributed to system-initiated work.
-	Driver types.DriverID
 	// CheckpointInterval is how many method executions an actor runs between
 	// automatic checkpoints (for actors implementing Checkpointable).
 	// Zero disables checkpointing.
