@@ -765,18 +765,20 @@ func (c *Cluster) retryWithdrawals(ctx context.Context) {
 	c.withdrawMu.Unlock()
 
 	for w, pinned := range pending {
-		if nd := c.Node(w.node); nd != nil && !nd.Dead() {
-			switch {
-			case pinned && nd.Store().Delete(w.obj):
-				c.objectsReclaimed.Add(1)
-			case pinned && nd.Store().Contains(w.obj):
-				continue // still pinned: next tick
-			case nd.Store().Contains(w.obj):
-				c.clearWithdrawal(w) // re-fetched: the location is valid again
-				continue
+		nd := c.Node(w.node)
+		if nd == nil || nd.Dead() {
+			if err := c.gcs.RemoveObjectLocation(ctx, w.obj, w.node); err == nil {
+				c.clearWithdrawal(w)
 			}
+			continue
 		}
-		if err := c.gcs.RemoveObjectLocation(ctx, w.obj, w.node); err == nil {
+		switch {
+		case pinned && nd.Store().Delete(w.obj):
+			c.objectsReclaimed.Add(1)
+		case pinned && nd.Store().Contains(w.obj):
+			continue // still pinned: next tick
+		}
+		if nd.RetryWithdrawal(ctx, w.obj) {
 			c.clearWithdrawal(w)
 		}
 	}

@@ -272,6 +272,18 @@ func (n *Node) SendHeartbeat(ctx context.Context) error {
 	return n.gcs.Heartbeat(ctx, n.HeartbeatTick())
 }
 
+// RetryWithdrawal re-attempts withdrawing this node's location of obj, which
+// an eviction (or reclamation) could not withdraw; the cluster's ledger calls
+// it every tick. It reports whether the parked entry is settled: the location
+// is withdrawn, or obj is resident again — re-fetched since the eviction — so
+// the location is valid and the withdrawal stale.
+func (n *Node) RetryWithdrawal(ctx context.Context, obj types.ObjectID) bool {
+	if n.store.Contains(obj) {
+		return true
+	}
+	return n.gcs.RemoveObjectLocation(ctx, obj, n.id) == nil
+}
+
 // Stop gracefully shuts the node down by draining the scheduler. It does not
 // simulate failure; use Kill for that.
 func (n *Node) Stop() {
