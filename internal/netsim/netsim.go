@@ -22,6 +22,20 @@
 // A global TimeScale lets experiments that span hundreds of seconds in the
 // paper complete in seconds here while preserving every ratio between
 // compute, transfer, and scheduling delays.
+//
+// Wake-up precision. A modelled delay must end when the model says, or a
+// 121 µs hop costs what the host's timer granularity costs instead. The Go
+// runtime's own timers do not manage that on an idle process: with every P
+// idle, the netpoller sleeps in epoll_wait, whose timeout is in whole
+// milliseconds, so a 100 µs time.Timer fires after about 1.1 ms. On Linux a
+// delay therefore parks on a one-shot timerfd registered with the netpoller:
+// the kernel's high-resolution timer makes the fd readable and that wakes
+// epoll_wait, within tens of microseconds of the deadline. Nothing spins, so
+// a wait burns no CPU, and cancellation still ends it at once (the context
+// moves the fd's read deadline into the past). Where a timerfd cannot be
+// made — a process out of descriptors, or any other OS — the wait falls back
+// to a time.Timer and its millisecond overshoot. TimeScale 0 makes no system
+// call at all.
 package netsim
 
 import (
@@ -170,7 +184,13 @@ func (n *Network) sleep(ctx context.Context, d time.Duration) error {
 			return nil
 		}
 	}
-	t := time.NewTimer(scaled)
+	return wait(ctx, scaled)
+}
+
+// timerWait blocks for d on the runtime timer, or until ctx is done: the
+// portable wait, precise to the runtime's idle-poll granularity.
+func timerWait(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

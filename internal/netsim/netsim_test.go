@@ -2,6 +2,11 @@ package netsim
 
 import (
 	"context"
+	"errors"
+	"os"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,5 +156,88 @@ func TestTransferChunkHonoursCancellation(t *testing.T) {
 	cancel()
 	if err := n.TransferChunk(ctx, 1<<30); err == nil {
 		t.Fatal("cancelled chunk transfer must return an error")
+	}
+}
+
+// TestModelledWaitEndsNearItsDeadline: a 100 µs modelled delay costs about
+// 100 µs, not the ~1.1 ms an idle runtime's millisecond poll timeout makes of
+// a time.Timer.
+func TestModelledWaitEndsNearItsDeadline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race stretches wake-ups")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("no timerfd: waits fall back to the runtime timer")
+	}
+	n := New(Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: 100 * time.Microsecond, TimeScale: 1})
+	took := make([]time.Duration, 50)
+	for i := range took {
+		start := time.Now()
+		if err := n.MessageDelay(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	if median := took[len(took)/2]; median < 100*time.Microsecond || median >= 500*time.Microsecond {
+		t.Fatalf("median of 50 waits modelled at 100µs: %v (want 100µs..500µs)", median)
+	}
+}
+
+// TestWaitCancelledMidFlightReturnsPromptly cancels a wait that is already
+// parked, on the precise path and on the timer fallback.
+func TestWaitCancelledMidFlightReturnsPromptly(t *testing.T) {
+	n := New(Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: time.Hour, TimeScale: 1})
+	for name, wait := range map[string]func(context.Context) error{
+		"netsim":   n.MessageDelay,
+		"fallback": func(ctx context.Context) error { return timerWait(ctx, time.Hour) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var cancelledAt atomic.Int64
+			time.AfterFunc(20*time.Millisecond, func() {
+				cancelledAt.Store(time.Now().UnixNano())
+				cancel()
+			})
+			err := wait(ctx)
+			lag := time.Since(time.Unix(0, cancelledAt.Load()))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled wait returned %v, want context.Canceled", err)
+			}
+			if lag > 5*time.Millisecond {
+				t.Fatalf("wait returned %v after its cancellation (want ≤ 5ms)", lag)
+			}
+		})
+	}
+}
+
+// TestWaitsLeakNoDescriptors: every wait closes what it opened, whether it
+// ran to its deadline or was cancelled mid-flight.
+func TestWaitsLeakNoDescriptors(t *testing.T) {
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot list open descriptors: %v", err)
+		}
+		return len(entries)
+	}
+	n := New(Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: time.Microsecond, TimeScale: 1})
+	before := fds()
+	for i := 0; i < 1000; i++ {
+		if i%10 != 0 {
+			if err := n.MessageDelay(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Microsecond)
+		if err := n.Compute(ctx, time.Hour); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("wait past its context's deadline returned %v", err)
+		}
+		cancel()
+	}
+	if after := fds(); after != before {
+		t.Fatalf("1000 waits changed the open descriptor count: %d → %d", before, after)
 	}
 }

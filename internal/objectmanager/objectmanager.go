@@ -9,11 +9,13 @@
 // message latency buys a whole window), and windows are fetched by
 // TransferStreams concurrent workers that assemble directly into a
 // store-owned buffer reserved up front (objectstore.BeginPut) and committed
-// once complete. Workers stripe windows across every live replica of the
-// object, so a hot object is pulled from several sources at once, and a
-// window whose source dies mid-transfer fails over to another replica
-// without restarting the object. Objects no larger than one chunk keep the
-// single-message fast path.
+// once complete. The reservation is decided before the first window leaves;
+// the buffer's allocation runs during the windows' wire time, and a worker
+// waits for it only when it has bytes to copy. Workers stripe windows across
+// every live replica of the object, so a hot object is pulled from several
+// sources at once, and a window whose source dies mid-transfer fails over to
+// another replica without restarting the object. Objects no larger than one
+// chunk keep the single-message fast path.
 //
 // Because object location metadata lives in the GCS rather than in the
 // scheduler, transfers never involve the scheduler — the decoupling of task
@@ -459,6 +461,10 @@ func (m *Manager) fetchChunked(ctx context.Context, id types.ObjectID, entry *gc
 		return fmt.Errorf("objectmanager: no usable replica for %s: %w", id, types.ErrObjectLost)
 	}
 
+	// The clock starts before the reservation: a pull's time (transferNanos,
+	// ray_objectmanager_pull_seconds, the transfer span) is reserve + wire +
+	// copy, so what BeginPut costs is seen, not hidden in front of it.
+	start := time.Now()
 	a, err := m.assemblyFor(id, size, isError)
 	if err != nil {
 		return err
@@ -485,12 +491,11 @@ func (m *Manager) fetchChunked(ctx context.Context, id types.ObjectID, entry *gc
 		workers = len(todo)
 	}
 
-	start := time.Now()
 	err = parallel.ForEach(ctx, workers, len(todo), func(fetchCtx context.Context, i int) error {
 		w := todo[i]
 		m.inflightWin.Inc()
 		defer m.inflightWin.Dec()
-		if err := m.fetchWindow(fetchCtx, id, a.pending.Data(), a.windowBytes, w, sources); err != nil {
+		if err := m.fetchWindow(fetchCtx, id, a, w, sources); err != nil {
 			return err
 		}
 		a.done[w] = true
@@ -588,16 +593,14 @@ func (m *Manager) assemblyFor(id types.ObjectID, size int64, isError bool) (*ass
 	}, nil
 }
 
-// fetchWindow copies one window of chunks into buf, trying each replica in
-// turn (starting at a per-window offset so concurrent windows stripe across
-// replicas) and re-resolving the source on every attempt so a replica that
-// died mid-transfer is skipped.
-func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, buf []byte, windowBytes int64, window int, sources []types.NodeID) error {
-	lo := int64(window) * windowBytes
-	hi := lo + windowBytes
-	if hi > int64(len(buf)) {
-		hi = int64(len(buf))
-	}
+// fetchWindow copies one window of chunks into the assembly's buffer, trying
+// each replica in turn (starting at a per-window offset so concurrent windows
+// stripe across replicas) and re-resolving the source on every attempt so a
+// replica that died mid-transfer is skipped. It asks for the buffer only
+// after the window's wire time, which its allocation overlaps.
+func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, a *assembly, window int, sources []types.NodeID) error {
+	lo := int64(window) * a.windowBytes
+	hi := min(lo+a.windowBytes, a.size)
 	var lastErr error
 	for attempt := 0; attempt < len(sources); attempt++ {
 		src := sources[(window+attempt)%len(sources)]
@@ -607,7 +610,7 @@ func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, buf []byte
 			continue
 		}
 		obj, ok := store.Get(id)
-		if !ok || obj.Size() != int64(len(buf)) {
+		if !ok || obj.Size() != a.size {
 			lastErr = fmt.Errorf("objectmanager: %s missing on %s", id, src)
 			continue
 		}
@@ -616,7 +619,7 @@ func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, buf []byte
 				return err
 			}
 		}
-		copy(buf[lo:hi], obj.Data[lo:hi])
+		copy(a.pending.Data()[lo:hi], obj.Data[lo:hi])
 		return nil
 	}
 	if lastErr == nil {
@@ -627,7 +630,8 @@ func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, buf []byte
 
 // recordTransfer emits the transfer span for a completed pull, attributed
 // to the pulling node (src rides along in the span name's source field via
-// Task).
+// Task). A chunked pull's span covers reserve + wire + copy: it starts before
+// the store reservation.
 func (m *Manager) recordTransfer(id types.ObjectID, src types.NodeID, start time.Time, elapsed time.Duration, size int64) {
 	if !m.tracer.Sampled(id[15]) {
 		return

@@ -716,3 +716,43 @@ func TestPullWaitsForProducerToRegister(t *testing.T) {
 		}
 	}
 }
+
+// A chunked pull whose reservation the store refuses for capacity fails with
+// ErrStoreFull before a single window goes on the wire: the refusal is
+// synchronous even though the buffer's allocation is not.
+func TestReservationRefusedBeforeAnyWireTime(t *testing.T) {
+	g := gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
+	defer g.Close()
+	cluster := newFakeCluster()
+	// Every window would cost two seconds of modelled latency.
+	net := netsim.New(netsim.Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 4, LatencyPerMessage: 2 * time.Second, TimeScale: 1})
+	src, dst := types.NewNodeID(), types.NewNodeID()
+	srcStore := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
+	dstStore := objectstore.New(objectstore.Config{CapacityBytes: 1 << 20})
+	cluster.add(src, srcStore)
+	cluster.add(dst, dstStore)
+	mSrc := New(chunkedConfig(), src, srcStore, g, net, cluster)
+	mDst := New(chunkedConfig(), dst, dstStore, g, net, cluster)
+
+	ctx := context.Background()
+	blocker := types.NewObjectID()
+	if err := dstStore.Put(blocker, make([]byte, 768<<10), false); err != nil || !dstStore.Pin(blocker) {
+		t.Fatalf("pin the destination store full: %v", err)
+	}
+	id := types.NewObjectID()
+	if err := mSrc.Put(ctx, id, make([]byte, 512<<10), false, types.NilTaskID); err != nil {
+		t.Fatal(err)
+	}
+	entry, ok, err := g.GetObject(ctx, id)
+	if err != nil || !ok {
+		t.Fatalf("object entry: ok=%v err=%v", ok, err)
+	}
+	start := time.Now()
+	err = mDst.fetchFrom(ctx, id, entry)
+	if took := time.Since(start); !errors.Is(err, types.ErrStoreFull) || took > time.Second {
+		t.Fatalf("refused reservation returned %v after %v, want ErrStoreFull before any wire time", err, took)
+	}
+	if dstStore.Used() != 768<<10 || dstStore.Contains(id) {
+		t.Fatalf("refused reservation changed the store: used=%d", dstStore.Used())
+	}
+}

@@ -13,17 +13,27 @@
 // For chunked transfers, BeginPut reserves a store-owned destination buffer
 // that transfer workers fill concurrently; the reservation counts against
 // capacity, is implicitly pinned until committed or aborted, and becomes
-// visible atomically at Commit. Eviction callbacks run synchronously after
-// the triggering Put returns the lock, and WaitEvictions orders a re-put's
-// external location registration after the eviction's de-registration.
+// visible atomically at Commit. The reservation is decided at once; the
+// buffer itself is allocated, and its pages faulted in by the copy threads,
+// in the background, so that work overlaps the wire time of the first
+// windows instead of preceding or following it. Eviction callbacks run
+// synchronously after the triggering Put returns the lock, and WaitEvictions
+// orders a re-put's external location registration after the eviction's
+// de-registration.
+//
+// The store charges each payload by what its buffer holds (its capacity), not
+// by its length: an adopted buffer's spare capacity is memory the store keeps
+// alive, so Used, eviction and capacity see it.
 package objectstore
 
 import (
 	"container/list"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -50,6 +60,10 @@ type Object struct {
 // Size returns the payload size in bytes.
 func (o *Object) Size() int64 { return int64(len(o.Data)) }
 
+// held is what a payload buffer costs the store: its capacity, which for an
+// adopted buffer (an encoder's bytes.Buffer) can exceed its length.
+func held(data []byte) int64 { return int64(cap(data)) }
+
 // EvictionCallback is invoked (outside the store lock) whenever an object is
 // evicted, so the owner can remove the location from the GCS object table.
 // Callbacks run synchronously on the goroutine whose Put (or BeginPut)
@@ -62,7 +76,8 @@ type EvictionCallback func(id types.ObjectID, size int64)
 
 // Config controls store behaviour.
 type Config struct {
-	// CapacityBytes bounds resident payload bytes. Zero means 1 GiB.
+	// CapacityBytes bounds the bytes resident payload buffers hold (see
+	// Used). Zero means 1 GiB.
 	CapacityBytes int64
 	// CopyThreads is how many goroutines Put uses to copy large payloads
 	// into the store, mirroring Plasma's multi-threaded memcpy. Zero means 1.
@@ -190,7 +205,10 @@ func (s *Store) PutPrimary(id types.ObjectID, data []byte, isError bool) error {
 // put inserts the object: a primary adopts data, anything else copies it.
 func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) error {
 	s.puts.Add(1)
-	size := int64(len(data))
+	size := int64(len(data)) // a copy holds exactly its length
+	if primary {
+		size = held(data)
+	}
 	if size > s.cfg.CapacityBytes {
 		return fmt.Errorf("objectstore: object %s (%d bytes) exceeds capacity %d: %w",
 			id, size, s.cfg.CapacityBytes, types.ErrStoreFull)
@@ -252,19 +270,36 @@ func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) 
 type PendingPut struct {
 	store   *Store
 	id      types.ObjectID
-	buf     []byte
+	size    int64
 	isError bool
-	settled bool
+	// buf is written once, by the allocating goroutine, before ready closes.
+	buf     []byte
+	ready   chan struct{}
+	settled bool // under store.mu
 }
 
-// Data returns the destination buffer. Chunk workers may fill disjoint ranges
-// concurrently; no range may be written after Commit.
-func (p *PendingPut) Data() []byte { return p.buf }
+// makePayload allocates a reservation's buffer. It is always a fresh make,
+// never pooled: views of a committed object outlive the store's reference
+// (see Object.Data), so a buffer must never be handed out twice. Tests
+// replace it to hold a reservation's buffer back.
+var makePayload = func(size int64) []byte { return make([]byte, size) }
+
+// Data returns the destination buffer, waiting for its allocation if that is
+// still running: call it when there is something to copy, not before the
+// wire. Chunk workers may fill disjoint ranges concurrently; no range may be
+// written after Commit.
+func (p *PendingPut) Data() []byte {
+	<-p.ready
+	return p.buf
+}
 
 // BeginPut reserves capacity for an object of the given size and returns a
 // pending buffer for chunked assembly, evicting unpinned objects as needed.
 // If the object is already resident the reservation is refused with ok=false
-// (the existing copy is identical — objects are immutable).
+// (the existing copy is identical — objects are immutable). The refusals and
+// the eviction happen before BeginPut returns; the buffer is allocated in the
+// background (a fresh payload-sized make is mostly page faults), so a puller
+// spends that time on the wire.
 func (s *Store) BeginPut(id types.ObjectID, size int64, isError bool) (*PendingPut, bool, error) {
 	if size > s.cfg.CapacityBytes {
 		return nil, false, fmt.Errorf("objectstore: object %s (%d bytes) exceeds capacity %d: %w",
@@ -290,13 +325,37 @@ func (s *Store) BeginPut(id types.ObjectID, size int64, isError bool) (*PendingP
 	s.mu.Unlock()
 	s.writeSpills(toSpill)
 	s.notifyEvicted(evicted)
-	return &PendingPut{store: s, id: id, buf: make([]byte, size), isError: isError}, true, nil
+	p := &PendingPut{store: s, id: id, size: size, isError: isError, ready: make(chan struct{})}
+	// makePayload is read here, not on the goroutine, so a test restoring it
+	// does not race with an allocation still in flight.
+	go p.materialise(makePayload, s.threadsFor(size))
+	return p, true, nil
+}
+
+// materialise allocates the reservation's buffer and faults its pages in,
+// split across the store's copy threads as Put's copy is, while the puller's
+// windows are on the wire. It yields first, so the transfer workers the
+// caller starts next reach the wire before the page faults take the CPU; the
+// faults then overlap the wire, in parallel, instead of following it in the
+// workers' copies.
+func (p *PendingPut) materialise(alloc func(int64) []byte, threads int) {
+	runtime.Gosched()
+	buf := alloc(p.size)
+	page := os.Getpagesize()
+	inParallel(len(buf), threads, func(lo, hi int) {
+		for i := lo; i < hi; i += page {
+			buf[i] = 0
+		}
+	})
+	p.buf = buf
+	close(p.ready)
 }
 
 // Commit publishes the assembled object, waking waiters. If the object was
 // re-put through another path while the assembly was in flight, the
 // reservation is simply released (the copies are identical).
 func (p *PendingPut) Commit() {
+	buf := p.Data()
 	s := p.store
 	s.mu.Lock()
 	if p.settled {
@@ -306,11 +365,11 @@ func (p *PendingPut) Commit() {
 	p.settled = true
 	s.puts.Add(1)
 	if _, ok := s.objects[p.id]; ok {
-		s.used -= int64(len(p.buf))
+		s.used -= p.size
 		s.mu.Unlock()
 		return
 	}
-	e := &entry{obj: &Object{ID: p.id, Data: p.buf, IsError: p.isError}}
+	e := &entry{obj: &Object{ID: p.id, Data: buf, IsError: p.isError}}
 	e.element = s.lru.PushFront(p.id)
 	s.objects[p.id] = e
 	waiters := s.waiters[p.id]
@@ -322,13 +381,15 @@ func (p *PendingPut) Commit() {
 }
 
 // Abort releases the reservation without publishing (e.g. the transfer
-// failed). Safe to call after Commit; the first settlement wins.
+// failed). It does not wait for the buffer: a still-running allocation ends
+// on its own and is garbage. Safe to call after Commit; the first settlement
+// wins.
 func (p *PendingPut) Abort() {
 	s := p.store
 	s.mu.Lock()
 	if !p.settled {
 		p.settled = true
-		s.used -= int64(len(p.buf))
+		s.used -= p.size
 	}
 	s.mu.Unlock()
 }
@@ -336,26 +397,41 @@ func (p *PendingPut) Abort() {
 // copyPayload copies data using the configured number of copy threads.
 func (s *Store) copyPayload(data []byte) []byte {
 	buf := make([]byte, len(data))
-	threads := s.cfg.CopyThreads
-	if int64(len(data)) < s.cfg.CopyThreshold || threads == 1 {
+	threads := s.threadsFor(int64(len(data)))
+	if threads == 1 {
 		copy(buf, data)
 		return buf
 	}
-	chunk := (len(data) + threads - 1) / threads
+	inParallel(len(data), threads, func(lo, hi int) { copy(buf[lo:hi], data[lo:hi]) })
+	return buf
+}
+
+// threadsFor is how many goroutines write a payload of size bytes into the
+// store: CopyThreads from CopyThreshold up, one below it.
+func (s *Store) threadsFor(size int64) int {
+	if size < s.cfg.CopyThreshold {
+		return 1
+	}
+	return s.cfg.CopyThreads
+}
+
+// inParallel calls fn on up to threads contiguous ranges covering [0, n), one
+// goroutine each, and returns when all have; one thread runs fn inline.
+func inParallel(n, threads int, fn func(lo, hi int)) {
+	if threads <= 1 {
+		fn(0, n)
+		return
+	}
+	chunk := (n + threads - 1) / threads
 	var wg sync.WaitGroup
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			copy(buf[lo:hi], data[lo:hi])
-		}(off, end)
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
-	return buf
 }
 
 // evictedObject records one eviction for post-lock notification.
@@ -487,8 +563,8 @@ func (s *Store) restore(id types.ObjectID, pin bool) (*Object, bool) {
 
 		if data == nil {
 			// The disk write completed; read the file back outside the lock.
-			fileData, err := os.ReadFile(path)
-			if err != nil || int64(len(fileData)) != rec.size {
+			fileData, err := readSpill(path, rec.size)
+			if err != nil {
 				s.dropSpilledCopy(id, rec)
 				return nil, false
 			}
@@ -504,7 +580,7 @@ func (s *Store) restore(id types.ObjectID, pin bool) (*Object, bool) {
 			s.mu.Unlock()
 			continue // record superseded; re-evaluate
 		}
-		evicted, toSpill, err := s.evictForLocked(rec.size)
+		evicted, toSpill, err := s.evictForLocked(held(data))
 		if err != nil && !pin {
 			// Everything resident is pinned: serve without admitting.
 			s.mu.Unlock()
@@ -520,7 +596,7 @@ func (s *Store) restore(id types.ObjectID, pin bool) (*Object, bool) {
 		}
 		e.element = s.lru.PushFront(id)
 		s.objects[id] = e
-		s.used += rec.size
+		s.used += held(data)
 		rec.dropped = true
 		delete(s.spilled, id)
 		s.spilledBytes -= rec.size
@@ -540,6 +616,24 @@ func (s *Store) restore(id types.ObjectID, pin bool) (*Object, bool) {
 		s.restores.Add(1)
 		return obj, true
 	}
+}
+
+// readSpill reads a spill file of the given size into a buffer of exactly
+// that size (os.ReadFile would leave spare capacity the store then charges).
+func readSpill(path string, size int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err != nil || fi.Size() != size {
+		return nil, fmt.Errorf("objectstore: spill file %s is not %d bytes", path, size)
+	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // dropSpilledCopy discards a spill record whose file is gone or corrupt and
@@ -614,7 +708,7 @@ func (s *Store) WaitEvictions(ctx context.Context, id types.ObjectID) error {
 func (s *Store) removeLocked(id types.ObjectID, e *entry) {
 	s.lru.Remove(e.element)
 	delete(s.objects, id)
-	s.used -= e.obj.Size()
+	s.used -= held(e.obj.Data)
 }
 
 // Get returns the object if it is local, bumping its LRU recency. A spilled
@@ -807,7 +901,8 @@ func (s *Store) DropAll() []types.ObjectID {
 	return dropped
 }
 
-// Used returns resident payload bytes.
+// Used returns the bytes resident payload buffers hold — their capacity, so
+// an adopted buffer's spare room counts — plus open reservations.
 func (s *Store) Used() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ray/internal/testutil/leakcheck"
 	"ray/internal/types"
 )
 
@@ -627,5 +628,113 @@ func TestPutPrimaryAdoptsItsBuffer(t *testing.T) {
 	}
 	if s.Used() != int64(3*len(data)) {
 		t.Fatalf("used=%d, want %d", s.Used(), 3*len(data))
+	}
+}
+
+// gatePayloads makes every reservation's allocation wait until the returned
+// release is called, so a test can act while no buffer exists yet.
+func gatePayloads(t *testing.T) (release func()) {
+	gate := make(chan struct{})
+	prev := makePayload
+	makePayload = func(size int64) []byte {
+		<-gate
+		return make([]byte, size)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		makePayload = prev
+	})
+	return release
+}
+
+// Abort does not wait for the buffer: the reservation's capacity is free at
+// once, and the allocation, when it ends, leaves nothing running behind it.
+func TestAbortBeforeTheBufferExists(t *testing.T) {
+	leakcheck.Check(t)
+	release := gatePayloads(t)
+	s := New(Config{CapacityBytes: 1000})
+	id := types.NewObjectID()
+	p, ok, err := s.BeginPut(id, 900, false)
+	if err != nil || !ok {
+		t.Fatalf("BeginPut: ok=%v err=%v", ok, err)
+	}
+	p.Abort()
+	if s.Used() != 0 || s.Contains(id) {
+		t.Fatalf("abort before allocation leaked the reservation: used=%d", s.Used())
+	}
+	// The freed capacity is reservable again straight away.
+	p2, ok, err := s.BeginPut(id, 1000, false)
+	if err != nil || !ok {
+		t.Fatalf("capacity not released by Abort: ok=%v err=%v", ok, err)
+	}
+	p2.Abort()
+	release()
+}
+
+// Chunk workers that ask for the buffer before it exists wait for it, and
+// Commit publishes every byte they wrote.
+func TestCommitPublishesFullPayload(t *testing.T) {
+	release := gatePayloads(t)
+	const size, workers = 4<<20 + 5, 8
+	s := New(Config{CapacityBytes: 8 << 20})
+	id := types.NewObjectID()
+	p, ok, err := s.BeginPut(id, size, false)
+	if err != nil || !ok {
+		t.Fatalf("BeginPut: ok=%v err=%v", ok, err)
+	}
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i*7 + i>>13)
+	}
+	var wg sync.WaitGroup
+	part := (size + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			copy(p.Data()[lo:hi], want[lo:hi])
+		}(w*part, min((w+1)*part, size))
+	}
+	release()
+	wg.Wait()
+	p.Commit()
+	obj, ok := s.Get(id)
+	if !ok || !bytes.Equal(obj.Data, want) {
+		t.Fatal("committed object missing or not the bytes the workers wrote")
+	}
+	if s.Used() != size {
+		t.Fatalf("used=%d, want %d", s.Used(), size)
+	}
+}
+
+// An adopted buffer is charged by what it holds: an encoder's buffer may
+// carry spare capacity past its length, and that memory is the store's.
+func TestAdoptedBufferChargedByCapacity(t *testing.T) {
+	s := New(Config{CapacityBytes: 10000})
+	id := types.NewObjectID()
+	if err := s.PutPrimary(id, make([]byte, 10, 4096), false); err != nil {
+		t.Fatal(err)
+	}
+	if s.Used() != 4096 {
+		t.Fatalf("adopted len 10 / cap 4096 buffer moved Used() to %d, want 4096", s.Used())
+	}
+	// Eviction sees it too: two more such buffers cannot all stay resident.
+	for i := 0; i < 2; i++ {
+		if err := s.PutPrimary(types.NewObjectID(), make([]byte, 10, 4096), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != 2 || s.Used() != 8192 {
+		t.Fatalf("three 4 KiB buffers in a 10 000-byte store: len=%d used=%d, want 2 and 8192", s.Len(), s.Used())
+	}
+	for _, id := range s.List() {
+		if !s.Delete(id) {
+			t.Fatalf("delete %s failed", id)
+		}
+	}
+	if s.Used() != 0 {
+		t.Fatalf("used=%d after deleting everything, want 0", s.Used())
 	}
 }

@@ -20,7 +20,7 @@ const (
 	PhaseDispatch = "dispatch" // spill/forward decision and lease grant
 	PhaseExec     = "exec"     // running on a worker slot
 	PhaseStore    = "store"    // writing results into the object store
-	PhaseTransfer = "transfer" // object manager pulling a remote object
+	PhaseTransfer = "transfer" // object manager pulling a remote object: reservation, wire and copy
 )
 
 // Span is one timed event in a task's (or object's) lifecycle. Spans are
