@@ -1,5 +1,5 @@
-// Command raylint runs the project's static-analysis suite: seven analyzers
-// enforcing the runtime's concurrency, codec, error-handling, and context
+// Command raylint runs the project's static-analysis suite: five analyzers
+// enforcing the runtime's concurrency, error-handling, and context
 // invariants (see internal/lint). It loads and type-checks every package
 // under ./internal, ./ray, ./cmd, and ./examples using only the standard
 // library, applies //lint:ignore suppressions, checks the suppressions
@@ -11,12 +11,9 @@
 //	go run ./cmd/raylint ./...            # lint the default trees
 //	go run ./cmd/raylint ./internal/gcs   # lint one subtree
 //	go run ./cmd/raylint -list            # list checks
-//	go run ./cmd/raylint -json ./...      # one JSON diagnostic per line
-//	go run ./cmd/raylint -suggest-guards  # propose //guard: annotations
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,8 +25,6 @@ import (
 
 func main() {
 	listChecks := flag.Bool("list", false, "list the available checks and exit")
-	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic ({check, file, line, col, msg})")
-	suggest := flag.Bool("suggest-guards", false, "infer candidate //guard: annotations for unannotated fields and exit")
 	rootFlag := flag.String("root", "", "module root (default: nearest parent of the working directory containing go.mod)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: raylint [flags] [./... | dirs]\n")
@@ -61,18 +56,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *suggest {
-		suggestions := lint.SuggestGuards(prog)
-		for _, s := range suggestions {
-			s.Pos.Filename = relativeTo(root, s.Pos.Filename)
-			fmt.Println(s)
-		}
-		if len(suggestions) == 0 {
-			fmt.Println("raylint: every observed field access already matches an annotation or shows no lock pattern")
-		}
-		return
-	}
-
 	var diags []lint.Diagnostic
 	for _, a := range analyzers {
 		diags = append(diags, a.Analyze(prog)...)
@@ -84,40 +67,12 @@ func main() {
 
 	for _, d := range diags {
 		d.Pos.Filename = relativeTo(root, d.Pos.Filename)
-		if *jsonOut {
-			printJSON(d)
-		} else {
-			fmt.Println(d)
-		}
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "raylint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// jsonDiagnostic is the -json wire form: one object per line, consumed by
-// the GitHub Actions problem matcher and by editor integrations.
-type jsonDiagnostic struct {
-	Check string `json:"check"`
-	File  string `json:"file"`
-	Line  int    `json:"line"`
-	Col   int    `json:"col"`
-	Msg   string `json:"msg"`
-}
-
-func printJSON(d lint.Diagnostic) {
-	out, err := json.Marshal(jsonDiagnostic{
-		Check: d.Check,
-		File:  d.Pos.Filename,
-		Line:  d.Pos.Line,
-		Col:   d.Pos.Column,
-		Msg:   d.Message,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(string(out))
 }
 
 // targetDirs maps command-line patterns to the directory trees to load.

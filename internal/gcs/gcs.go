@@ -50,8 +50,9 @@ type Config struct {
 	// cluster runs: it amortizes per-task control-plane appends at the cost
 	// of a deferred durability acknowledgement. The synchronous store is the
 	// reference the tests of this package compare the batched one against,
-	// and the same code a write falls back to after Close; nothing above
-	// this package sets the field.
+	// and the same code a write falls back to after Close. Outside this
+	// package only a cluster test sets the field, through the unexported
+	// cluster.newCluster seam, to run a whole cluster over the reference.
 	SyncWrites bool
 	// BatchFlushInterval is the longest a pending write waits before being
 	// committed. Zero means 2ms.

@@ -229,7 +229,10 @@ func (m *Manager) terminate(ctx context.Context, job types.JobID, state types.Jo
 		lj.cancel()
 	}
 
-	if m.hooks != nil {
+	// Teardown runs once, under the caller that performed the transition. A
+	// caller that only held the live entry has cancelled its context above
+	// and still waits for durability below.
+	if transitioned && m.hooks != nil {
 		report.TasksCancelled = m.hooks.CancelJobTasks(job)
 		report.ActorsStopped = m.hooks.StopJobActors(ctx, job)
 		report.ObjectsReleased = m.hooks.ReleaseJobObjects(ctx, job)
@@ -241,9 +244,7 @@ func (m *Manager) terminate(ctx context.Context, job types.JobID, state types.Jo
 		return report, fmt.Errorf("job: %s terminal state not durable: %w", job, err)
 	}
 
-	// Only the caller that performed the transition records it (a racing
-	// caller that still held the live entry re-ran the idempotent hooks but
-	// must not double-count the termination).
+	// Only the caller that performed the transition records it.
 	if transitioned {
 		kind := "job_finished"
 		if state == types.JobKilled {

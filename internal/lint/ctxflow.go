@@ -9,9 +9,8 @@ import (
 )
 
 // DefaultCtxFlowPackages are the dispatch-path packages where context
-// hygiene is enforced: the upcoming 1M-tasks/sec dispatch work will push
-// cancellation and deadlines through exactly these layers, so their blocking
-// entry points must already thread a context.
+// hygiene is enforced: a job kill or a cluster shutdown cancels work by
+// cancelling its context, which reaches a wait only through these layers.
 var DefaultCtxFlowPackages = []string{
 	"ray/internal/cluster",
 	"ray/internal/scheduler",

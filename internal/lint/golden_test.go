@@ -114,31 +114,6 @@ func TestErrDropGolden(t *testing.T) {
 	checkGolden(t, prog, NewErrDrop(must).Analyze(prog))
 }
 
-func TestIDConvGolden(t *testing.T) {
-	prog := loadTestPkg(t, "idconv")
-	allow := []string{"ray/internal/lint/testdata/src/idconv.allowlistedDerivation"}
-	checkGolden(t, prog, NewIDConv(allow).Analyze(prog))
-}
-
-// TestIDConvEmptyAllowlist proves the allowlist is the only thing keeping
-// allowlistedDerivation quiet: with the default (empty) list both conversions
-// are flagged.
-func TestIDConvEmptyAllowlist(t *testing.T) {
-	prog := loadTestPkg(t, "idconv")
-	diags := NewIDConv(nil).Analyze(prog)
-	if len(diags) != 2 {
-		t.Fatalf("want 2 diagnostics with the empty allowlist, got %d: %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[1].Message, "WorkerID(ActorID)") {
-		t.Errorf("second diagnostic should flag the WorkerID(ActorID) derivation, got: %s", diags[1])
-	}
-}
-
-func TestCodecSyncGolden(t *testing.T) {
-	prog := loadTestPkg(t, "codecsync")
-	checkGolden(t, prog, NewCodecSync().Analyze(prog))
-}
-
 // TestLockOrderFindsCycles asserts on whole-cycle messages: the direct ABBA
 // pair, the cycle closed through a helper call and an interface method, and
 // the absence of the acyclic e.mu lock from any report.
@@ -245,43 +220,6 @@ func TestGuardedByMalformedDirectives(t *testing.T) {
 		if !strings.Contains(diags[i].Message, want) {
 			t.Errorf("diagnostic %d: want substring %q, got: %s", i, want, diags[i])
 		}
-	}
-}
-
-// TestSuggestGuards drives the inference mode over seeded access patterns:
-// full-coverage fields earn concrete proposals (with .R when read-locked
-// accesses were observed), an all-atomic field earns //guard:atomic, and a
-// field with one bare site earns a near-miss naming that site.
-func TestSuggestGuards(t *testing.T) {
-	prog := loadTestPkg(t, "guardedbysuggest")
-	byField := map[string]Suggestion{}
-	for _, s := range SuggestGuards(prog) {
-		byField[s.Field] = s
-	}
-	cases := map[string]struct {
-		directive string
-		note      string
-	}{
-		"m":     {directive: "//guard:by mu.R"},
-		"n":     {directive: "//guard:by mu"},
-		"hits":  {directive: "//guard:atomic"},
-		"leaky": {directive: "", note: "bare at"},
-	}
-	for field, want := range cases {
-		s, ok := byField[field]
-		if !ok {
-			t.Errorf("no suggestion for field %s (got %v)", field, byField)
-			continue
-		}
-		if s.Directive != want.directive {
-			t.Errorf("field %s: want directive %q, got %q (%s)", field, want.directive, s.Directive, s)
-		}
-		if want.note != "" && !strings.Contains(s.Note, want.note) {
-			t.Errorf("field %s: note should contain %q, got: %s", field, want.note, s.Note)
-		}
-	}
-	if s := byField["leaky"]; !strings.Contains(s.Note, "guardedbysuggest.go:46") {
-		t.Errorf("near-miss for leaky should cite the bare site line 46, got: %s", s.Note)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -402,7 +401,7 @@ func NewGuardedBy() *GuardedBy { return &GuardedBy{} }
 func (a *GuardedBy) Name() string { return "guardedby" }
 
 func (a *GuardedBy) Doc() string {
-	return "every access to a //guard:-annotated field must hold its declared lock (see also -suggest-guards)"
+	return "every access to a //guard:-annotated field must hold its declared lock"
 }
 
 func (a *GuardedBy) Analyze(prog *Program) []Diagnostic {
@@ -418,7 +417,7 @@ func (a *GuardedBy) Analyze(prog *Program) []Diagnostic {
 		diags = append(diags, Diagnostic{
 			Pos:   prog.Position(ms.pos),
 			Check: a.Name(),
-			Message: fmt.Sprintf("struct %s has mutex field(s) %s but no //guard: annotations; annotate the guarded fields (raylint -suggest-guards proposes candidates)",
+			Message: fmt.Sprintf("struct %s has mutex field(s) %s but no //guard: annotations; annotate the guarded fields",
 				ms.named.Obj().Name(), strings.Join(ms.mutexes, ", ")),
 		})
 	}
@@ -724,165 +723,4 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// Suggestion is one -suggest-guards candidate annotation (or near-miss).
-type Suggestion struct {
-	Pos token.Position
-	// Struct and Field name the unannotated field.
-	Struct, Field string
-	// Directive is the proposed annotation ("" for near-misses, where the
-	// unguarded sites in Note need a human decision first).
-	Directive string
-	// Note summarizes the observed access pattern.
-	Note string
-}
-
-func (s Suggestion) String() string {
-	if s.Directive != "" {
-		return fmt.Sprintf("%s:%d: %s.%s: %s (%s)", s.Pos.Filename, s.Pos.Line, s.Struct, s.Field, s.Directive, s.Note)
-	}
-	return fmt.Sprintf("%s:%d: %s.%s: no dominant guard (%s)", s.Pos.Filename, s.Pos.Line, s.Struct, s.Field, s.Note)
-}
-
-// SuggestGuards is the inference mode behind `raylint -suggest-guards`: it
-// observes the lock state at every access to unannotated fields of
-// mutex-carrying structs and clusters fields by the lock that dominates
-// their accesses. Fields whose every access holds one sibling lock get a
-// concrete //guard:by proposal (with .R when read-lock accesses were seen);
-// fields where a lock dominates but some sites are bare get a near-miss
-// report listing the unguarded positions — exactly the sites to audit.
-func SuggestGuards(prog *Program) []Suggestion {
-	table := buildGuardTable(prog)
-	type lockObs struct {
-		count, readOnly int
-	}
-	type fieldObs struct {
-		v        *types.Var
-		owner    *types.Named
-		total    int
-		atomic   int
-		perLock  map[string]*lockObs
-		unlocked []token.Position
-	}
-	obs := map[*types.Var]*fieldObs{}
-
-	for _, pkg := range prog.TargetPackages() {
-		for _, fb := range functionBodies(pkg) {
-			pkg := pkg
-			fresh := freshLocals(pkg, fb)
-			sc := &lockScanner{
-				pkg: pkg,
-				cb: lockCallbacks{
-					access: func(held []heldLock, sel *ast.SelectorExpr, kind accessKind) {
-						selection := pkg.Info.Selections[sel]
-						v, ok := selection.Obj().(*types.Var)
-						if !ok {
-							return
-						}
-						v = v.Origin()
-						if table.fields[v] != nil || isSyncType(v.Type()) || isMutexType(v.Type()) {
-							return
-						}
-						owner := namedOf(selection.Recv())
-						if owner == nil {
-							return
-						}
-						owner = owner.Origin()
-						muts := table.mutexFields[owner]
-						if len(muts) == 0 {
-							return
-						}
-						if obj := rootIdentObj(pkg, sel); obj != nil && fresh[obj] {
-							return
-						}
-						o := obs[v]
-						if o == nil {
-							o = &fieldObs{v: v, owner: owner, perLock: map[string]*lockObs{}}
-							obs[v] = o
-						}
-						o.total++
-						if kind == accessAtomic {
-							o.atomic++
-							return
-						}
-						base := types.ExprString(ast.Unparen(sel.X))
-						anyHeld := false
-						for _, m := range muts {
-							h := findHeld(held, base+"."+m)
-							if h == nil {
-								continue
-							}
-							anyHeld = true
-							lo := o.perLock[m]
-							if lo == nil {
-								lo = &lockObs{}
-								o.perLock[m] = lo
-							}
-							lo.count++
-							if h.kind == lockRead {
-								lo.readOnly++
-							}
-						}
-						if !anyHeld && len(o.unlocked) < 5 {
-							o.unlocked = append(o.unlocked, prog.Position(sel.Sel.Pos()))
-						}
-					},
-				},
-			}
-			sc.scan(fb)
-		}
-	}
-
-	var out []Suggestion
-	for _, o := range obs {
-		s := Suggestion{
-			Pos:    prog.Position(o.v.Pos()),
-			Struct: o.owner.Obj().Name(),
-			Field:  o.v.Name(),
-		}
-		if o.atomic == o.total {
-			s.Directive = "//guard:atomic"
-			s.Note = fmt.Sprintf("%d/%d accesses via sync/atomic", o.atomic, o.total)
-			out = append(out, s)
-			continue
-		}
-		// Pick the lock that covers the most accesses.
-		var best string
-		var bestObs *lockObs
-		for m, lo := range o.perLock {
-			if bestObs == nil || lo.count > bestObs.count || (lo.count == bestObs.count && m < best) {
-				best, bestObs = m, lo
-			}
-		}
-		if bestObs == nil {
-			continue // never locked: no evidence to cluster on
-		}
-		covered := bestObs.count + o.atomic
-		switch {
-		case covered == o.total:
-			lock := best
-			if bestObs.readOnly > 0 {
-				lock += ".R"
-			}
-			s.Directive = "//guard:by " + lock
-			s.Note = fmt.Sprintf("%d/%d accesses under %s (%d read-locked)", bestObs.count, o.total, best, bestObs.readOnly)
-			out = append(out, s)
-		case covered*2 >= o.total:
-			var sites []string
-			for _, p := range o.unlocked {
-				sites = append(sites, fmt.Sprintf("%s:%d", p.Filename, p.Line))
-			}
-			s.Note = fmt.Sprintf("%s held at %d/%d accesses; bare at %s", best, bestObs.count, o.total, strings.Join(sites, ", "))
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return out
 }

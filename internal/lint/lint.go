@@ -4,11 +4,13 @@
 // //lint:ignore suppression mechanism.
 //
 // The framework exists because the runtime's correctness rests on invariants
-// the Go compiler cannot see: lock discipline across a dozen mutex-guarded
-// subsystems, hand-rolled codec pairs that must stay field-for-field in sync,
-// typed IDs that must never be cast into each other, and errors on the GCS
-// flush/reclaim/spill paths that must never be dropped. Each analyzer in this
-// package turns one of those conventions into a checked invariant.
+// the Go compiler cannot see and the tests do not reach: lock discipline
+// across a dozen mutex-guarded subsystems, contexts that must reach every
+// wait, and errors on the GCS flush/reclaim/spill paths that must never be
+// dropped. Each analyzer in this package turns one of those
+// conventions into a checked invariant, and is kept only while it catches a
+// bug that neither the tests nor the race detector catch (README, "Static
+// analysis").
 package lint
 
 import (
@@ -43,15 +45,13 @@ type Analyzer interface {
 	Analyze(prog *Program) []Diagnostic
 }
 
-// DefaultAnalyzers returns the seven project analyzers with their production
-// configuration (the blocking sets, must-check sets, ctxflow package set,
-// and ID package tuned to this repository).
+// DefaultAnalyzers returns the five project analyzers with their production
+// configuration (the blocking sets, must-check sets and ctxflow package set
+// tuned to this repository).
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		NewMutexHold(nil),
 		NewLockOrder(),
-		NewIDConv(nil),
-		NewCodecSync(),
 		NewErrDrop(nil),
 		NewGuardedBy(),
 		NewCtxFlow(nil, nil, nil),

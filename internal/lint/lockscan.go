@@ -143,8 +143,7 @@ type lockCallbacks struct {
 	// additional locks are held.
 	isBlockingCall func(callee *types.Func, held []heldLock) bool
 	// access fires for every struct-field selector evaluated, with the locks
-	// held at that moment. The guardedby analyzer and the -suggest-guards
-	// inference consume these events.
+	// held at that moment. The guardedby analyzer consumes these events.
 	access func(held []heldLock, sel *ast.SelectorExpr, kind accessKind)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"ray/internal/resources"
+	"ray/internal/testutil/roundtrip"
 	"ray/internal/types"
 )
 
@@ -53,6 +54,14 @@ func TestSpecMarshalRoundTrip(t *testing.T) {
 	if back.Resources.Get(resources.CPU) != 1 || back.Resources.Get(resources.GPU) != 2 {
 		t.Fatalf("resources did not round trip: %v", back.Resources)
 	}
+}
+
+// Every field of a spec survives Marshal/Unmarshal, a field added later
+// included. Args (a tagged union) and Resources (unexported) are hand-built.
+func TestSpecRoundTripsEveryField(t *testing.T) {
+	args := []Arg{ValueArg([]byte("v")), RefArg(types.NewObjectID())}
+	res := resources.NewRequest(map[string]float64{resources.CPU: 2.25})
+	roundtrip.Check(t, (*Spec).Marshal, Unmarshal, args, res)
 }
 
 func TestActorSpecRoundTrip(t *testing.T) {

@@ -5,33 +5,28 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"ray/internal/testutil/roundtrip"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
+// Every field of a span, a field added later included, survives both the
+// single-span decoder and the batch one.
 func TestSpanMarshalRoundtrip(t *testing.T) {
-	in := Span{
-		Seq:           42,
-		Task:          "task:0011223344aa",
-		Name:          "train_step",
-		Phase:         PhaseExec,
-		Node:          "node:deadbeef0001",
-		Job:           "job:7",
-		StartUnixNano: 1700000000123456789,
-		DurationNanos: 250_000,
-		Bytes:         4096,
-	}
-	out, err := UnmarshalSpan(in.encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *out != in {
-		t.Errorf("roundtrip mismatch:\n got %+v\nwant %+v", *out, in)
-	}
+	roundtrip.Check(t, func(s *Span) []byte { return s.encode(nil) }, UnmarshalSpan)
+	roundtrip.Check(t, func(s *Span) []byte { return MarshalSpans([]Span{*s}) }, func(b []byte) (*Span, error) {
+		spans, err := UnmarshalSpans(b)
+		if err != nil || len(spans) != 1 {
+			return nil, fmt.Errorf("decoded %d spans: %v", len(spans), err)
+		}
+		return &spans[0], nil
+	})
 }
 
 func TestUnmarshalSpanTruncated(t *testing.T) {
