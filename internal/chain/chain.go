@@ -59,14 +59,6 @@ func (r *Replica) Kill() { r.alive.Store(false) }
 // Store exposes the underlying kv store (used by tests and state transfer).
 func (r *Replica) Store() *kv.Store { return r.store }
 
-func (r *Replica) apply(key string, value []byte) error {
-	if !r.Alive() {
-		return fmt.Errorf("%w: %s", ErrReplicaDown, r.ID)
-	}
-	r.store.Put(key, value)
-	return nil
-}
-
 func (r *Replica) read(key string) ([]byte, bool, error) {
 	if !r.Alive() {
 		return nil, false, fmt.Errorf("%w: %s", ErrReplicaDown, r.ID)
@@ -142,26 +134,37 @@ func (c *Chain) Replicas() []*Replica {
 // Reconfigurations returns how many times the master has reconfigured the chain.
 func (c *Chain) Reconfigurations() int64 { return c.reconfigurations.Load() }
 
-// Put writes key=value through the chain. On replica failure it reports the
-// failure to the master, waits for reconfiguration, and retries, so callers
-// see increased latency rather than an error (unless every replica is gone).
+// Put writes key=value through the chain: a one-entry PutBatch.
 func (c *Chain) Put(ctx context.Context, key string, value []byte) error {
-	return c.writeWithRepair(ctx, fmt.Sprintf("put %q", key), func(ctx context.Context) error {
-		return c.tryPut(ctx, key, value)
-	})
+	return c.PutBatch(ctx, []string{key}, [][]byte{value})
 }
 
-// writeWithRepair runs one write attempt under the write lock, repairing the
-// chain and retrying on replica failure — the shared commit protocol of Put
-// and PutBatch.
-func (c *Chain) writeWithRepair(ctx context.Context, what string, try func(context.Context) error) error {
+// PutBatch writes a group of key=value pairs through the chain as a single
+// commit: the whole batch rides one message per hop, each replica applies it
+// under one lock of its store (readers there see all of it or none), and the
+// chain's write lock is taken once. The GCS batching write path uses it to
+// amortize per-task control-plane appends (the paper's sharded-GCS throughput
+// argument). Every replica adopts the value slices (kv.Store.PutBatch), so
+// the caller must never write to them again. Pairs are applied in slice
+// order, so a later duplicate key wins, exactly as with sequential Puts. On
+// replica failure the master reconfigures the chain and the whole batch is
+// retried, so callers see increased latency rather than an error (unless
+// every replica is gone); replays are idempotent because writes are
+// last-writer-wins per key.
+func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("chain: batch size mismatch (%d keys, %d values)", len(keys), len(values))
+	}
+	if len(keys) == 0 {
+		return nil
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	for attempt := 0; attempt < 8; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := try(ctx)
+		err := c.tryPutBatch(ctx, keys, values)
 		if err == nil {
 			return nil
 		}
@@ -172,27 +175,7 @@ func (c *Chain) writeWithRepair(ctx context.Context, what string, try func(conte
 			return rerr
 		}
 	}
-	return fmt.Errorf("chain: %s failed after repeated reconfigurations", what)
-}
-
-// PutBatch writes a group of key=value pairs through the chain as a single
-// commit: the whole batch rides one message per hop instead of one message
-// per key, and the chain's write lock is taken once. The GCS batching write
-// path uses it to amortize per-task control-plane appends (the paper's
-// sharded-GCS throughput argument). Pairs are applied in slice order, so a
-// later duplicate key wins, exactly as with sequential Puts. On replica
-// failure the whole batch is retried after reconfiguration; replays are
-// idempotent because writes are last-writer-wins per key.
-func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("chain: batch size mismatch (%d keys, %d values)", len(keys), len(values))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	return c.writeWithRepair(ctx, fmt.Sprintf("batch of %d puts", len(keys)), func(ctx context.Context) error {
-		return c.tryPutBatch(ctx, keys, values)
-	})
+	return fmt.Errorf("chain: commit of %d keys failed after repeated reconfigurations", len(keys))
 }
 
 func (c *Chain) tryPutBatch(ctx context.Context, keys []string, values [][]byte) error {
@@ -210,39 +193,18 @@ func (c *Chain) tryPutBatch(ctx context.Context, keys []string, values [][]byte)
 				return err
 			}
 		}
-		for i := range keys {
-			if err := r.apply(keys[i], values[i]); err != nil {
-				return err
-			}
+		if !r.Alive() {
+			return fmt.Errorf("%w: %s", ErrReplicaDown, r.ID)
 		}
-	}
-	return nil
-}
-
-func (c *Chain) tryPut(ctx context.Context, key string, value []byte) error {
-	c.configMu.RLock()
-	replicas := make([]*Replica, len(c.replicas))
-	copy(replicas, c.replicas)
-	c.configMu.RUnlock()
-	if len(replicas) == 0 {
-		return ErrNoReplicas
-	}
-	for _, r := range replicas {
-		if c.cfg.Network != nil {
-			if err := c.cfg.Network.MessageDelay(ctx); err != nil {
-				return err
-			}
-		}
-		if err := r.apply(key, value); err != nil {
-			return err
-		}
+		r.store.PutBatch(keys, values)
 	}
 	return nil
 }
 
 // Get reads key from the tail. On tail failure it reports the failure,
-// repairs the chain, and retries. The value is the replica's own copy (see
-// kv.Store.Get) and must not be modified.
+// repairs the chain, and retries. The value is the committed value, shared by
+// every replica, never modified (see kv.Store.Get); the caller must not
+// modify it either.
 func (c *Chain) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -270,7 +232,7 @@ func (c *Chain) Get(ctx context.Context, key string) ([]byte, bool, error) {
 			return nil, false, rerr
 		}
 	}
-	return nil, false, fmt.Errorf("chain: get %q failed after repeated reconfigurations", key)
+	return nil, false, errors.New("chain: get failed after repeated reconfigurations")
 }
 
 // KillReplica fails the replica at the given position (0 = head). It returns

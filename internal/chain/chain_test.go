@@ -322,3 +322,90 @@ func TestPutBatchSurvivesReplicaFailure(t *testing.T) {
 		}
 	}
 }
+
+// batch returns n keys, the same on every call, with values tagged by round.
+func batch(n int, round byte) ([]string, [][]byte) {
+	keys := make([]string, n)
+	values := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%03d", i)
+		values[i] = []byte{round, byte(i)}
+	}
+	return keys, values
+}
+
+// Every replica, one joined by state transfer included, holds the very
+// slices a batch handed over: a committed value exists once.
+func TestPutBatchReplicasAdoptValues(t *testing.T) {
+	c := New(Config{ReplicationFactor: 3})
+	ctx := context.Background()
+	keys, values := batch(256, 0)
+	if err := c.PutBatch(ctx, keys, values); err != nil {
+		t.Fatal(err)
+	}
+	c.KillReplica(1)
+	if err := c.ReportFailure(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if reps := c.Replicas(); len(reps) != 3 || c.Reconfigurations() != 1 {
+		t.Fatalf("%d replicas after %d reconfigurations, want 3 after 1", len(reps), c.Reconfigurations())
+	}
+	for _, r := range c.Replicas() {
+		for i, k := range keys {
+			if v, ok := r.Store().Get(k); !ok || &v[0] != &values[i][0] || len(v) != len(values[i]) {
+				t.Fatalf("replica %s does not hold the slice %s was handed", r.ID, k)
+			}
+		}
+	}
+}
+
+// A 256-entry batch through an RF=2 chain allocates nothing per entry or per
+// replica: the replicas adopt the values instead of copying them.
+func TestPutBatchAllocatesNothingPerEntry(t *testing.T) {
+	c := New(Config{ReplicationFactor: 2})
+	ctx := context.Background()
+	keys, values := batch(256, 0)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := c.PutBatch(ctx, keys, values); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("a 256-entry RF=2 PutBatch allocates %v times, want at most 2", n)
+	}
+}
+
+// A reader polling the tail while batches land never sees a batch's first key
+// without its last: each replica applies a batch under one lock.
+func TestPutBatchVisibleAllAtOnce(t *testing.T) {
+	c := New(Config{ReplicationFactor: 2})
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 1; round <= 200; round++ {
+			keys, values := batch(256, byte(round))
+			if err := c.PutBatch(ctx, keys, values); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for landing := true; landing; {
+		select {
+		case <-done:
+			landing = false
+		default:
+		}
+		first, okFirst, err := c.Get(ctx, "k000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, okLast, err := c.Get(ctx, "k255")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if okFirst && (!okLast || last[0] < first[0]) {
+			t.Fatalf("the tail shows round %d of the first key before that round's last key", first[0])
+		}
+	}
+}

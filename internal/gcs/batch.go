@@ -43,10 +43,10 @@ type shardBatcher struct {
 	onCommit func() //guard:init
 
 	mu      sync.Mutex
-	pending map[string]*pendingWrite //guard:by mu
-	order   []string                 //guard:by mu — keys awaiting their first flush since last enqueue
-	seq     uint64                   //guard:by mu
-	closed  bool                     //guard:by mu
+	pending map[string]pendingWrite //guard:by mu
+	order   []string                //guard:by mu — keys awaiting their first flush since last enqueue
+	seq     uint64                  //guard:by mu
+	closed  bool                    //guard:by mu
 	// committedSeq is the highest sequence number S such that every write
 	// with seq <= S has been chain-committed (or superseded by a committed
 	// newer write to the same key). Commit futures resolve against it.
@@ -97,7 +97,7 @@ func newShardBatcher(ch *chain.Chain, flushInterval time.Duration, maxEntries in
 		flushInterval: flushInterval,
 		maxEntries:    maxEntries,
 		onCommit:      onCommit,
-		pending:       make(map[string]*pendingWrite),
+		pending:       make(map[string]pendingWrite),
 		kick:          make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -113,9 +113,10 @@ func newShardBatcher(ch *chain.Chain, flushInterval time.Duration, maxEntries in
 }
 
 // enqueue deposits a write into the pending buffer; the commit happens on
-// the next flush. It reports false — without enqueuing — once the batcher is
-// closed, because the stopped flusher would never commit the entry; the
-// caller must write through the chain directly instead.
+// the next flush, which hands value to the chain for good. It reports false
+// — without enqueuing — once the batcher is closed, because the stopped
+// flusher would never commit the entry; the caller must write through the
+// chain directly instead.
 func (b *shardBatcher) enqueue(key string, value []byte) bool {
 	b.mu.Lock()
 	if b.closed {
@@ -123,18 +124,14 @@ func (b *shardBatcher) enqueue(key string, value []byte) bool {
 		return false
 	}
 	b.seq++
-	if pw, ok := b.pending[key]; ok {
-		pw.value = value
-		pw.seq = b.seq
-		if !pw.queued {
-			pw.queued = true
-			b.order = append(b.order, key)
-		}
-		b.coalesced.Add(1)
-	} else {
-		b.pending[key] = &pendingWrite{value: value, seq: b.seq, queued: true}
+	pw, ok := b.pending[key]
+	if !pw.queued {
 		b.order = append(b.order, key)
 	}
+	if ok {
+		b.coalesced.Add(1)
+	}
+	b.pending[key] = pendingWrite{value: value, seq: b.seq, queued: true}
 	full := len(b.order) >= b.maxEntries
 	b.mu.Unlock()
 	b.enqueued.Add(1)
@@ -207,9 +204,9 @@ func (b *shardBatcher) flush(ctx context.Context) error {
 	seqs := make([]uint64, len(keys))
 	for i, key := range keys {
 		pw := b.pending[key]
+		values[i], seqs[i] = pw.value, pw.seq
 		pw.queued = false
-		values[i] = pw.value
-		seqs[i] = pw.seq
+		b.pending[key] = pw
 	}
 	// Every write with seq <= snapshotSeq is either in this snapshot (its
 	// key's latest value) or superseded by one that is, so a successful
@@ -246,6 +243,7 @@ func (b *shardBatcher) flush(ctx context.Context) error {
 		for _, key := range keys {
 			if pw, ok := b.pending[key]; ok && !pw.queued {
 				pw.queued = true
+				b.pending[key] = pw
 				b.order = append(b.order, key)
 			}
 		}

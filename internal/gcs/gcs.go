@@ -302,7 +302,7 @@ func (s *Store) put(ctx context.Context, si int, key string, value []byte) error
 	// write, like every write under SyncWrites.
 	if s.batchers == nil || !s.batchers[si].enqueue(key, value) {
 		if err := s.shards[si].Put(ctx, key, value); err != nil {
-			return fmt.Errorf("gcs: put %q: %w", key, err)
+			return fmt.Errorf("gcs: put %s: %w", displayKey(key), err)
 		}
 		s.maybeFlush()
 	}
@@ -319,7 +319,7 @@ func (s *Store) get(ctx context.Context, si int, key string) ([]byte, bool, erro
 	}
 	v, ok, err := s.shards[si].Get(ctx, key)
 	if err != nil {
-		return nil, false, fmt.Errorf("gcs: get %q: %w", key, err)
+		return nil, false, fmt.Errorf("gcs: get %s: %w", displayKey(key), err)
 	}
 	return v, ok, nil
 }
@@ -353,7 +353,7 @@ func (s *Store) publish(si int, key string) {
 	w.mu.Unlock()
 }
 
-// subscribe returns a channel signalled on every write to a key prefix+hex(id).
+// subscribe returns a channel signalled on every write to a key tableKey(prefix, id).
 // cancel drops the registrations (the channel is the caller's and is never
 // closed); calling it twice is harmless.
 func subscribe[ID ~[types.IDSize]byte](s *Store, prefix string, ids []ID) (<-chan struct{}, func()) {
@@ -548,17 +548,17 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Key prefixes for each table.
+// Key prefixes for each table. No prefix is a prefix of another, so matching
+// a key on its table's prefix never reaches into the raw ID bytes after it.
 const (
-	keyPrefixObject    = "obj/"
-	keyPrefixTask      = "task/"
-	keyPrefixActor     = "actor/"
-	keyPrefixFunction  = "fn/"
-	keyPrefixNode      = "node/"
-	keyPrefixHeartbeat = "hb/"
-	keyPrefixEvent     = "event/"
-	keyPrefixJob       = "jobtbl/"
-	keyPrefixSpan      = "span/"
+	keyPrefixObject   = "obj/"
+	keyPrefixTask     = "task/"
+	keyPrefixActor    = "actor/"
+	keyPrefixFunction = "fn/"
+	keyPrefixNode     = "node/"
+	keyPrefixEvent    = "event/"
+	keyPrefixJob      = "jobtbl/"
+	keyPrefixSpan     = "span/"
 )
 
 // StatsName implements telemetry.Reporter.

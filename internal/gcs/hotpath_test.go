@@ -201,8 +201,8 @@ func TestUpdateTaskStatusDoesNotDecodeSpec(t *testing.T) {
 	if err := s.UpdateTaskStatus(ctx, types.NewTaskID(), types.TaskFinished, node); err == nil {
 		t.Fatal("update of an unknown task succeeded")
 	}
-	// Key, patched copy, and the batcher's pending record; a decode would add
-	// the spec, its arguments and its resource request.
+	// Key and patched copy (the batcher stores its pending record by value);
+	// a decode would add the spec, its arguments and its resource request.
 	if n := testing.AllocsPerRun(100, func() {
 		if err := s.UpdateTaskStatus(ctx, id, types.TaskRunning, node); err != nil {
 			t.Fatal(err)

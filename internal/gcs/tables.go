@@ -15,13 +15,26 @@ import (
 
 // --- Object table ------------------------------------------------------------
 
-// tableKey builds prefix + hex(id) in a stack buffer, so a key costs the one
-// allocation of its string.
+// tableKey builds the table prefix followed by id's 16 raw bytes in a stack
+// buffer, so a key costs the one allocation of its string. The raw bytes may
+// be anything, '/' and 0x00 included: keys are only hashed, compared and
+// matched on their table prefix, and displayKey renders them for people.
 func tableKey(prefix string, id types.UniqueID) string {
-	var buf [len(keyPrefixJob) + 2*types.IDSize]byte // keyPrefixJob is the longest prefix
+	var buf [len(keyPrefixJob) + types.IDSize]byte // keyPrefixJob is the longest prefix
 	n := copy(buf[:], prefix)
-	hex.Encode(buf[n:], id[:])
-	return string(buf[:n+2*types.IDSize])
+	n += copy(buf[n:], id[:])
+	return string(buf[:n])
+}
+
+// displayKey renders a key where a person reads it: an ID table's key as its
+// prefix followed by the ID in hex, any other key as it is.
+func displayKey(key string) string {
+	for _, prefix := range []string{keyPrefixObject, keyPrefixTask, keyPrefixActor, keyPrefixNode, keyPrefixJob} {
+		if len(key) == len(prefix)+types.IDSize && hasPrefix(key, prefix) {
+			return prefix + hex.EncodeToString([]byte(key[len(prefix):]))
+		}
+	}
+	return key
 }
 
 func objectKey(id types.ObjectID) string { return tableKey(keyPrefixObject, types.UniqueID(id)) }

@@ -2,8 +2,13 @@
 // Global Control Store. The paper uses one Redis instance per GCS shard with
 // entirely single-key operations; this package provides the equivalent in
 // pure Go: a map with per-store locking, prefix scans for debugging tools,
-// publish hooks for the GCS pub-sub layer, and memory accounting plus
-// flush support for the lineage-flushing experiment (Figure 10b).
+// and memory accounting plus flush support for the lineage-flushing
+// experiment (Figure 10b).
+//
+// A store adopts the values it is handed: every replica of a chain holds the
+// same immutable bytes, so each committed value exists once however many
+// replicas there are. A caller never writes to a value after handing it over,
+// and the store never writes to one either: a newer Put replaces it.
 package kv
 
 import (
@@ -37,27 +42,34 @@ func NewStore() *Store {
 	return &Store{data: make(map[string][]byte)}
 }
 
-// Put stores value under key, replacing any previous value. The value slice
-// is copied so callers may reuse their buffers.
+// Put stores value under key, replacing any previous value. It is a
+// one-entry PutBatch: the store adopts value.
 func (s *Store) Put(key string, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
+	s.PutBatch([]string{key}, [][]byte{value})
+}
+
+// PutBatch stores values[i] under keys[i] in slice order (a later duplicate
+// key wins) under one lock, so readers see the whole batch or none of it.
+// The store adopts the value slices: it keeps them, not copies, and the
+// caller must never write to them again.
+func (s *Store) PutBatch(keys []string, values [][]byte) {
 	s.mu.Lock()
-	if old, ok := s.data[key]; ok {
-		s.bytes -= int64(len(old))
-	} else {
-		s.bytes += int64(len(key))
+	for i, key := range keys {
+		if old, ok := s.data[key]; ok {
+			s.bytes -= int64(len(old))
+		} else {
+			s.bytes += int64(len(key))
+		}
+		s.data[key] = values[i]
+		s.bytes += int64(len(values[i]))
 	}
-	s.data[key] = v
-	s.bytes += int64(len(v))
 	s.version++
 	s.mu.Unlock()
 }
 
-// Get returns the value stored under key. The slice is the store's own copy,
-// shared with every other reader, and must not be modified: the store never
-// changes a value in place (Put replaces it), so handing it out costs no
-// copy on what is the GCS's per-read hot path.
+// Get returns the value stored under key: the committed value, shared by
+// every replica, never modified. The caller must not modify it either, so
+// handing it out costs no copy on what is the GCS's per-read hot path.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	v, ok := s.data[key]
@@ -116,32 +128,30 @@ func (s *Store) Keys(prefix string) []string {
 	return keys
 }
 
-// Snapshot returns a copy of the entire store contents, used for chain
-// replication state transfer when a new replica joins.
+// Snapshot returns the entire store contents, sorted by key, for chain
+// replication state transfer when a new replica joins. The values are the
+// store's own, shared and immutable like Get's.
 func (s *Store) Snapshot() []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	entries := make([]Entry, 0, len(s.data))
 	for k, v := range s.data {
-		val := make([]byte, len(v))
-		copy(val, v)
-		entries = append(entries, Entry{Key: k, Value: val})
+		entries = append(entries, Entry{Key: k, Value: v})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return entries
 }
 
-// Restore replaces the store contents with the given snapshot.
+// Restore replaces the store contents with the given snapshot, adopting its
+// values as PutBatch does.
 func (s *Store) Restore(entries []Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data = make(map[string][]byte, len(entries))
 	s.bytes = 0
 	for _, e := range entries {
-		v := make([]byte, len(e.Value))
-		copy(v, e.Value)
-		s.data[e.Key] = v
-		s.bytes += int64(len(e.Key)) + int64(len(v))
+		s.data[e.Key] = e.Value
+		s.bytes += int64(len(e.Key)) + int64(len(e.Value))
 	}
 	s.version++
 }

@@ -37,18 +37,46 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestValueIsolation(t *testing.T) {
 	s := NewStore()
-	buf := []byte("mutable")
-	s.Put("k", buf)
-	buf[0] = 'X'
+	s.Put("k", []byte("mutable"))
 	v, _ := s.Get("k")
-	if string(v) != "mutable" {
-		t.Fatal("store must copy values on Put")
-	}
-	// Replacing a value leaves a slice handed out earlier untouched: values
-	// are never changed in place, which is what lets Get share them.
+	other := NewStore()
+	other.Restore(s.Snapshot())
+	// Replacing a value leaves a slice handed out earlier, and every store
+	// sharing it, untouched: values are never changed in place, which is
+	// what lets Get and Snapshot share them.
 	s.Put("k", []byte("changed"))
 	if string(v) != "mutable" {
 		t.Fatal("Put must replace the stored value, not overwrite it in place")
+	}
+	if got, _ := other.Get("k"); string(got) != "mutable" {
+		t.Fatalf("a restored store sees %q after the source replaced the value", got)
+	}
+}
+
+// A batch's values are adopted, not copied, by Put, PutBatch and state
+// transfer alike: every store holding a value holds the slice it was handed.
+func TestPutBatchAdoptsValues(t *testing.T) {
+	s := NewStore()
+	keys := []string{"a", "b", "a"}
+	values := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
+	s.PutBatch(keys, values)
+	single := []byte("single")
+	s.Put("c", single)
+	want := map[string][]byte{"a": values[2], "b": values[1], "c": single} // a later duplicate wins
+	other := NewStore()
+	other.Restore(s.Snapshot())
+	for _, st := range []*Store{s, other} {
+		for k, w := range want {
+			if v, ok := st.Get(k); !ok || &v[0] != &w[0] || len(v) != len(w) {
+				t.Fatalf("key %q does not hold the slice it was handed", k)
+			}
+		}
+		if st.Len() != 3 || st.Bytes() != int64(3+len("third")+len("second")+len("single")) {
+			t.Fatalf("len=%d bytes=%d after a batch with a duplicate key", st.Len(), st.Bytes())
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.PutBatch(keys, values); s.Put("c", single) }); n != 0 {
+		t.Fatalf("writes over resident keys allocate %v times, want 0", n)
 	}
 }
 
