@@ -96,15 +96,10 @@ func Encode(v any) ([]byte, error) {
 		}
 		return out, nil
 	case []byte:
-		out := make([]byte, 1+len(x))
-		out[0] = tagBytes
-		copy(out[1:], x)
-		return out, nil
+		// append does not zero-fill the bytes it is about to overwrite.
+		return append([]byte{tagBytes}, x...), nil
 	case string:
-		out := make([]byte, 1+len(x))
-		out[0] = tagString
-		copy(out[1:], x)
-		return out, nil
+		return append([]byte{tagString}, x...), nil
 	default:
 		var buf bytes.Buffer
 		buf.WriteByte(tagGob)

@@ -12,15 +12,13 @@ import (
 // run under a mutex. Patterns are funcFullName forms; a trailing "*" matches
 // a prefix. The repository-specific entries are the store wait, chain commit,
 // and netsim transfer paths — each one a simulated network or disk round
-// trip — and a reservation's buffer, which waits for its allocation.
+// trip.
 var DefaultBlockingCalls = []string{
 	"time.Sleep",
 	"sync.Cond.Wait",
 	"sync.WaitGroup.Wait",
 	"ray/internal/objectstore.Store.Wait",
 	"ray/internal/objectstore.Store.WaitEvictions",
-	"ray/internal/objectstore.PendingPut.Data",
-	"ray/internal/objectstore.PendingPut.Commit",
 	"ray/internal/chain.Chain.Put",
 	"ray/internal/chain.Chain.PutBatch",
 	"ray/internal/netsim.Network.Transfer",

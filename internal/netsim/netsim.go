@@ -17,7 +17,11 @@
 // chunks and issues them concurrently from several worker goroutines (the
 // object manager's pipelined pull path) pays the message latency once per
 // in-flight window rather than once per object, and can overlap chunks of
-// several objects — the multi-stream win of Figure 12a.
+// several objects — the multi-stream win of Figure 12a. TransferChunk is
+// given the time the train was sent and returns when the model says it
+// arrived, so whatever the receiver did since — reserve its buffer, copy the
+// bytes in as they land — is inside the wire time, as on a real NIC, not
+// added to it.
 //
 // A global TimeScale lets experiments that span hundreds of seconds in the
 // paper complete in seconds here while preserving every ratio between
@@ -150,10 +154,11 @@ func (n *Network) ChunkDuration(size int64) time.Duration {
 	return n.cfg.LatencyPerMessage + time.Duration(seconds*float64(time.Second))
 }
 
-// TransferChunk blocks for the scaled duration of moving one chunk train of
-// size bytes over a single stream, or until the context is cancelled.
-func (n *Network) TransferChunk(ctx context.Context, size int64) error {
-	return n.sleep(ctx, n.ChunkDuration(size))
+// TransferChunk blocks until one chunk train of size bytes, sent at sent,
+// has arrived: sent plus the scaled ChunkDuration(size). A train already due
+// returns at once; cancellation ends the wait either way.
+func (n *Network) TransferChunk(ctx context.Context, sent time.Time, size int64) error {
+	return until(ctx, n.Scale(n.ChunkDuration(size))-time.Since(sent))
 }
 
 // MessageDelay blocks for one scaled message latency (a control-plane RPC).
@@ -174,17 +179,16 @@ func (n *Network) Scale(d time.Duration) time.Duration {
 }
 
 func (n *Network) sleep(ctx context.Context, d time.Duration) error {
-	scaled := n.Scale(d)
-	if scaled <= 0 {
+	return until(ctx, n.Scale(d))
+}
+
+// until blocks for the already scaled remaining time, or until ctx is done.
+func until(ctx context.Context, remaining time.Duration) error {
+	if remaining <= 0 {
 		// Still honour cancellation so infinite loops cannot ignore it.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
+		return ctx.Err()
 	}
-	return wait(ctx, scaled)
+	return wait(ctx, remaining)
 }
 
 // timerWait blocks for d on the runtime timer, or until ctx is done: the

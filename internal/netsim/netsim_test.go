@@ -78,6 +78,9 @@ func TestInstantConfigDoesNotSleep(t *testing.T) {
 		if err := n.Transfer(context.Background(), 1<<30, 1); err != nil {
 			t.Fatal(err)
 		}
+		if err := n.TransferChunk(context.Background(), time.Now(), 1<<30); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
 		t.Fatalf("instant network slept: %v", elapsed)
@@ -154,8 +157,37 @@ func TestTransferChunkHonoursCancellation(t *testing.T) {
 	n := New(Config{BandwidthBytesPerSec: 1, MaxParallelStreams: 1, TimeScale: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := n.TransferChunk(ctx, 1<<30); err == nil {
+	if err := n.TransferChunk(ctx, time.Now(), 1<<30); err == nil {
 		t.Fatal("cancelled chunk transfer must return an error")
+	}
+	// A train already due still reports the cancellation.
+	if err := n.TransferChunk(ctx, time.Now().Add(-time.Hour), 1); err == nil {
+		t.Fatal("cancelled chunk transfer that is already due must return an error")
+	}
+}
+
+// A chunk train counts its wire time from when it was sent: one sent long
+// enough ago has arrived and returns at once, a recent one ends no earlier
+// than its send time plus its modelled duration.
+func TestTransferChunkCountsFromItsSendTime(t *testing.T) {
+	n := New(Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: time.Hour, TimeScale: 1})
+	start := time.Now()
+	if err := n.TransferChunk(context.Background(), start.Add(-2*time.Hour), 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("a train due an hour ago waited %v", took)
+	}
+
+	n = New(Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: 20 * time.Millisecond, TimeScale: 1})
+	for _, ago := range []time.Duration{0, 5 * time.Millisecond, 15 * time.Millisecond} {
+		sent := time.Now().Add(-ago)
+		if err := n.TransferChunk(context.Background(), sent, 1<<10); err != nil {
+			t.Fatal(err)
+		}
+		if took, want := time.Since(sent), n.ChunkDuration(1<<10); took < want {
+			t.Fatalf("train sent %v ago arrived %v after its send, before its modelled %v", ago, took, want)
+		}
 	}
 }
 
@@ -185,11 +217,12 @@ func TestModelledWaitEndsNearItsDeadline(t *testing.T) {
 }
 
 // TestWaitCancelledMidFlightReturnsPromptly cancels a wait that is already
-// parked, on the precise path and on the timer fallback.
+// parked, on the precise path, on a chunk train's and on the timer fallback.
 func TestWaitCancelledMidFlightReturnsPromptly(t *testing.T) {
 	n := New(Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: time.Hour, TimeScale: 1})
 	for name, wait := range map[string]func(context.Context) error{
 		"netsim":   n.MessageDelay,
+		"chunk":    func(ctx context.Context) error { return n.TransferChunk(ctx, time.Now(), 1<<20) },
 		"fallback": func(ctx context.Context) error { return timerWait(ctx, time.Hour) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -9,13 +9,15 @@
 // message latency buys a whole window), and windows are fetched by
 // TransferStreams concurrent workers that assemble directly into a
 // store-owned buffer reserved up front (objectstore.BeginPut) and committed
-// once complete. The reservation is decided before the first window leaves;
-// the buffer's allocation runs during the windows' wire time, and a worker
-// waits for it only when it has bytes to copy. Workers stripe windows across
-// every live replica of the object, so a hot object is pulled from several
-// sources at once, and a window whose source dies mid-transfer fails over to
-// another replica without restarting the object. Objects no larger than one
-// chunk keep the single-message fast path.
+// once complete. A pull costs its modelled wire time: the clock starts before
+// the reservation, so each worker's first window is on the wire while the
+// buffer is allocated, and a worker copies a window in as it arrives, then
+// waits out what is left of its wire time. Only a reservation plus copy that
+// overruns the wire makes a pull slower than the model. Workers stripe
+// windows across every live replica of the object, so a hot object is pulled
+// from several sources at once, and a window whose source dies mid-transfer
+// fails over to another replica without restarting the object. Objects no
+// larger than one chunk keep the single-message fast path.
 //
 // Because object location metadata lives in the GCS rather than in the
 // scheduler, transfers never involve the scheduler — the decoupling of task
@@ -461,9 +463,10 @@ func (m *Manager) fetchChunked(ctx context.Context, id types.ObjectID, entry *gc
 		return fmt.Errorf("objectmanager: no usable replica for %s: %w", id, types.ErrObjectLost)
 	}
 
-	// The clock starts before the reservation: a pull's time (transferNanos,
-	// ray_objectmanager_pull_seconds, the transfer span) is reserve + wire +
-	// copy, so what BeginPut costs is seen, not hidden in front of it.
+	// The clock starts before the reservation, and each worker's first window
+	// is sent at start: the request goes out before the receiver allocates. A
+	// pull's time (transferNanos, ray_objectmanager_pull_seconds, the transfer
+	// span) is therefore its wire time, unless reserve + copy overrun it.
 	start := time.Now()
 	a, err := m.assemblyFor(id, size, isError)
 	if err != nil {
@@ -493,9 +496,14 @@ func (m *Manager) fetchChunked(ctx context.Context, id types.ObjectID, entry *gc
 
 	err = parallel.ForEach(ctx, workers, len(todo), func(fetchCtx context.Context, i int) error {
 		w := todo[i]
+		// Later windows go out when their worker picks them up.
+		sent := start
+		if i >= workers {
+			sent = time.Now()
+		}
 		m.inflightWin.Inc()
 		defer m.inflightWin.Dec()
-		if err := m.fetchWindow(fetchCtx, id, a, w, sources); err != nil {
+		if err := m.fetchWindow(fetchCtx, id, a, w, sent, sources); err != nil {
 			return err
 		}
 		a.done[w] = true
@@ -596,9 +604,10 @@ func (m *Manager) assemblyFor(id types.ObjectID, size int64, isError bool) (*ass
 // fetchWindow copies one window of chunks into the assembly's buffer, trying
 // each replica in turn (starting at a per-window offset so concurrent windows
 // stripe across replicas) and re-resolving the source on every attempt so a
-// replica that died mid-transfer is skipped. It asks for the buffer only
-// after the window's wire time, which its allocation overlaps.
-func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, a *assembly, window int, sources []types.NodeID) error {
+// replica that died mid-transfer is skipped. The window was sent at sent; its
+// copy runs while it is on the wire (a receiver copies bytes as they land),
+// and it returns once the window's wire time is over.
+func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, a *assembly, window int, sent time.Time, sources []types.NodeID) error {
 	lo := int64(window) * a.windowBytes
 	hi := min(lo+a.windowBytes, a.size)
 	var lastErr error
@@ -614,13 +623,11 @@ func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, a *assembl
 			lastErr = fmt.Errorf("objectmanager: %s missing on %s", id, src)
 			continue
 		}
-		if m.network != nil {
-			if err := m.network.TransferChunk(ctx, hi-lo); err != nil {
-				return err
-			}
-		}
 		copy(a.pending.Data()[lo:hi], obj.Data[lo:hi])
-		return nil
+		if m.network == nil {
+			return nil
+		}
+		return m.network.TransferChunk(ctx, sent, hi-lo)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("objectmanager: window %d of %s unavailable: %w", window, id, types.ErrObjectLost)
@@ -630,8 +637,8 @@ func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, a *assembl
 
 // recordTransfer emits the transfer span for a completed pull, attributed
 // to the pulling node (src rides along in the span name's source field via
-// Task). A chunked pull's span covers reserve + wire + copy: it starts before
-// the store reservation.
+// Task). A chunked pull's span starts before the store reservation and ends
+// with the last window's wire time (or the copy, if that overruns it).
 func (m *Manager) recordTransfer(id types.ObjectID, src types.NodeID, start time.Time, elapsed time.Duration, size int64) {
 	if !m.tracer.Sampled(id[15]) {
 		return

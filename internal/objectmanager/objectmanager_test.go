@@ -756,3 +756,101 @@ func TestReservationRefusedBeforeAnyWireTime(t *testing.T) {
 		t.Fatalf("refused reservation changed the store: used=%d", dstStore.Used())
 	}
 }
+
+// timedPair is a source and a destination manager over the given network,
+// sharing one GCS.
+func timedPair(t *testing.T, net *netsim.Network, cfg Config) (src, dst *Manager) {
+	t.Helper()
+	g := gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
+	t.Cleanup(func() { _ = g.Close() })
+	cluster := newFakeCluster()
+	for _, m := range []**Manager{&src, &dst} {
+		node := types.NewNodeID()
+		store := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
+		cluster.add(node, store)
+		*m = New(cfg, node, store, g, net, cluster)
+	}
+	return src, dst
+}
+
+// A chunked pull costs at least its modelled wire time: the receive copies
+// run inside it, never in place of it. Only the lower bound is asserted.
+func TestChunkedPullTakesAtLeastItsWireTime(t *testing.T) {
+	net := netsim.New(netsim.Config{BandwidthBytesPerSec: 64e6, MaxParallelStreams: 4, LatencyPerMessage: 5 * time.Millisecond, TimeScale: 1})
+	mSrc, mDst := timedPair(t, net, chunkedConfig())
+
+	ctx := context.Background()
+	id := types.NewObjectID()
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i * 17)
+	}
+	if err := mSrc.Put(ctx, id, payload, false, types.NilTaskID); err != nil {
+		t.Fatal(err)
+	}
+	// 1 MiB in 64 KiB chunks, two per window: 8 windows over 4 streams, so
+	// every stream carries two 128 KiB windows back to back.
+	wire := 2 * net.ChunkDuration(128<<10)
+	start := time.Now()
+	if err := mDst.Pull(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < wire {
+		t.Fatalf("pull took %v, less than its modelled wire time %v", took, wire)
+	}
+	if st := mDst.Stats(); time.Duration(st.TransferNanos) < wire || st.ChunksPulled != 16 {
+		t.Fatalf("pull recorded %v over %d chunks, want ≥ %v over 16", time.Duration(st.TransferNanos), st.ChunksPulled, wire)
+	}
+	if obj, ok := mDst.Local().Get(id); !ok || !bytes.Equal(obj.Data, payload) {
+		t.Fatal("pulled object missing or corrupt")
+	}
+}
+
+// A pull cancelled while its window is on the wire — copied into the
+// reservation, its wire time not yet over — parks without marking the window
+// done; the resumed pull fetches it again and commits the right bytes.
+func TestPullCancelledMidWireResumesAndCommits(t *testing.T) {
+	// One stream, two 32 KiB windows, each ~100 ms on the wire.
+	net := netsim.New(netsim.Config{BandwidthBytesPerSec: 1e9, MaxParallelStreams: 1, LatencyPerMessage: 100 * time.Millisecond, TimeScale: 1})
+	mSrc, mDst := timedPair(t, net, Config{TransferStreams: 1, ChunkBytes: 32 << 10, PipelineDepth: 1})
+	dstStore := mDst.Local()
+
+	ctx := context.Background()
+	id := types.NewObjectID()
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(i*29 + 3)
+	}
+	if err := mSrc.Put(ctx, id, payload, false, types.NilTaskID); err != nil {
+		t.Fatal(err)
+	}
+
+	pullCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if err := mDst.Pull(pullCtx, id); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("pull cancelled mid-wire returned %v, want context.DeadlineExceeded", err)
+	}
+	done := mDst.Stats().ChunksPulled
+	if done >= 2 {
+		t.Skip("transfer finished before cancellation landed; resume not exercised")
+	}
+	if dstStore.Contains(id) || dstStore.Used() != int64(len(payload)) {
+		t.Fatalf("a cancelled pull must park its reservation unpublished: contains=%v used=%d", dstStore.Contains(id), dstStore.Used())
+	}
+
+	if err := mDst.Pull(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	obj, ok := dstStore.Get(id)
+	if !ok || !bytes.Equal(obj.Data, payload) {
+		t.Fatal("resumed pull committed the wrong bytes")
+	}
+	// A resume that skipped no window is not counted as one.
+	st := mDst.Stats()
+	if st.ResumedPulls != min(done, 1) || st.ResumedWindows != done || st.ChunksPulled != 2 {
+		t.Fatalf("resume accounting wrong: %+v (windows done before resume: %d)", st, done)
+	}
+	if dstStore.Used() != int64(len(payload)) {
+		t.Fatalf("used=%d, want %d: the parked reservation leaked", dstStore.Used(), len(payload))
+	}
+}

@@ -13,13 +13,13 @@
 // For chunked transfers, BeginPut reserves a store-owned destination buffer
 // that transfer workers fill concurrently; the reservation counts against
 // capacity, is implicitly pinned until committed or aborted, and becomes
-// visible atomically at Commit. The reservation is decided at once; the
-// buffer itself is allocated, and its pages faulted in by the copy threads,
-// in the background, so that work overlaps the wire time of the first
-// windows instead of preceding or following it. Eviction callbacks run
-// synchronously after the triggering Put returns the lock, and WaitEvictions
-// orders a re-put's external location registration after the eviction's
-// de-registration.
+// visible atomically at Commit. BeginPut allocates the buffer in line: a
+// puller starts its wire clock before calling it, so the allocation overlaps
+// the first windows' wire time without a goroutine of its own. Put's
+// one-thread copy is a single allocation the runtime does not zero-fill
+// before the copy overwrites it. Eviction callbacks run synchronously after
+// the triggering Put returns the lock, and WaitEvictions orders a re-put's
+// external location registration after the eviction's de-registration.
 //
 // The store charges each payload by what its buffer holds (its capacity), not
 // by its length: an adopted buffer's spare capacity is memory the store keeps
@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -270,36 +269,21 @@ func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) 
 type PendingPut struct {
 	store   *Store
 	id      types.ObjectID
-	size    int64
 	isError bool
-	// buf is written once, by the allocating goroutine, before ready closes.
 	buf     []byte
-	ready   chan struct{}
 	settled bool // under store.mu
 }
 
-// makePayload allocates a reservation's buffer. It is always a fresh make,
-// never pooled: views of a committed object outlive the store's reference
-// (see Object.Data), so a buffer must never be handed out twice. Tests
-// replace it to hold a reservation's buffer back.
-var makePayload = func(size int64) []byte { return make([]byte, size) }
-
-// Data returns the destination buffer, waiting for its allocation if that is
-// still running: call it when there is something to copy, not before the
-// wire. Chunk workers may fill disjoint ranges concurrently; no range may be
-// written after Commit.
-func (p *PendingPut) Data() []byte {
-	<-p.ready
-	return p.buf
-}
+// Data returns the destination buffer. Chunk workers may fill disjoint
+// ranges concurrently; no range may be written after Commit.
+func (p *PendingPut) Data() []byte { return p.buf }
 
 // BeginPut reserves capacity for an object of the given size and returns a
 // pending buffer for chunked assembly, evicting unpinned objects as needed.
 // If the object is already resident the reservation is refused with ok=false
-// (the existing copy is identical — objects are immutable). The refusals and
-// the eviction happen before BeginPut returns; the buffer is allocated in the
-// background (a fresh payload-sized make is mostly page faults), so a puller
-// spends that time on the wire.
+// (the existing copy is identical — objects are immutable). The buffer is a
+// fresh make, never pooled: views of a committed object outlive the store's
+// reference (see Object.Data), so a buffer must never be handed out twice.
 func (s *Store) BeginPut(id types.ObjectID, size int64, isError bool) (*PendingPut, bool, error) {
 	if size > s.cfg.CapacityBytes {
 		return nil, false, fmt.Errorf("objectstore: object %s (%d bytes) exceeds capacity %d: %w",
@@ -325,37 +309,13 @@ func (s *Store) BeginPut(id types.ObjectID, size int64, isError bool) (*PendingP
 	s.mu.Unlock()
 	s.writeSpills(toSpill)
 	s.notifyEvicted(evicted)
-	p := &PendingPut{store: s, id: id, size: size, isError: isError, ready: make(chan struct{})}
-	// makePayload is read here, not on the goroutine, so a test restoring it
-	// does not race with an allocation still in flight.
-	go p.materialise(makePayload, s.threadsFor(size))
-	return p, true, nil
-}
-
-// materialise allocates the reservation's buffer and faults its pages in,
-// split across the store's copy threads as Put's copy is, while the puller's
-// windows are on the wire. It yields first, so the transfer workers the
-// caller starts next reach the wire before the page faults take the CPU; the
-// faults then overlap the wire, in parallel, instead of following it in the
-// workers' copies.
-func (p *PendingPut) materialise(alloc func(int64) []byte, threads int) {
-	runtime.Gosched()
-	buf := alloc(p.size)
-	page := os.Getpagesize()
-	inParallel(len(buf), threads, func(lo, hi int) {
-		for i := lo; i < hi; i += page {
-			buf[i] = 0
-		}
-	})
-	p.buf = buf
-	close(p.ready)
+	return &PendingPut{store: s, id: id, isError: isError, buf: make([]byte, size)}, true, nil
 }
 
 // Commit publishes the assembled object, waking waiters. If the object was
 // re-put through another path while the assembly was in flight, the
 // reservation is simply released (the copies are identical).
 func (p *PendingPut) Commit() {
-	buf := p.Data()
 	s := p.store
 	s.mu.Lock()
 	if p.settled {
@@ -365,11 +325,11 @@ func (p *PendingPut) Commit() {
 	p.settled = true
 	s.puts.Add(1)
 	if _, ok := s.objects[p.id]; ok {
-		s.used -= p.size
+		s.used -= int64(len(p.buf))
 		s.mu.Unlock()
 		return
 	}
-	e := &entry{obj: &Object{ID: p.id, Data: buf, IsError: p.isError}}
+	e := &entry{obj: &Object{ID: p.id, Data: p.buf, IsError: p.isError}}
 	e.element = s.lru.PushFront(p.id)
 	s.objects[p.id] = e
 	waiters := s.waiters[p.id]
@@ -381,57 +341,42 @@ func (p *PendingPut) Commit() {
 }
 
 // Abort releases the reservation without publishing (e.g. the transfer
-// failed). It does not wait for the buffer: a still-running allocation ends
-// on its own and is garbage. Safe to call after Commit; the first settlement
-// wins.
+// failed). Safe to call after Commit; the first settlement wins.
 func (p *PendingPut) Abort() {
 	s := p.store
 	s.mu.Lock()
 	if !p.settled {
 		p.settled = true
-		s.used -= p.size
+		s.used -= int64(len(p.buf))
 	}
 	s.mu.Unlock()
 }
 
-// copyPayload copies data using the configured number of copy threads.
+// copyPayload copies data into a buffer of exactly len(data) bytes: Put
+// charges that length, and a delete releases the buffer's capacity. From
+// CopyThreshold up, the copy is split over CopyThreads goroutines.
 func (s *Store) copyPayload(data []byte) []byte {
-	buf := make([]byte, len(data))
-	threads := s.threadsFor(int64(len(data)))
-	if threads == 1 {
+	n, threads := len(data), s.cfg.CopyThreads
+	if int64(n) < s.cfg.CopyThreshold || threads == 1 {
+		// Keep the make and the copy adjacent: the compiler turns the pair
+		// into one allocation that is not zero-filled first, with cap == len
+		// (an append copy would round cap up).
+		buf := make([]byte, len(data))
 		copy(buf, data)
 		return buf
 	}
-	inParallel(len(data), threads, func(lo, hi int) { copy(buf[lo:hi], data[lo:hi]) })
-	return buf
-}
-
-// threadsFor is how many goroutines write a payload of size bytes into the
-// store: CopyThreads from CopyThreshold up, one below it.
-func (s *Store) threadsFor(size int64) int {
-	if size < s.cfg.CopyThreshold {
-		return 1
-	}
-	return s.cfg.CopyThreads
-}
-
-// inParallel calls fn on up to threads contiguous ranges covering [0, n), one
-// goroutine each, and returns when all have; one thread runs fn inline.
-func inParallel(n, threads int, fn func(lo, hi int)) {
-	if threads <= 1 {
-		fn(0, n)
-		return
-	}
+	buf := make([]byte, n)
 	chunk := (n + threads - 1) / threads
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
+			copy(buf[lo:hi], data[lo:hi])
 		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
+	return buf
 }
 
 // evictedObject records one eviction for post-lock notification.

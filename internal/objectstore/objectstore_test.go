@@ -306,33 +306,49 @@ func TestConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 }
 
-// Property: used bytes always equals the sum of resident object sizes and
-// never exceeds capacity, across random Put/Get/Delete sequences.
+// Property: used bytes always equals the sum of what resident buffers hold
+// (their capacity) and never exceeds capacity, across random sequences of
+// copied puts, adopted buffers with spare capacity, reservations committed
+// or aborted, and deletes.
 func TestAccountingInvariantProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := New(Config{CapacityBytes: 4096})
 		ids := make([]types.ObjectID, 0)
 		for _, op := range ops {
-			switch op % 3 {
+			id := types.NewObjectID()
+			size := int(op % 512)
+			switch op % 6 {
 			case 0, 1:
-				id := types.NewObjectID()
-				size := int(op % 512)
 				if err := s.Put(id, make([]byte, size), false); err != nil {
 					return false
 				}
-				ids = append(ids, id)
 			case 2:
 				if len(ids) > 0 {
 					s.Delete(ids[int(op)%len(ids)])
 				}
+			case 3:
+				if err := s.PutPrimary(id, make([]byte, size, size+int(op%97)), false); err != nil {
+					return false
+				}
+			case 4, 5:
+				p, ok, err := s.BeginPut(id, int64(size), false)
+				if err != nil || !ok {
+					return false
+				}
+				if op%6 == 4 {
+					p.Commit()
+				} else {
+					p.Abort()
+				}
 			}
+			ids = append(ids, id)
 			if s.Used() > 4096 || s.Used() < 0 {
 				return false
 			}
 			var sum int64
 			for _, id := range s.List() {
 				if obj, ok := s.Get(id); ok {
-					sum += obj.Size()
+					sum += int64(cap(obj.Data))
 				}
 			}
 			if sum != s.Used() {
@@ -631,29 +647,10 @@ func TestPutPrimaryAdoptsItsBuffer(t *testing.T) {
 	}
 }
 
-// gatePayloads makes every reservation's allocation wait until the returned
-// release is called, so a test can act while no buffer exists yet.
-func gatePayloads(t *testing.T) (release func()) {
-	gate := make(chan struct{})
-	prev := makePayload
-	makePayload = func(size int64) []byte {
-		<-gate
-		return make([]byte, size)
-	}
-	var once sync.Once
-	release = func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(func() {
-		release()
-		makePayload = prev
-	})
-	return release
-}
-
-// Abort does not wait for the buffer: the reservation's capacity is free at
-// once, and the allocation, when it ends, leaves nothing running behind it.
-func TestAbortBeforeTheBufferExists(t *testing.T) {
+// Abort frees the reservation's capacity at once: the same bytes are
+// reservable again straight away, and nothing is left running.
+func TestAbortFreesCapacityAtOnce(t *testing.T) {
 	leakcheck.Check(t)
-	release := gatePayloads(t)
 	s := New(Config{CapacityBytes: 1000})
 	id := types.NewObjectID()
 	p, ok, err := s.BeginPut(id, 900, false)
@@ -662,21 +659,18 @@ func TestAbortBeforeTheBufferExists(t *testing.T) {
 	}
 	p.Abort()
 	if s.Used() != 0 || s.Contains(id) {
-		t.Fatalf("abort before allocation leaked the reservation: used=%d", s.Used())
+		t.Fatalf("abort leaked the reservation: used=%d", s.Used())
 	}
-	// The freed capacity is reservable again straight away.
 	p2, ok, err := s.BeginPut(id, 1000, false)
 	if err != nil || !ok {
 		t.Fatalf("capacity not released by Abort: ok=%v err=%v", ok, err)
 	}
 	p2.Abort()
-	release()
 }
 
-// Chunk workers that ask for the buffer before it exists wait for it, and
+// Chunk workers fill disjoint ranges of the reservation concurrently, and
 // Commit publishes every byte they wrote.
 func TestCommitPublishesFullPayload(t *testing.T) {
-	release := gatePayloads(t)
 	const size, workers = 4<<20 + 5, 8
 	s := New(Config{CapacityBytes: 8 << 20})
 	id := types.NewObjectID()
@@ -697,7 +691,6 @@ func TestCommitPublishesFullPayload(t *testing.T) {
 			copy(p.Data()[lo:hi], want[lo:hi])
 		}(w*part, min((w+1)*part, size))
 	}
-	release()
 	wg.Wait()
 	p.Commit()
 	obj, ok := s.Get(id)
@@ -706,6 +699,37 @@ func TestCommitPublishesFullPayload(t *testing.T) {
 	}
 	if s.Used() != size {
 		t.Fatalf("used=%d, want %d", s.Used(), size)
+	}
+}
+
+// Put's copy holds exactly its length: Put charges len(data) and a delete
+// releases the buffer's capacity, so a copy with spare capacity would leave
+// Used() wrong after the delete.
+func TestPutCopyHoldsExactlyItsLength(t *testing.T) {
+	s := New(DefaultConfig())
+	var sum int64
+	var ids []types.ObjectID
+	// Both copy paths: one thread below CopyThreshold, CopyThreads above it.
+	for _, size := range []int{1, 100, 1000, 4097, 100_000, 600_000} {
+		id := types.NewObjectID()
+		if err := s.Put(id, bytes.Repeat([]byte{7}, size), false); err != nil {
+			t.Fatal(err)
+		}
+		obj, ok := s.Get(id)
+		if !ok || cap(obj.Data) != size || len(obj.Data) != size {
+			t.Fatalf("Put copy of %d bytes: ok=%v len=%d cap=%d", size, ok, len(obj.Data), cap(obj.Data))
+		}
+		sum += int64(size)
+		ids = append(ids, id)
+	}
+	if s.Used() != sum {
+		t.Fatalf("used=%d, want the sum of lengths %d", s.Used(), sum)
+	}
+	for _, id := range ids {
+		s.Delete(id)
+	}
+	if s.Used() != 0 {
+		t.Fatalf("used=%d after deleting every object, want 0", s.Used())
 	}
 }
 
