@@ -7,7 +7,6 @@ import (
 	"ray/internal/baselines/bsp"
 	"ray/internal/baselines/mpi"
 	"ray/internal/collective"
-	"ray/internal/core"
 	"ray/internal/netsim"
 	"ray/internal/rl"
 	"ray/internal/rl/es"
@@ -65,7 +64,7 @@ func Fig12aAllreduce(scale Scale) (*Table, error) {
 }
 
 func allreduceRun(participants, payloadBytes, streams int) (time.Duration, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = participants
 	cfg.CPUs = 2
 	cfg.LabelNodes = true
@@ -121,7 +120,7 @@ func Fig12bSchedulerAblation(scale Scale) (*Table, error) {
 }
 
 func allreduceWithLatency(participants, payloadBytes int, added time.Duration) (time.Duration, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = participants
 	cfg.CPUs = 2
 	cfg.LabelNodes = true
@@ -179,7 +178,7 @@ func Fig13DistributedSGD(scale Scale) (*Table, error) {
 }
 
 func sgdRun(replicas int, strategy sgd.Strategy, layers []int, iterations int) (float64, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = replicas + 1
 	cfg.LabelNodes = true
 	rt, d, err := newCluster(cfg)
@@ -242,7 +241,7 @@ func Table3Serving(scale Scale) (*Table, error) {
 }
 
 func servingRun(stateBytes int, evalDelay time.Duration, requests int) (restThroughput, rayThroughput float64, err error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 1
 	cfg.CPUs = 8
 	rt, d, err := newCluster(cfg)
@@ -325,7 +324,7 @@ func Table4Simulation(scale Scale) (*Table, error) {
 }
 
 func raySimulationRun(workers, totalRollouts, maxSteps int) (float64, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 1
 	cfg.CPUs = float64(workers)
 	rt, d, err := newCluster(cfg)
@@ -399,7 +398,7 @@ func Fig14aES(scale Scale) (*Table, error) {
 }
 
 func esRun(workers, rollouts, iterations int, reference bool) (time.Duration, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = workers
 	cfg.LabelNodes = true
 	rt, d, err := newCluster(cfg)
@@ -468,7 +467,7 @@ func Fig14bPPO(scale Scale) (*Table, error) {
 }
 
 func ppoRun(sims, stepsPerIter, iterations int, synchronous bool) (time.Duration, int, int, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 2
 	cfg.CPUs = float64(sims)
 	cfg.GPUs = 1

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"ray/internal/core"
 	"ray/internal/netsim"
 	"ray/ray"
 )
@@ -99,9 +98,9 @@ func f(v float64) string {
 func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
 
 // newCluster builds a runtime with common benchmark defaults.
-func newCluster(cfg core.Config) (*core.Runtime, *core.Driver, error) {
+func newCluster(cfg ray.Config) (*ray.Runtime, *ray.Driver, error) {
 	ctx := context.Background()
-	rt, err := core.Init(ctx, cfg)
+	rt, err := ray.Init(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,7 +136,7 @@ type benchFuncs struct {
 
 // registerBenchFunctions publishes the benchmark functions and returns their
 // typed handles.
-func registerBenchFunctions(rt *core.Runtime) (benchFuncs, error) {
+func registerBenchFunctions(rt *ray.Runtime) (benchFuncs, error) {
 	var fns benchFuncs
 	var err error
 	fns.noop, err = ray.Register0(rt, "bench.noop", "empty task (throughput microbenchmark)",

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ray/internal/codec"
-	"ray/internal/core"
 	"ray/ray"
 )
 
@@ -48,7 +47,7 @@ func Fig11aTaskReconstruction(scale Scale) (*Table, error) {
 		stepsPerChain = 60
 		stepMillis = 20
 	}
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.SpilloverThreshold = 2
 	rt, d, err := newCluster(cfg)
@@ -176,7 +175,7 @@ func Fig11bActorReconstruction(scale Scale) (*Table, error) {
 }
 
 func actorReconstructionRun(actors, methodsBefore int, checkpoint bool) ([]string, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 4
 	// Four CPUs per node: each actor holds one CPU, so the eight actors are
 	// forced to spread beyond the driver's node (killing a node then actually
@@ -282,7 +281,7 @@ func actorReconstructionRun(actors, methodsBefore int, checkpoint bool) ([]strin
 	return []string{mode, fmt.Sprintf("%d", lost), fmt.Sprintf("%d", replayed), ms(recovery), okStr}, nil
 }
 
-func totalMethodsRun(rt *core.Runtime) int64 {
+func totalMethodsRun(rt *ray.Runtime) int64 {
 	var total int64
 	for _, n := range rt.Cluster().NodeList() {
 		total += n.Stats().Workers.MethodsRun

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"ray/internal/core"
 	"ray/ray"
 )
 
@@ -63,7 +62,7 @@ func memoryRun(nodes int, storeBytes int64, objectSize, numObjects int) (memoryR
 	}
 	defer os.RemoveAll(spillDir)
 
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.ObjectStoreBytes = storeBytes
 	cfg.SpillDir = spillDir

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ray/internal/chain"
-	"ray/internal/core"
 	"ray/internal/gcs"
 	"ray/internal/netsim"
 	"ray/internal/objectstore"
@@ -49,7 +48,7 @@ func Fig8aLocality(scale Scale) (*Table, error) {
 }
 
 func localityRun(aware bool, objectSize, numTasks int) (time.Duration, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 2
 	cfg.CPUs = 8
 	cfg.LabelNodes = true
@@ -129,7 +128,7 @@ func Fig8bScalability(scale Scale) (*Table, error) {
 }
 
 func scalabilityRun(nodes, tasksPerNode int) (float64, int, error) {
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.RecordLineage = false // the paper's empty tasks measure scheduler+GCS dispatch throughput
 	cfg.GCSShards = 8
@@ -138,7 +137,7 @@ func scalabilityRun(nodes, tasksPerNode int) (float64, int, error) {
 
 // throughputRun measures aggregate empty-task throughput on a cluster built
 // from cfg, with one driver per node submitting its own task stream.
-func throughputRun(cfg core.Config, tasksPerNode int) (float64, int, error) {
+func throughputRun(cfg ray.Config, tasksPerNode int) (float64, int, error) {
 	rt, _, err := newCluster(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -151,7 +150,7 @@ func throughputRun(cfg core.Config, tasksPerNode int) (float64, int, error) {
 	// One driver per node, each submitting its own stream of empty tasks,
 	// exactly like the paper's per-node drivers.
 	ctx := context.Background()
-	drivers := make([]*core.Driver, 0, cfg.Nodes)
+	drivers := make([]*ray.Driver, 0, cfg.Nodes)
 	for _, n := range rt.Cluster().AliveNodes() {
 		d, err := rt.NewDriverOn(ctx, n)
 		if err != nil {
@@ -165,7 +164,7 @@ func throughputRun(cfg core.Config, tasksPerNode int) (float64, int, error) {
 	start := time.Now()
 	for _, d := range drivers {
 		wg.Add(1)
-		go func(d *core.Driver) {
+		go func(d *ray.Driver) {
 			defer wg.Done()
 			for i := 0; i < tasksPerNode; i++ {
 				if _, err := fns.noop.Remote(d, ray.ZeroResources()); err != nil {

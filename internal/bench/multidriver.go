@@ -6,10 +6,10 @@ import (
 	"sync"
 	"time"
 
-	"ray/internal/core"
 	"ray/internal/job"
 	"ray/internal/paramserver"
 	"ray/internal/types"
+	"ray/internal/worker"
 	"ray/ray"
 )
 
@@ -67,8 +67,8 @@ func (s *multiDriverStats) minMicro() float64 {
 }
 
 // multiDriverConfig builds the shared cluster shape: 4 nodes × 4 CPUs.
-func multiDriverConfig() core.Config {
-	cfg := core.DefaultConfig()
+func multiDriverConfig() ray.Config {
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.GCSShards = 8
 	// Micro drivers pin their latency-sensitive tasks to their own node, the
@@ -85,7 +85,7 @@ const microTaskMillis = 4
 // microLoop runs a closed-loop stream of short CPU tasks (inflight at a
 // time) pinned to the driver's node until the deadline, verifying every
 // result, and returns tasks/sec.
-func microLoop(d *core.Driver, fns benchFuncs, nodeIdx int, window time.Duration) (float64, error) {
+func microLoop(d *ray.Driver, fns benchFuncs, nodeIdx int, window time.Duration) (float64, error) {
 	const inflight = 4
 	deadline := time.Now().Add(window)
 	completed := 0
@@ -123,7 +123,7 @@ func microLoop(d *core.Driver, fns benchFuncs, nodeIdx int, window time.Duration
 // multiDriverSolo measures one micro driver alone on an idle cluster — the
 // single-driver baseline the acceptance ratio is computed against.
 func multiDriverSolo(window time.Duration) (float64, error) {
-	rt, err := core.Init(context.Background(), multiDriverConfig())
+	rt, err := ray.Init(context.Background(), multiDriverConfig())
 	if err != nil {
 		return 0, err
 	}
@@ -141,7 +141,7 @@ func multiDriverSolo(window time.Duration) (float64, error) {
 
 // psLoop drives a small sharded parameter server: push one gradient, apply,
 // fetch — one iteration. Returns iterations/sec.
-func psLoop(d *core.Driver, window time.Duration) (float64, error) {
+func psLoop(d *ray.Driver, window time.Duration) (float64, error) {
 	const dim = 64
 	weights := make([]float64, dim)
 	ps, err := paramserver.New(d.CallContext(), paramserver.Config{Shards: 2, LearningRate: 0.1}, weights)
@@ -176,7 +176,7 @@ func psLoop(d *core.Driver, window time.Duration) (float64, error) {
 
 // waitGreedyDrained polls until neither the forward dispatcher nor any
 // node's slot queue holds tasks of the killed job.
-func waitGreedyDrained(rt *core.Runtime, jobID types.JobID, timeout time.Duration) error {
+func waitGreedyDrained(rt *ray.Runtime, jobID types.JobID, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		pending := rt.Cluster().PendingForwardsForJob(jobID)
@@ -197,7 +197,7 @@ func waitGreedyDrained(rt *core.Runtime, jobID types.JobID, timeout time.Duratio
 // mid-run and validates its cleanup.
 func multiDriverContended(window time.Duration) (*multiDriverStats, error) {
 	ctx := context.Background()
-	rt, err := core.Init(ctx, multiDriverConfig())
+	rt, err := ray.Init(ctx, multiDriverConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -217,30 +217,30 @@ func multiDriverContended(window time.Duration) (*multiDriverStats, error) {
 	// weighted half of weighted fair share: under contention each micro
 	// driver receives four dispatch grants for every one the flood gets.
 	const interactiveWeight = 4
-	micro := make([]*core.Driver, 2)
+	micro := make([]*ray.Driver, 2)
 	for i := range micro {
-		if micro[i], err = rt.NewDriverWithOptions(ctx, nodes[i], core.JobOptions{
+		if micro[i], err = rt.NewDriverWithOptions(ctx, nodes[i], ray.JobOptions{
 			Name: fmt.Sprintf("micro-%d", i), Weight: interactiveWeight,
 		}); err != nil {
 			return nil, err
 		}
 	}
-	psDriver, err := rt.NewDriverWithOptions(ctx, nodes[2], core.JobOptions{Name: "paramserver", Weight: interactiveWeight})
+	psDriver, err := rt.NewDriverWithOptions(ctx, nodes[2], ray.JobOptions{Name: "paramserver", Weight: interactiveWeight})
 	if err != nil {
 		return nil, err
 	}
-	greedy, err := rt.NewDriverWithOptions(ctx, nodes[3], core.JobOptions{Name: "greedy", Weight: 1})
+	greedy, err := rt.NewDriverWithOptions(ctx, nodes[3], ray.JobOptions{Name: "greedy", Weight: 1})
 	if err != nil {
 		return nil, err
 	}
 
 	// The greedy job owns an actor and a put object so the kill phase has
 	// all three artifact kinds to clean up.
-	greedyActor, err := greedy.CreateActor("bench.Counter", core.CallOptions{})
+	greedyActor, err := greedy.CreateActor("bench.Counter", worker.CallOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := greedy.CallActor1(greedyActor, "inc", core.CallOptions{}); err != nil {
+	if _, err := greedy.CallActor1(greedyActor, "inc", worker.CallOptions{}); err != nil {
 		return nil, err
 	}
 	greedyPut, err := greedy.Put(make([]byte, 1<<16))
@@ -283,7 +283,7 @@ func multiDriverContended(window time.Duration) (*multiDriverStats, error) {
 	errCh := make(chan error, len(micro)+1)
 	for i, d := range micro {
 		wg.Add(1)
-		go func(i int, d *core.Driver) {
+		go func(i int, d *ray.Driver) {
 			defer wg.Done()
 			tput, err := microLoop(d, fns, i, window)
 			if err != nil {

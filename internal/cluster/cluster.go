@@ -26,8 +26,8 @@ import (
 	"ray/internal/worker"
 )
 
-// Config describes a cluster; it is the only cluster config (core.Config and
-// ray.Config are aliases of it). Per-node knobs live in the embedded
+// Config describes a cluster; it is the only cluster config (ray.Config and
+// core.Config are aliases of it). Per-node knobs live in the embedded
 // node.Config (cfg.CPUs, cfg.SpillDir, ...) and apply to every node the
 // cluster builds; the rest are cluster-wide. A knob left at zero takes the
 // default of the constructor that consumes it.

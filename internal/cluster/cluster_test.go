@@ -52,9 +52,8 @@ func startTestCluster(t *testing.T, c *Cluster) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Registry().RegisterActorMethod("test.Counter", "add", worker.MethodSpec{
-		NumArgs: 1, NumReturns: 1,
-		Impl: func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
+	err = c.Registry().RegisterActorMethod("test.Counter", "add",
+		func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
 			a, ok := state.(*counterActor)
 			if !ok {
 				return nil, fmt.Errorf("counter instance is %T", state)
@@ -65,8 +64,7 @@ func startTestCluster(t *testing.T, c *Cluster) *Cluster {
 			}
 			a.total += n
 			return [][]byte{codec.MustEncode(a.total)}, nil
-		},
-	})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ type counterActor struct {
 }
 
 // driverOn attaches a driver-like task context to a node, the same way
-// core.NewDriverOn does.
+// ray.Runtime.NewDriverOn does.
 func driverOn(n *node.Node) *worker.TaskContext {
 	return worker.NewTaskContext(context.Background(), n.IDs().NextTaskID(), types.NilJobID, types.NewDriverID(), n.ID(), n, n.IDs())
 }
@@ -550,13 +548,11 @@ func registerGatedCounter(t *testing.T, c *Cluster) *gatedCounter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Registry().RegisterActorMethod("test.Gated", "add", worker.MethodSpec{
-		NumArgs: 1, NumReturns: 1,
-		Impl: func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
+	err = c.Registry().RegisterActorMethod("test.Gated", "add",
+		func(ctx *worker.TaskContext, state any, args [][]byte) ([][]byte, error) {
 			g.ran <- time.Now()
 			return [][]byte{args[0]}, nil
-		},
-	})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

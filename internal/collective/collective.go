@@ -15,10 +15,13 @@ import (
 	"math/rand"
 	"time"
 
+	"ray/internal/cluster"
 	"ray/internal/codec"
-	"ray/internal/core"
 	"ray/internal/nn"
+	"ray/internal/resources"
+	"ray/internal/types"
 	"ray/internal/worker"
+	"ray/ray"
 )
 
 // Names under which this package registers its remote functions and actors.
@@ -32,7 +35,7 @@ const (
 // classes with the runtime. It must be called once before using the package.
 // The reducer's methods live on its registration-time method table, so the
 // reducer type itself carries no dispatch code.
-func Register(rt *core.Runtime) error {
+func Register(rt *ray.Runtime) error {
 	if err := rt.RegisterActorClass(reducerActorName, "ring allreduce participant", newReducer); err != nil {
 		return err
 	}
@@ -52,10 +55,10 @@ func Register(rt *core.Runtime) error {
 			return err
 		}
 	}
-	if err := rt.Register(sumVectorsName, "sums float64 vectors (tree reduction node)", sumVectors); err != nil {
+	if err := rt.RegisterN(sumVectorsName, "sums float64 vectors (tree reduction node)", 1, sumVectors); err != nil {
 		return err
 	}
-	return rt.Register(generateChunkName, "generates a deterministic random vector", generateVector)
+	return rt.RegisterN(generateChunkName, "generates a deterministic random vector", 1, generateVector)
 }
 
 // --- Reducer actor -------------------------------------------------------------
@@ -168,7 +171,7 @@ type RingConfig struct {
 	// Participants is the number of reducer actors in the ring.
 	Participants int
 	// PinToNodes places participant i on node i via the node-label custom
-	// resource (requires core.Config.LabelNodes).
+	// resource (requires ray.Config.LabelNodes).
 	PinToNodes bool
 }
 
@@ -185,9 +188,9 @@ func NewRing(ctx *worker.TaskContext, cfg RingConfig) (*Ring, error) {
 	}
 	ring := &Ring{n: cfg.Participants}
 	for i := 0; i < cfg.Participants; i++ {
-		opts := core.CallOptions{}
+		opts := worker.CallOptions{}
 		if cfg.PinToNodes {
-			opts.Resources = core.OnNode(i)
+			opts.Resources = resources.NewRequest(map[string]float64{cluster.NodeLabel(i): 1})
 		}
 		h, err := ctx.CreateActor(reducerActorName, opts, cfg.Participants)
 		if err != nil {
@@ -204,9 +207,9 @@ func (r *Ring) Load(ctx *worker.TaskContext, contributions [][]float64) error {
 	if len(contributions) != r.n {
 		return fmt.Errorf("collective: need %d contributions, got %d", r.n, len(contributions))
 	}
-	acks := make([]core.ObjectRef, 0, r.n)
+	acks := make([]types.ObjectID, 0, r.n)
 	for i, v := range contributions {
-		ref, err := ctx.CallActor1(r.actors[i], "load", core.CallOptions{}, v)
+		ref, err := ctx.CallActor1(r.actors[i], "load", worker.CallOptions{}, v)
 		if err != nil {
 			return err
 		}
@@ -219,13 +222,13 @@ func (r *Ring) Load(ctx *worker.TaskContext, contributions [][]float64) error {
 // length, generating them on the participants themselves (so the driver never
 // ships the full vectors). Used by the allreduce benchmark.
 func (r *Ring) LoadRandom(ctx *worker.TaskContext, length int, seed int64) error {
-	acks := make([]core.ObjectRef, 0, r.n)
+	acks := make([]types.ObjectID, 0, r.n)
 	for i := range r.actors {
-		gen, err := ctx.Call1(generateChunkName, core.CallOptions{}, length, seed+int64(i))
+		gen, err := ctx.Call1(generateChunkName, worker.CallOptions{}, length, seed+int64(i))
 		if err != nil {
 			return err
 		}
-		ack, err := ctx.CallActor1(r.actors[i], "load", core.CallOptions{}, gen)
+		ack, err := ctx.CallActor1(r.actors[i], "load", worker.CallOptions{}, gen)
 		if err != nil {
 			return err
 		}
@@ -247,14 +250,14 @@ func (r *Ring) Allreduce(ctx *worker.TaskContext) (time.Duration, error) {
 	n := r.n
 	// Scatter-reduce phase.
 	for round := 0; round < n-1; round++ {
-		acks := make([]core.ObjectRef, 0, n)
+		acks := make([]types.ObjectID, 0, n)
 		for i := 0; i < n; i++ {
 			chunk := ((i-round)%n + n) % n
-			out, err := ctx.CallActor1(r.actors[i], "emit", core.CallOptions{}, chunk)
+			out, err := ctx.CallActor1(r.actors[i], "emit", worker.CallOptions{}, chunk)
 			if err != nil {
 				return 0, err
 			}
-			ack, err := ctx.CallActor1(r.actors[(i+1)%n], "accumulate", core.CallOptions{}, chunk, out)
+			ack, err := ctx.CallActor1(r.actors[(i+1)%n], "accumulate", worker.CallOptions{}, chunk, out)
 			if err != nil {
 				return 0, err
 			}
@@ -266,14 +269,14 @@ func (r *Ring) Allreduce(ctx *worker.TaskContext) (time.Duration, error) {
 	}
 	// Allgather phase.
 	for round := 0; round < n-1; round++ {
-		acks := make([]core.ObjectRef, 0, n)
+		acks := make([]types.ObjectID, 0, n)
 		for i := 0; i < n; i++ {
 			chunk := ((i+1-round)%n + n) % n
-			out, err := ctx.CallActor1(r.actors[i], "emit", core.CallOptions{}, chunk)
+			out, err := ctx.CallActor1(r.actors[i], "emit", worker.CallOptions{}, chunk)
 			if err != nil {
 				return 0, err
 			}
-			ack, err := ctx.CallActor1(r.actors[(i+1)%n], "set", core.CallOptions{}, chunk, out)
+			ack, err := ctx.CallActor1(r.actors[(i+1)%n], "set", worker.CallOptions{}, chunk, out)
 			if err != nil {
 				return 0, err
 			}
@@ -288,7 +291,7 @@ func (r *Ring) Allreduce(ctx *worker.TaskContext) (time.Duration, error) {
 
 // Result returns participant i's full reduced vector.
 func (r *Ring) Result(ctx *worker.TaskContext, i int) ([]float64, error) {
-	ref, err := ctx.CallActor1(r.actors[i], "result", core.CallOptions{})
+	ref, err := ctx.CallActor1(r.actors[i], "result", worker.CallOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +305,7 @@ func (r *Ring) Result(ctx *worker.TaskContext, i int) ([]float64, error) {
 // Participants returns the number of ring members.
 func (r *Ring) Participants() int { return r.n }
 
-func waitAll(ctx *worker.TaskContext, refs []core.ObjectRef) error {
+func waitAll(ctx *worker.TaskContext, refs []types.ObjectID) error {
 	for _, ref := range refs {
 		var ok bool
 		if err := ctx.Get(ref, &ok); err != nil {
@@ -317,7 +320,7 @@ func waitAll(ctx *worker.TaskContext, refs []core.ObjectRef) error {
 // Broadcast stores a value once and returns a reference every consumer can
 // use; the object store replicates it to each node on demand, so the driver
 // serializes the value exactly once regardless of the number of consumers.
-func Broadcast(ctx *worker.TaskContext, value any) (core.ObjectRef, error) {
+func Broadcast(ctx *worker.TaskContext, value any) (types.ObjectID, error) {
 	return ctx.Put(value)
 }
 
@@ -366,16 +369,16 @@ func generateVector(ctx *worker.TaskContext, args [][]byte) ([][]byte, error) {
 // remote tasks with the given fan-in. This is the hierarchical aggregation
 // pattern the paper's ES implementation uses to avoid a driver bottleneck
 // (Section 5.3.1): no single process ever receives more than fanin inputs.
-func TreeReduce(ctx *worker.TaskContext, refs []core.ObjectRef, fanin int) (core.ObjectRef, error) {
+func TreeReduce(ctx *worker.TaskContext, refs []types.ObjectID, fanin int) (types.ObjectID, error) {
 	if len(refs) == 0 {
-		return core.ObjectRef{}, fmt.Errorf("collective: tree reduce of zero inputs")
+		return types.ObjectID{}, fmt.Errorf("collective: tree reduce of zero inputs")
 	}
 	if fanin < 2 {
 		fanin = 2
 	}
 	level := refs
 	for len(level) > 1 {
-		var next []core.ObjectRef
+		var next []types.ObjectID
 		for lo := 0; lo < len(level); lo += fanin {
 			hi := lo + fanin
 			if hi > len(level) {
@@ -385,9 +388,9 @@ func TreeReduce(ctx *worker.TaskContext, refs []core.ObjectRef, fanin int) (core
 			for _, ref := range level[lo:hi] {
 				args = append(args, ref)
 			}
-			out, err := ctx.Call1(sumVectorsName, core.CallOptions{}, args...)
+			out, err := ctx.Call1(sumVectorsName, worker.CallOptions{}, args...)
 			if err != nil {
-				return core.ObjectRef{}, err
+				return types.ObjectID{}, err
 			}
 			next = append(next, out)
 		}

@@ -6,17 +6,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"ray/internal/core"
 	"ray/internal/nn"
+	"ray/internal/types"
+	"ray/ray"
 )
 
-func newRuntime(t *testing.T, nodes int) (*core.Runtime, *core.Driver) {
+func newRuntime(t *testing.T, nodes int) (*ray.Runtime, *ray.Driver) {
 	t.Helper()
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.CPUs = 4
 	cfg.LabelNodes = true
-	rt, err := core.Init(context.Background(), cfg)
+	rt, err := ray.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestTreeReduce(t *testing.T) {
 	_, d := newRuntime(t, 3)
 	const leaves = 20
 	const length = 5
-	refs := make([]core.ObjectRef, leaves)
+	refs := make([]types.ObjectID, leaves)
 	expected := make([]float64, length)
 	for i := range refs {
 		v := make([]float64, length)

@@ -217,3 +217,56 @@ func TestFailedWriteReportsIDInHex(t *testing.T) {
 		t.Fatalf("a function key renders as %q", got)
 	}
 }
+
+// Nodes and Jobs (the latter among jobs that started at the same instant)
+// list IDs in raw byte order, which is also their hex order, both for IDs
+// that differ only in their first byte and for IDs that differ only in their
+// last.
+func TestNodesAndJobsSortByRawID(t *testing.T) {
+	spell := func(pos int, b byte) types.NodeID {
+		var id types.NodeID
+		for i := range id {
+			id[i] = 0x80
+		}
+		id[pos] = b
+		return id
+	}
+	const last = types.IDSize - 1
+	want := []types.NodeID{
+		spell(0, 0x01), spell(0, 0x0f), spell(0, 0x10),
+		spell(last, 0x01), spell(last, 0x0f), spell(last, 0x10), spell(last, 0xf0),
+		spell(0, 0xf0),
+	}
+	for i := 1; i < len(want); i++ {
+		if want[i-1].Hex() >= want[i].Hex() {
+			t.Fatalf("hex order disagrees with byte order at %d: %s >= %s", i, want[i-1].Hex(), want[i].Hex())
+		}
+	}
+	bothWritePaths(t, func(t *testing.T, s *Store) {
+		ctx := context.Background()
+		for i := len(want) - 1; i >= 0; i-- {
+			if err := s.RegisterNode(ctx, &NodeEntry{ID: want[i], State: types.NodeAlive}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RegisterJob(ctx, &JobEntry{ID: types.JobID(want[i]), StartUnixNano: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes, err := s.Nodes(ctx)
+		if err != nil || len(nodes) != len(want) {
+			t.Fatalf("Nodes: %d entries, err %v; want %d", len(nodes), err, len(want))
+		}
+		jobs, err := s.Jobs(ctx)
+		if err != nil || len(jobs) != len(want) {
+			t.Fatalf("Jobs: %d entries, err %v; want %d", len(jobs), err, len(want))
+		}
+		for i, id := range want {
+			if got := nodes[i].ID; got != id {
+				t.Errorf("Nodes()[%d] = %s, want %s", i, got.Hex(), id.Hex())
+			}
+			if got := types.NodeID(jobs[i].ID); got != id {
+				t.Errorf("Jobs()[%d] = %s, want %s", i, got.Hex(), id.Hex())
+			}
+		}
+	})
+}

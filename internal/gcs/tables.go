@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"fmt"
@@ -477,7 +478,7 @@ func (s *Store) Nodes(ctx context.Context) ([]*NodeEntry, error) {
 		}
 		out = append(out, entry)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Hex() < out[j].ID.Hex() })
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].ID[:], out[j].ID[:]) < 0 })
 	return out, nil
 }
 
@@ -624,7 +625,7 @@ func (s *Store) Jobs(ctx context.Context) ([]*JobEntry, error) {
 		if out[i].StartUnixNano != out[j].StartUnixNano {
 			return out[i].StartUnixNano < out[j].StartUnixNano
 		}
-		return out[i].ID.Hex() < out[j].ID.Hex()
+		return bytes.Compare(out[i].ID[:], out[j].ID[:]) < 0
 	})
 	return out, nil
 }

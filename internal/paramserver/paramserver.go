@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"sync"
 
-	"ray/internal/core"
+	"ray/internal/codec"
+	"ray/internal/types"
 	"ray/internal/worker"
 	"ray/ray"
 )
@@ -36,7 +37,7 @@ var (
 
 // Register publishes the shard actor class and its method table with the
 // runtime. Call once per runtime before creating servers.
-func Register(rt *core.Runtime) error {
+func Register(rt *ray.Runtime) error {
 	class, err := ray.RegisterActorClass2(rt, shardActorName, "parameter server shard",
 		func(ctx *ray.Context, weights []float64, lr float64) (*shard, error) {
 			return &shard{
@@ -127,12 +128,12 @@ type shard struct {
 // Checkpoint implements worker.Checkpointable so parameter servers can be
 // reconstructed cheaply after a failure.
 func (s *shard) Checkpoint() ([]byte, error) {
-	return core.EncodeValue(s.weights)
+	return codec.Encode(s.weights)
 }
 
 // Restore implements worker.Checkpointable.
 func (s *shard) Restore(data []byte) error {
-	return core.DecodeValue(data, &s.weights)
+	return codec.Decode(data, &s.weights)
 }
 
 // Config describes a sharded parameter server.
@@ -217,12 +218,12 @@ func (s *Server) Split(v []float64) ([][]float64, error) {
 // It returns the acknowledgement futures so callers can overlap pushes from
 // several replicas before waiting (the pipelining the paper credits for
 // matching Horovod).
-func (s *Server) PushGradient(ctx *worker.TaskContext, grad []float64) ([]core.ObjectRef, error) {
+func (s *Server) PushGradient(ctx *worker.TaskContext, grad []float64) ([]types.ObjectID, error) {
 	chunks, err := s.Split(grad)
 	if err != nil {
 		return nil, err
 	}
-	acks := make([]core.ObjectRef, len(s.shards))
+	acks := make([]types.ObjectID, len(s.shards))
 	for i, chunk := range chunks {
 		ack, err := pushMethod.Remote(ctx, s.shards[i], chunk)
 		if err != nil {

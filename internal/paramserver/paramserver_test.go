@@ -5,15 +5,15 @@ import (
 	"math"
 	"testing"
 
-	"ray/internal/core"
+	"ray/ray"
 )
 
-func newDriver(t *testing.T) *core.Driver {
+func newDriver(t *testing.T) *ray.Driver {
 	t.Helper()
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 3
 	cfg.LabelNodes = true
-	rt, err := core.Init(context.Background(), cfg)
+	rt, err := ray.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,16 @@ import (
 	"sort"
 	"time"
 
+	"ray/internal/cluster"
 	"ray/internal/codec"
 	"ray/internal/collective"
-	"ray/internal/core"
 	"ray/internal/nn"
+	"ray/internal/resources"
 	"ray/internal/rl"
 	"ray/internal/sim"
+	"ray/internal/types"
 	"ray/internal/worker"
+	"ray/ray"
 )
 
 // Actor and function names registered by this package.
@@ -37,7 +40,7 @@ const (
 
 // Register publishes the ES worker actor and helper functions. Worker
 // methods live on the class's registration-time method table.
-func Register(rt *core.Runtime) error {
+func Register(rt *ray.Runtime) error {
 	if err := collective.Register(rt); err != nil {
 		return err
 	}
@@ -327,9 +330,9 @@ func newTrainer(ctx *worker.TaskContext, cfg Config, reference bool) (*Trainer, 
 		driverOverhead: 200 * time.Microsecond,
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		opts := core.CallOptions{}
+		opts := worker.CallOptions{}
 		if cfg.PinWorkersToNodes {
-			opts.Resources = core.Resources(map[string]float64{core.NodeLabel(i): 1, "CPU": 1})
+			opts.Resources = resources.NewRequest(map[string]float64{cluster.NodeLabel(i): 1, "CPU": 1})
 		}
 		h, err := ctx.CreateActor(workerActorName, opts, cfg.Environment)
 		if err != nil {
@@ -378,7 +381,7 @@ func (t *Trainer) iteration(ctx *worker.TaskContext, seedBase int64, res *Result
 	perWorker := (t.cfg.RolloutsPerIteration + t.cfg.Workers - 1) / t.cfg.Workers
 	type pending struct {
 		worker int
-		ref    core.ObjectRef
+		ref    types.ObjectID
 	}
 	var inflight []pending
 	workerSeeds := make([][]int64, t.cfg.Workers)
@@ -388,7 +391,7 @@ func (t *Trainer) iteration(ctx *worker.TaskContext, seedBase int64, res *Result
 			seeds = append(seeds, seedBase+int64(w*perWorker+r))
 		}
 		workerSeeds[w] = seeds
-		ref, err := ctx.CallActor1(t.workers[w], evaluateBatchName, core.CallOptions{},
+		ref, err := ctx.CallActor1(t.workers[w], evaluateBatchName, worker.CallOptions{},
 			paramsRef, seeds, t.cfg.NoiseStd, t.cfg.MaxStepsPerRollout)
 		if err != nil {
 			return 0, err
@@ -401,8 +404,8 @@ func (t *Trainer) iteration(ctx *worker.TaskContext, seedBase int64, res *Result
 	allReturns := make([]float64, 0, t.cfg.RolloutsPerIteration)
 	seedsByWorker := make(map[int][]int64)
 	returnsByWorker := make(map[int][]float64)
-	remaining := make(map[core.ObjectRef]int, len(inflight))
-	refs := make([]core.ObjectRef, 0, len(inflight))
+	remaining := make(map[types.ObjectID]int, len(inflight))
+	refs := make([]types.ObjectID, 0, len(inflight))
 	for _, p := range inflight {
 		remaining[p.ref] = p.worker
 		refs = append(refs, p.ref)
@@ -460,7 +463,7 @@ func (t *Trainer) iteration(ctx *worker.TaskContext, seedBase int64, res *Result
 // and combines the shares with a tree of nested tasks (hierarchical
 // aggregation): the driver only ever receives AggregationFanin vectors.
 func (t *Trainer) treeAggregate(ctx *worker.TaskContext, weightBySeed map[int64]float64, seedsByWorker map[int][]int64) ([]float64, error) {
-	var partialRefs []core.ObjectRef
+	var partialRefs []types.ObjectID
 	for w, seeds := range seedsByWorker {
 		if len(seeds) == 0 {
 			continue
@@ -469,7 +472,7 @@ func (t *Trainer) treeAggregate(ctx *worker.TaskContext, weightBySeed map[int64]
 		for i, s := range seeds {
 			ws[i] = weightBySeed[s]
 		}
-		ref, err := ctx.CallActor1(t.workers[w], "partial_gradient", core.CallOptions{},
+		ref, err := ctx.CallActor1(t.workers[w], "partial_gradient", worker.CallOptions{},
 			t.dim, seeds, ws, t.cfg.NoiseStd)
 		if err != nil {
 			return nil, err
@@ -496,7 +499,7 @@ func (t *Trainer) referenceAggregate(ctx *worker.TaskContext, weightBySeed map[i
 	grad := make([]float64, t.dim)
 	for w, seeds := range seedsByWorker {
 		for _, seed := range seeds {
-			ref, err := ctx.CallActor1(t.workers[w], "evaluate_noise", core.CallOptions{},
+			ref, err := ctx.CallActor1(t.workers[w], "evaluate_noise", worker.CallOptions{},
 				t.dim, seed, t.cfg.NoiseStd)
 			if err != nil {
 				return nil, err

@@ -5,16 +5,16 @@ import (
 	"math"
 	"testing"
 
-	"ray/internal/core"
+	"ray/ray"
 )
 
-func newDriver(t *testing.T, nodes int) *core.Driver {
+func newDriver(t *testing.T, nodes int) *ray.Driver {
 	t.Helper()
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.CPUs = 4
 	cfg.LabelNodes = true
-	rt, err := core.Init(context.Background(), cfg)
+	rt, err := ray.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,13 @@ import (
 
 	"ray/internal/codec"
 	"ray/internal/collective"
-	"ray/internal/core"
 	"ray/internal/nn"
+	"ray/internal/resources"
 	"ray/internal/rl"
 	"ray/internal/sim"
+	"ray/internal/types"
 	"ray/internal/worker"
+	"ray/ray"
 )
 
 // newRNG derives a deterministic RNG from an exploration seed; simulators and
@@ -58,11 +60,11 @@ const (
 
 // Register publishes the PPO simulator actor and update task. The
 // simulator's single method lives on its registration-time method table.
-func Register(rt *core.Runtime) error {
+func Register(rt *ray.Runtime) error {
 	if err := collective.Register(rt); err != nil {
 		return err
 	}
-	if err := rt.Register(updateTaskName, "PPO policy update (GPU task)", updatePolicy); err != nil {
+	if err := rt.RegisterN(updateTaskName, "PPO policy update (GPU task)", 1, updatePolicy); err != nil {
 		return err
 	}
 	if err := rt.RegisterActorClass(simulatorActorName, "PPO rollout simulator", newSimulator); err != nil {
@@ -270,7 +272,7 @@ func New(ctx *worker.TaskContext, cfg Config) (*Trainer, error) {
 	t := &Trainer{cfg: cfg, dim: env.ObservationSize() * env.ActionSize()}
 	t.params = nn.NewVector(t.dim)
 	for i := 0; i < cfg.Simulators; i++ {
-		h, err := ctx.CreateActor(simulatorActorName, core.CallOptions{}, cfg.Environment)
+		h, err := ctx.CreateActor(simulatorActorName, worker.CallOptions{}, cfg.Environment)
 		if err != nil {
 			return nil, err
 		}
@@ -319,10 +321,10 @@ func (t *Trainer) asyncIteration(ctx *worker.TaskContext, seed int64, res *Resul
 	if err != nil {
 		return 0, seed, err
 	}
-	inflight := make(map[core.ObjectRef]int, len(t.sims))
+	inflight := make(map[types.ObjectID]int, len(t.sims))
 	submit := func(simIdx int) error {
 		seed++
-		ref, err := ctx.CallActor1(t.sims[simIdx], "rollout", core.CallOptions{},
+		ref, err := ctx.CallActor1(t.sims[simIdx], "rollout", worker.CallOptions{},
 			paramsRef, seed, t.cfg.NoiseStd, t.cfg.MaxStepsPerRollout)
 		if err != nil {
 			return err
@@ -339,7 +341,7 @@ func (t *Trainer) asyncIteration(ctx *worker.TaskContext, seed int64, res *Resul
 	var returns []float64
 	steps := 0
 	for steps < t.cfg.StepsPerIteration {
-		refs := make([]core.ObjectRef, 0, len(inflight))
+		refs := make([]types.ObjectID, 0, len(inflight))
 		for ref := range inflight {
 			refs = append(refs, ref)
 		}
@@ -369,7 +371,7 @@ func (t *Trainer) asyncIteration(ctx *worker.TaskContext, seed int64, res *Resul
 	// Drain whatever is still in flight so its work is not wasted (and so
 	// actors are idle before the next broadcast).
 	if len(inflight) > 0 {
-		refs := make([]core.ObjectRef, 0, len(inflight))
+		refs := make([]types.ObjectID, 0, len(inflight))
 		for ref := range inflight {
 			refs = append(refs, ref)
 		}
@@ -402,10 +404,10 @@ func (t *Trainer) synchronousIteration(ctx *worker.TaskContext, seed int64, res 
 	var returns []float64
 	steps := 0
 	for steps < t.cfg.StepsPerIteration {
-		refs := make([]core.ObjectRef, 0, len(t.sims))
+		refs := make([]types.ObjectID, 0, len(t.sims))
 		for i := range t.sims {
 			seed++
-			ref, err := ctx.CallActor1(t.sims[i], "rollout", core.CallOptions{},
+			ref, err := ctx.CallActor1(t.sims[i], "rollout", worker.CallOptions{},
 				paramsRef, seed, t.cfg.NoiseStd, t.cfg.MaxStepsPerRollout)
 			if err != nil {
 				return 0, seed, err
@@ -444,9 +446,9 @@ func (t *Trainer) update(ctx *worker.TaskContext, seeds []int64, returns []float
 		SGDSteps:     t.cfg.SGDSteps,
 		MiniBatch:    t.cfg.MiniBatch,
 	}
-	opts := core.CallOptions{}
+	opts := worker.CallOptions{}
 	if t.cfg.UpdateGPUs > 0 {
-		opts.Resources = core.Resources(map[string]float64{"GPU": t.cfg.UpdateGPUs, "CPU": 1})
+		opts.Resources = resources.NewRequest(map[string]float64{"GPU": t.cfg.UpdateGPUs, "CPU": 1})
 	}
 	ref, err := ctx.Call1(updateTaskName, opts, req)
 	if err != nil {

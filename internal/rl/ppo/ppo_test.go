@@ -5,16 +5,16 @@ import (
 	"math"
 	"testing"
 
-	"ray/internal/core"
+	"ray/ray"
 )
 
-func newDriver(t *testing.T, nodes int, gpus float64) *core.Driver {
+func newDriver(t *testing.T, nodes int, gpus float64) *ray.Driver {
 	t.Helper()
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.CPUs = 4
 	cfg.GPUs = gpus
-	rt, err := core.Init(context.Background(), cfg)
+	rt, err := ray.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"ray/internal/core"
 	"ray/internal/rl"
 	"ray/internal/telemetry"
 	"ray/internal/worker"
@@ -63,7 +62,7 @@ type predictBatch struct {
 
 // Register publishes the policy-server actor class and its method table with
 // the runtime. Call once per runtime before NewRayServer.
-func Register(rt *core.Runtime) error {
+func Register(rt *ray.Runtime) error {
 	reg := rt.Cluster().Metrics()
 	metricsMu.Lock()
 	serveRegistry = reg

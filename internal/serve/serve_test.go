@@ -4,14 +4,14 @@ import (
 	"context"
 	"testing"
 
-	"ray/internal/core"
+	"ray/ray"
 )
 
-func newDriver(t *testing.T) *core.Driver {
+func newDriver(t *testing.T) *ray.Driver {
 	t.Helper()
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = 2
-	rt, err := core.Init(context.Background(), cfg)
+	rt, err := ray.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,15 @@ import (
 	"math/rand"
 	"time"
 
+	"ray/internal/cluster"
 	"ray/internal/codec"
 	"ray/internal/collective"
-	"ray/internal/core"
 	"ray/internal/nn"
 	"ray/internal/paramserver"
+	"ray/internal/resources"
+	"ray/internal/types"
 	"ray/internal/worker"
+	"ray/ray"
 )
 
 // replicaActorName is the registered actor class for model replicas.
@@ -25,7 +28,7 @@ const replicaActorName = "sgd.Replica"
 // Register publishes the model-replica actor class (and the primitives it
 // depends on) with the runtime. Replica methods live on the class's
 // registration-time method table.
-func Register(rt *core.Runtime) error {
+func Register(rt *ray.Runtime) error {
 	if err := paramserver.Register(rt); err != nil {
 		return err
 	}
@@ -227,11 +230,11 @@ func New(ctx *worker.TaskContext, cfg Config) (*Trainer, error) {
 			reqs["GPU"] = cfg.GPUsPerReplica
 		}
 		if cfg.PinToNodes {
-			reqs[core.NodeLabel(i)] = 1
+			reqs[cluster.NodeLabel(i)] = 1
 		}
-		opts := core.CallOptions{}
+		opts := worker.CallOptions{}
 		if len(reqs) > 0 {
-			opts.Resources = core.Resources(reqs)
+			opts.Resources = resources.NewRequest(reqs)
 		}
 		h, err := ctx.CreateActor(replicaActorName, opts, cfg.LayerSizes, cfg.Seed)
 		if err != nil {
@@ -241,7 +244,7 @@ func New(ctx *worker.TaskContext, cfg Config) (*Trainer, error) {
 	}
 
 	// Read the initial weights from replica 0.
-	wRef, err := ctx.CallActor1(t.replicas[0], "weights", core.CallOptions{})
+	wRef, err := ctx.CallActor1(t.replicas[0], "weights", worker.CallOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -273,10 +276,10 @@ func New(ctx *worker.TaskContext, cfg Config) (*Trainer, error) {
 // Step runs one synchronous iteration and returns the mean replica loss.
 func (t *Trainer) Step(ctx *worker.TaskContext) (float64, error) {
 	// 1. Every replica computes a gradient on its own batch, in parallel.
-	gradRefs := make([]core.ObjectRef, len(t.replicas))
-	lossRefs := make([]core.ObjectRef, len(t.replicas))
+	gradRefs := make([]types.ObjectID, len(t.replicas))
+	lossRefs := make([]types.ObjectID, len(t.replicas))
 	for i, h := range t.replicas {
-		refs, err := ctx.CallActor(h, "gradient", core.CallOptions{NumReturns: 2}, t.cfg.BatchSize)
+		refs, err := ctx.CallActor(h, "gradient", worker.CallOptions{NumReturns: 2}, t.cfg.BatchSize)
 		if err != nil {
 			return 0, err
 		}
@@ -289,7 +292,7 @@ func (t *Trainer) Step(ctx *worker.TaskContext) (float64, error) {
 	case StrategyParameterServer, StrategyCentralizedPS:
 		// Push every replica's gradient (futures pipeline the pushes), then
 		// apply on the shards and fetch the updated weights.
-		var acks []core.ObjectRef
+		var acks []types.ObjectID
 		for _, gref := range gradRefs {
 			var grad []float64
 			if err := ctx.Get(gref, &grad); err != nil {
@@ -331,9 +334,9 @@ func (t *Trainer) Step(ctx *worker.TaskContext) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	setAcks := make([]core.ObjectRef, len(t.replicas))
+	setAcks := make([]types.ObjectID, len(t.replicas))
 	for i, h := range t.replicas {
-		ack, err := ctx.CallActor1(h, "set_weights", core.CallOptions{}, wRef)
+		ack, err := ctx.CallActor1(h, "set_weights", worker.CallOptions{}, wRef)
 		if err != nil {
 			return 0, err
 		}

@@ -4,16 +4,16 @@ import (
 	"context"
 	"testing"
 
-	"ray/internal/core"
+	"ray/ray"
 )
 
-func newDriver(t *testing.T, nodes int, gpusPerNode float64) *core.Driver {
+func newDriver(t *testing.T, nodes int, gpusPerNode float64) *ray.Driver {
 	t.Helper()
-	cfg := core.DefaultConfig()
+	cfg := ray.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.GPUs = gpusPerNode
 	cfg.LabelNodes = true
-	rt, err := core.Init(context.Background(), cfg)
+	rt, err := ray.Init(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func newDriver(t *testing.T, nodes int, gpusPerNode float64) *core.Driver {
 	return d
 }
 
-func trainAndCheck(t *testing.T, d *core.Driver, cfg Config, iterations int) {
+func trainAndCheck(t *testing.T, d *ray.Driver, cfg Config, iterations int) {
 	t.Helper()
 	trainer, err := New(d.TaskContext, cfg)
 	if err != nil {

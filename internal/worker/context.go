@@ -79,9 +79,6 @@ func NewTaskContext(ctx context.Context, id types.TaskID, job types.JobID, drive
 	return &TaskContext{Ctx: ctx, TaskID: id, Job: job, Driver: driver, Node: node, runtime: rt, ids: ids}
 }
 
-// Runtime exposes the underlying cluster runtime (used by the core package).
-func (c *TaskContext) Runtime() Runtime { return c.runtime }
-
 // trackCreated records owner references this context now holds.
 func (c *TaskContext) trackCreated(ids ...types.ObjectID) {
 	if len(ids) == 0 {
@@ -139,7 +136,7 @@ func (c *TaskContext) Free(ids ...types.ObjectID) {
 // CallContext returns the context itself. It exists so that every value that
 // embeds a *TaskContext (drivers, application wrappers) satisfies the public
 // ray package's Caller interface without further plumbing. The name avoids
-// colliding with core.Driver's embedded TaskContext field, which would shadow
+// colliding with ray.Driver's embedded TaskContext field, which would shadow
 // a promoted method of the same name.
 func (c *TaskContext) CallContext() *TaskContext { return c }
 

@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ray/internal/task"
@@ -58,24 +57,13 @@ type StateConstructor func(ctx *TaskContext, args [][]byte) (any, error)
 // return an encoding or a copy of it).
 type ActorMethodImpl func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error)
 
-// MethodSpec describes one registered actor method: its implementation plus
-// the declared argument and return arity, which registration threads into the
-// GCS function table.
-type MethodSpec struct {
-	// NumArgs is the declared argument count.
-	NumArgs int
-	// NumReturns is the declared return-object count (minimum 1).
-	NumReturns int
-	// Impl executes the method against the actor's state.
-	Impl ActorMethodImpl
-}
-
 // actorClass is a registered actor class: its constructor plus its method
 // table. Classes dispatch exclusively through the table — an unknown method
-// is an error, never a fallthrough.
+// is an error, never a fallthrough. A method's declared arity is not kept
+// here: it lives in the class's GCS function entry.
 type actorClass struct {
 	ctor    StateConstructor
-	methods map[string]MethodSpec
+	methods map[string]ActorMethodImpl
 }
 
 // Registry maps names to remote functions and actor classes. A single
@@ -84,7 +72,7 @@ type actorClass struct {
 // function table.
 //
 // Names live in two namespaces: the cluster-wide one (library code registered
-// through the Runtime, visible to every job) and per-job ones (definitions a
+// through ray.Runtime, visible to every job) and per-job ones (definitions a
 // driver registers for its own job only). A job-scoped registration is stored
 // under its qualified name — QualifiedName(job, name) — and resolution for a
 // task of that job tries the job's namespace first, then falls back to the
@@ -146,19 +134,16 @@ func (r *Registry) RegisterActorClass(name string, ctor StateConstructor) error 
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.actors[name] = &actorClass{ctor: ctor, methods: make(map[string]MethodSpec)}
+	r.actors[name] = &actorClass{ctor: ctor, methods: make(map[string]ActorMethodImpl)}
 	return nil
 }
 
 // RegisterActorMethod attaches one method to a class's table. The class must
 // have been registered with RegisterActorClass, and each method name may be
 // declared only once per class registration.
-func (r *Registry) RegisterActorMethod(class, method string, spec MethodSpec) error {
-	if method == "" || spec.Impl == nil {
+func (r *Registry) RegisterActorMethod(class, method string, impl ActorMethodImpl) error {
+	if method == "" || impl == nil {
 		return fmt.Errorf("worker: invalid method registration %s.%q", class, method)
-	}
-	if spec.NumReturns < 1 {
-		spec.NumReturns = 1
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -169,13 +154,8 @@ func (r *Registry) RegisterActorMethod(class, method string, spec MethodSpec) er
 	if _, dup := c.methods[method]; dup {
 		return fmt.Errorf("worker: method %s.%s: %w", class, method, types.ErrDuplicateMethod)
 	}
-	c.methods[method] = spec
+	c.methods[method] = impl
 	return nil
-}
-
-// Function looks up a remote function in the cluster-wide namespace.
-func (r *Registry) Function(name string) (Function, error) {
-	return r.FunctionFor(types.NilJobID, name)
 }
 
 // FunctionFor resolves a function for a task of the given job: the job's own
@@ -195,12 +175,6 @@ func (r *Registry) FunctionFor(job types.JobID, name string) (Function, error) {
 		return nil, fmt.Errorf("worker: function %q: %w", name, types.ErrFunctionNotFound)
 	}
 	return fn, nil
-}
-
-// ActorClass looks up an actor class constructor in the cluster-wide
-// namespace.
-func (r *Registry) ActorClass(name string) (StateConstructor, error) {
-	return r.ActorClassFor(types.NilJobID, name)
 }
 
 // ActorClassFor resolves an actor class constructor for a creation task of
@@ -233,25 +207,6 @@ func (r *Registry) lookupClassLocked(job types.JobID, name string) (*actorClass,
 	return c, nil
 }
 
-// MethodSpecFor returns the registered spec of one method (for tests and the
-// debugging tools). ok is false for unknown classes and unregistered methods.
-func (r *Registry) MethodSpecFor(class, method string) (MethodSpec, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.actors[class]
-	if !ok {
-		return MethodSpec{}, false
-	}
-	spec, ok := c.methods[method]
-	return spec, ok
-}
-
-// Dispatch resolves the callee for one method invocation on an instance of a
-// cluster-wide class.
-func (r *Registry) Dispatch(class, method string, instance any) (func(ctx *TaskContext, args [][]byte) ([][]byte, error), error) {
-	return r.DispatchFor(types.NilJobID, class, method, instance)
-}
-
 // DispatchFor resolves the callee for one method invocation on an instance
 // of the class, searching the job's namespace before the cluster-wide one.
 // Classes resolve exclusively through their method table: an unknown method
@@ -264,52 +219,20 @@ func (r *Registry) DispatchFor(job types.JobID, class, method string, instance a
 		r.mu.RUnlock()
 		return nil, err
 	}
-	spec, found := c.methods[method]
+	impl, found := c.methods[method]
 	r.mu.RUnlock()
 	if !found {
 		return nil, fmt.Errorf("worker: %s.%s: %w", class, method, types.ErrMethodNotFound)
 	}
 	return func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
-		return spec.Impl(ctx, instance, args)
+		return impl(ctx, instance, args)
 	}, nil
-}
-
-// Names returns all registered function and actor class names, sorted (for
-// the debugging tools).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.functions)+len(r.actors))
-	for n := range r.functions {
-		out = append(out, n)
-	}
-	for n := range r.actors {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MethodNames returns the sorted method-table names of a class.
-func (r *Registry) MethodNames(class string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.actors[class]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(c.methods))
-	for n := range c.methods {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Runtime is the cluster API surface available to code running inside a task
 // or actor method: nested remote calls, object reads, and explicit puts. The
-// node runtime implements it; the driver-facing API in internal/core exposes
-// the same operations to the user program.
+// node runtime implements it; a ray.Driver embeds a TaskContext over it, which
+// exposes the same operations to the user program.
 type Runtime interface {
 	// SubmitSpec submits a fully formed task spec for execution somewhere in
 	// the cluster and returns immediately (the result is the spec's return

@@ -41,9 +41,9 @@ func TestWriteThroughBorrowedArgumentFailsLoudly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := env.registry.RegisterActorMethod("Scribbler", "scribble", MethodSpec{NumArgs: 2, Impl: func(_ *TaskContext, _ any, args [][]byte) ([][]byte, error) {
+	if err := env.registry.RegisterActorMethod("Scribbler", "scribble", func(_ *TaskContext, _ any, args [][]byte) ([][]byte, error) {
 		return [][]byte{codec.MustEncode(true)}, scribble(args)
-	}}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 

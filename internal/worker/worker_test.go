@@ -169,9 +169,8 @@ func registerTestFunctions(t *testing.T, env *testEnv) {
 		}
 		return c, nil
 	}))
-	must(env.registry.RegisterActorMethod("Counter", "add", MethodSpec{
-		NumArgs: 1, NumReturns: 1,
-		Impl: func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+	must(env.registry.RegisterActorMethod("Counter", "add",
+		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
 			c := state.(*Counter)
 			var delta int
 			if err := codec.Decode(args[0], &delta); err != nil {
@@ -181,23 +180,18 @@ func registerTestFunctions(t *testing.T, env *testEnv) {
 			defer c.mu.Unlock()
 			c.value += delta
 			return [][]byte{codec.MustEncode(c.value)}, nil
-		},
-	}))
-	must(env.registry.RegisterActorMethod("Counter", "value", MethodSpec{
-		NumReturns: 1,
-		Impl: func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+		}))
+	must(env.registry.RegisterActorMethod("Counter", "value",
+		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
 			c := state.(*Counter)
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return [][]byte{codec.MustEncode(c.value)}, nil
-		},
-	}))
-	must(env.registry.RegisterActorMethod("Counter", "fail", MethodSpec{
-		NumReturns: 1,
-		Impl: func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+		}))
+	must(env.registry.RegisterActorMethod("Counter", "fail",
+		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
 			return nil, errors.New("method exploded")
-		},
-	}))
+		}))
 }
 
 func TestRegistryBasics(t *testing.T) {
@@ -208,10 +202,10 @@ func TestRegistryBasics(t *testing.T) {
 	if err := r.RegisterActorClass("", nil); err == nil {
 		t.Fatal("empty actor class registration must fail")
 	}
-	if _, err := r.Function("missing"); !errors.Is(err, types.ErrFunctionNotFound) {
+	if _, err := r.FunctionFor(types.NilJobID, "missing"); !errors.Is(err, types.ErrFunctionNotFound) {
 		t.Fatal("missing function must report ErrFunctionNotFound")
 	}
-	if _, err := r.ActorClass("missing"); !errors.Is(err, types.ErrFunctionNotFound) {
+	if _, err := r.ActorClassFor(types.NilJobID, "missing"); !errors.Is(err, types.ErrFunctionNotFound) {
 		t.Fatal("missing actor class must report ErrFunctionNotFound")
 	}
 	if err := r.Register("f", func(*TaskContext, [][]byte) ([][]byte, error) { return nil, nil }); err != nil {
@@ -220,9 +214,15 @@ func TestRegistryBasics(t *testing.T) {
 	if err := r.RegisterActorClass("A", func(*TaskContext, [][]byte) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "A" || names[1] != "f" {
-		t.Fatalf("names wrong: %v", names)
+	if fn, err := r.FunctionFor(types.NilJobID, "f"); err != nil || fn == nil {
+		t.Fatalf("registered function not found: %v", err)
+	}
+	if ctor, err := r.ActorClassFor(types.NilJobID, "A"); err != nil || ctor == nil {
+		t.Fatalf("registered actor class not found: %v", err)
+	}
+	// Functions and classes are separate tables.
+	if _, err := r.FunctionFor(types.NilJobID, "A"); !errors.Is(err, types.ErrFunctionNotFound) {
+		t.Fatalf("class resolved as a function: %v", err)
 	}
 }
 
@@ -278,7 +278,7 @@ func TestRegistryJobNamespaces(t *testing.T) {
 	if _, err := r.FunctionFor(jobB, "private"); !errors.Is(err, types.ErrFunctionNotFound) {
 		t.Fatalf("cross-job resolution of a private name: %v, want ErrFunctionNotFound", err)
 	}
-	if _, err := r.Function("private"); !errors.Is(err, types.ErrFunctionNotFound) {
+	if _, err := r.FunctionFor(types.NilJobID, "private"); !errors.Is(err, types.ErrFunctionNotFound) {
 		t.Fatalf("global resolution of a private name: %v, want ErrFunctionNotFound", err)
 	}
 }
@@ -287,36 +287,30 @@ func TestRegistryMethodTable(t *testing.T) {
 	r := NewRegistry()
 	impl := func(*TaskContext, any, [][]byte) ([][]byte, error) { return nil, nil }
 	// Methods cannot attach to unknown classes.
-	if err := r.RegisterActorMethod("Ghost", "m", MethodSpec{NumReturns: 1, Impl: impl}); !errors.Is(err, types.ErrFunctionNotFound) {
+	if err := r.RegisterActorMethod("Ghost", "m", impl); !errors.Is(err, types.ErrFunctionNotFound) {
 		t.Fatalf("method on unknown class: %v, want ErrFunctionNotFound", err)
 	}
 	if err := r.RegisterActorClass("C", func(*TaskContext, [][]byte) (any, error) { return &Counter{}, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterActorMethod("C", "", MethodSpec{Impl: impl}); err == nil {
+	if err := r.RegisterActorMethod("C", "", impl); err == nil {
 		t.Fatal("empty method name must fail")
 	}
-	if err := r.RegisterActorMethod("C", "m", MethodSpec{Impl: nil}); err == nil {
+	if err := r.RegisterActorMethod("C", "m", nil); err == nil {
 		t.Fatal("nil method impl must fail")
 	}
-	if err := r.RegisterActorMethod("C", "m", MethodSpec{NumArgs: 2, NumReturns: 1, Impl: impl}); err != nil {
+	if err := r.RegisterActorMethod("C", "m", impl); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate declaration is rejected.
-	if err := r.RegisterActorMethod("C", "m", MethodSpec{NumReturns: 1, Impl: impl}); !errors.Is(err, types.ErrDuplicateMethod) {
+	if err := r.RegisterActorMethod("C", "m", impl); !errors.Is(err, types.ErrDuplicateMethod) {
 		t.Fatalf("duplicate method: %v, want ErrDuplicateMethod", err)
 	}
-	if spec, ok := r.MethodSpecFor("C", "m"); !ok || spec.NumArgs != 2 || spec.NumReturns != 1 {
-		t.Fatalf("MethodSpecFor wrong: %+v %v", spec, ok)
+	if _, err := r.DispatchFor(types.NilJobID, "C", "m", &Counter{}); err != nil {
+		t.Fatalf("registered method does not dispatch: %v", err)
 	}
-	if _, ok := r.MethodSpecFor("C", "other"); ok {
-		t.Fatal("MethodSpecFor must miss unknown methods")
-	}
-	if got := r.MethodNames("C"); len(got) != 1 || got[0] != "m" {
-		t.Fatalf("MethodNames wrong: %v", got)
-	}
-	if r.MethodNames("Ghost") != nil {
-		t.Fatal("unknown classes have no method-table names")
+	if _, err := r.DispatchFor(types.NilJobID, "C", "other", &Counter{}); !errors.Is(err, types.ErrMethodNotFound) {
+		t.Fatalf("unknown method: %v, want ErrMethodNotFound", err)
 	}
 }
 
@@ -326,17 +320,17 @@ func TestRegistryDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	called := false
-	if err := r.RegisterActorMethod("C", "m", MethodSpec{NumReturns: 1,
-		Impl: func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+	if err := r.RegisterActorMethod("C", "m",
+		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
 			called = true
 			if _, ok := state.(*Counter); !ok {
 				t.Errorf("dispatch passed %T, want *Counter", state)
 			}
 			return [][]byte{codec.MustEncode(true)}, nil
-		}}); err != nil {
+		}); err != nil {
 		t.Fatal(err)
 	}
-	call, err := r.Dispatch("C", "m", &Counter{})
+	call, err := r.DispatchFor(types.NilJobID, "C", "m", &Counter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +339,11 @@ func TestRegistryDispatch(t *testing.T) {
 	}
 	// Unknown method on a table class is ErrMethodNotFound — the method table
 	// is the only dispatch path, never a fallthrough to the instance.
-	if _, err := r.Dispatch("C", "ghost", &Counter{}); !errors.Is(err, types.ErrMethodNotFound) {
+	if _, err := r.DispatchFor(types.NilJobID, "C", "ghost", &Counter{}); !errors.Is(err, types.ErrMethodNotFound) {
 		t.Fatalf("unknown table method: %v, want ErrMethodNotFound", err)
 	}
 	// Unknown class is ErrFunctionNotFound.
-	if _, err := r.Dispatch("Ghost", "m", &Counter{}); !errors.Is(err, types.ErrFunctionNotFound) {
+	if _, err := r.DispatchFor(types.NilJobID, "Ghost", "m", &Counter{}); !errors.Is(err, types.ErrFunctionNotFound) {
 		t.Fatalf("unknown class: %v, want ErrFunctionNotFound", err)
 	}
 	// A job-scoped class shadows the global one of the same name for its own
@@ -359,11 +353,11 @@ func TestRegistryDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobCalled := false
-	if err := r.RegisterActorMethod(QualifiedName(job, "C"), "jobonly", MethodSpec{NumReturns: 1,
-		Impl: func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+	if err := r.RegisterActorMethod(QualifiedName(job, "C"), "jobonly",
+		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
 			jobCalled = true
 			return [][]byte{codec.MustEncode(true)}, nil
-		}}); err != nil {
+		}); err != nil {
 		t.Fatal(err)
 	}
 	call, err = r.DispatchFor(job, "C", "jobonly", &Counter{})

@@ -1,4 +1,4 @@
-package core
+package ray
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"ray/internal/codec"
 	"ray/internal/node"
 	"ray/internal/resources"
+	"ray/internal/types"
+	"ray/internal/worker"
 )
 
 // TestEffectiveDefaults pins what each node and the cluster actually run with,
@@ -89,11 +91,11 @@ func TestAddedNodeIsTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		ref, err := d.Call1("square", CallOptions{}, float64(i))
+		ref, err := d.Call1("square", worker.CallOptions{}, float64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := Get[float64](d.TaskContext, ref); err != nil || got != float64(i*i) {
+		if got, err := Get(d, RefAs[float64](ref)); err != nil || got != float64(i*i) {
 			t.Fatalf("square(%d) = %v, %v", i, got, err)
 		}
 	}
@@ -134,7 +136,7 @@ func TestAddedNodeHonoursJobWeights(t *testing.T) {
 	gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	for i, name := range []string{"gate0", "gate1"} {
 		gate := gates[i]
-		if err := rt.Register(name, "blocks until its gate opens", func(*TaskContext, [][]byte) ([][]byte, error) {
+		if err := rt.RegisterN(name, "blocks until its gate opens", 1, func(*Context, [][]byte) ([][]byte, error) {
 			started.Add(1)
 			<-gate
 			return [][]byte{codec.MustEncode(true)}, nil
@@ -154,13 +156,13 @@ func TestAddedNodeHonoursJobWeights(t *testing.T) {
 	}
 	type call struct {
 		d   *Driver
-		ref ObjectRef
+		ref types.ObjectID
 	}
 	var calls []call
 	submit := func(d *Driver, fn string, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			ref, err := d.Call1(fn, CallOptions{ZeroResources: true})
+			ref, err := d.Call1(fn, worker.CallOptions{ZeroResources: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +190,7 @@ func TestAddedNodeHonoursJobWeights(t *testing.T) {
 	ranLight := slots - local.PendingForJob(light.Job)
 	close(gates[1])
 	for _, c := range calls {
-		if _, err := Get[bool](c.d.TaskContext, c.ref); err != nil {
+		if _, err := Get(c.d, RefAs[bool](c.ref)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package core
+package ray
 
 import (
 	"context"
@@ -10,11 +10,12 @@ import (
 
 	"ray/internal/codec"
 	"ray/internal/types"
+	"ray/internal/worker"
 )
 
 // tagFn is a remote function returning a fixed tag, for namespace tests.
-func tagFn(tag string) func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
-	return func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+func tagFn(tag string) func(ctx *Context, args [][]byte) ([][]byte, error) {
+	return func(ctx *Context, args [][]byte) ([][]byte, error) {
 		return [][]byte{codec.MustEncode(tag)}, nil
 	}
 }
@@ -38,7 +39,7 @@ func TestCrossJobFunctionIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Shutdown)
-	if err := rt.Register("dup", "cluster-wide fallback", tagFn("global")); err != nil {
+	if err := rt.RegisterN("dup", "cluster-wide fallback", 1, tagFn("global")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +70,7 @@ func TestCrossJobFunctionIsolation(t *testing.T) {
 		d    *Driver
 		want string
 	}{{dA, "A"}, {dB, "B"}, {dC, "global"}} {
-		ref, err := tc.d.Call1("dup", CallOptions{})
+		ref, err := tc.d.Call1("dup", worker.CallOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +80,8 @@ func TestCrossJobFunctionIsolation(t *testing.T) {
 	}
 	// Nested tasks inherit the job, so A's nested call also resolves A's dup.
 	if err := dA.RegisterFunction("nested_dup", "calls dup from inside a task", 1,
-		func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
-			ref, err := ctx.Call1("dup", CallOptions{})
+		func(ctx *Context, args [][]byte) ([][]byte, error) {
+			ref, err := ctx.Call1("dup", worker.CallOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +93,7 @@ func TestCrossJobFunctionIsolation(t *testing.T) {
 		}); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := dA.Call1("nested_dup", CallOptions{})
+	ref, err := dA.Call1("nested_dup", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +123,14 @@ func TestCrossJobActorIsolation(t *testing.T) {
 
 	registerStepCounter := func(d *Driver, step int) {
 		t.Helper()
-		if err := d.RegisterActorClass("Counter", "per-job counter", func(ctx *TaskContext, args [][]byte) (any, error) {
+		if err := d.RegisterActorClass("Counter", "per-job counter", func(ctx *Context, args [][]byte) (any, error) {
 			v := 0
 			return &v, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.RegisterActorMethod("Counter", "bump", 0, 1,
-			func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+			func(ctx *Context, state any, args [][]byte) ([][]byte, error) {
 				v := state.(*int)
 				*v += step
 				return [][]byte{codec.MustEncode(*v)}, nil
@@ -140,27 +141,27 @@ func TestCrossJobActorIsolation(t *testing.T) {
 	registerStepCounter(dA, 1)
 	registerStepCounter(dB, 100)
 
-	actorA, err := dA.CreateActor("Counter", CallOptions{})
+	actorA, err := dA.CreateActor("Counter", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	actorB, err := dB.CreateActor("Counter", CallOptions{})
+	actorB, err := dB.CreateActor("Counter", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := dA.CallActor1(actorA, "bump", CallOptions{}); err != nil {
+		if _, err := dA.CallActor1(actorA, "bump", worker.CallOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dB.CallActor1(actorB, "bump", CallOptions{}); err != nil {
+		if _, err := dB.CallActor1(actorB, "bump", worker.CallOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	refA, err := dA.CallActor1(actorA, "bump", CallOptions{})
+	refA, err := dA.CallActor1(actorA, "bump", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := dB.CallActor1(actorB, "bump", CallOptions{})
+	refB, err := dB.CallActor1(actorB, "bump", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +188,14 @@ func TestJobKillCleansUpAndSparesOthers(t *testing.T) {
 	}
 	t.Cleanup(rt.Shutdown)
 	registerTestWorkload(t, rt)
-	if err := rt.RegisterActorClass("KCounter", "counter", func(ctx *TaskContext, args [][]byte) (any, error) {
+	if err := rt.RegisterActorClass("KCounter", "counter", func(ctx *Context, args [][]byte) (any, error) {
 		v := 0
 		return &v, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.RegisterActorMethod("KCounter", "bump", 0, 1,
-		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+		func(ctx *Context, state any, args [][]byte) ([][]byte, error) {
 			v := state.(*int)
 			*v++
 			return [][]byte{codec.MustEncode(*v)}, nil
@@ -213,11 +214,11 @@ func TestJobKillCleansUpAndSparesOthers(t *testing.T) {
 	}
 
 	// The victim creates an actor, puts objects, and runs tasks.
-	vActor, err := victim.CreateActor("KCounter", CallOptions{})
+	vActor, err := victim.CreateActor("KCounter", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref, err := victim.CallActor1(vActor, "bump", CallOptions{}); err != nil {
+	if ref, err := victim.CallActor1(vActor, "bump", worker.CallOptions{}); err != nil {
 		t.Fatal(err)
 	} else {
 		var v int
@@ -229,7 +230,7 @@ func TestJobKillCleansUpAndSparesOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vTask, err := victim.Call1("square", CallOptions{}, 3.0)
+	vTask, err := victim.Call1("square", worker.CallOptions{}, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestJobKillCleansUpAndSparesOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sTask, err := survivor.Call1("square", CallOptions{}, 4.0)
+	sTask, err := survivor.Call1("square", worker.CallOptions{}, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestJobKillCleansUpAndSparesOthers(t *testing.T) {
 		t.Fatalf("survivor task after kill: %v, %v", sq, err)
 	}
 	// And the survivor can keep submitting work.
-	after, err := survivor.Call1("square", CallOptions{}, 5.0)
+	after, err := survivor.Call1("square", worker.CallOptions{}, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +376,11 @@ func TestLineageReplayScopedToJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refA, err := prodA.Call1("square", CallOptions{}, 6.0)
+	refA, err := prodA.Call1("square", worker.CallOptions{}, 6.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := prodB.Call1("square", CallOptions{}, 7.0)
+	refB, err := prodB.Call1("square", worker.CallOptions{}, 7.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func TestJobLifecycleConcurrentDrivers(t *testing.T) {
 				return
 			}
 			for round := 0; round < 5; round++ {
-				ref, err := d.Call1("who", CallOptions{})
+				ref, err := d.Call1("who", worker.CallOptions{})
 				if err != nil {
 					errs <- err
 					return

@@ -1,12 +1,15 @@
-package core
+package ray
 
 import (
 	"context"
 	"testing"
 	"time"
 
+	"ray/internal/cluster"
 	"ray/internal/codec"
+	"ray/internal/resources"
 	"ray/internal/types"
+	"ray/internal/worker"
 )
 
 // TestRoundTripsWaitOnNoTimer: nothing between a task's result being written
@@ -18,7 +21,10 @@ import (
 // still find the location it has to withdraw (every store ends empty).
 func TestRoundTripsWaitOnNoTimer(t *testing.T) {
 	const rounds = 200
-	call := func(d *Driver, opts CallOptions, x int) types.ObjectID {
+	onNode := func(i int) resources.Request {
+		return resources.NewRequest(map[string]float64{cluster.NodeLabel(i): 1})
+	}
+	call := func(d *Driver, opts worker.CallOptions, x int) types.ObjectID {
 		t.Helper()
 		id, err := d.Call1("add1", opts, x)
 		if err != nil {
@@ -28,25 +34,25 @@ func TestRoundTripsWaitOnNoTimer(t *testing.T) {
 	}
 	get := func(d *Driver, id types.ObjectID, want int) {
 		t.Helper()
-		if got, err := Get[int](d.TaskContext, id); err != nil || got != want {
+		if got, err := Get(d, RefAs[int](id)); err != nil || got != want {
 			t.Fatalf("Get = %d, %v; want %d", got, err, want)
 		}
 	}
 	for name, round := range map[string]func(d *Driver, i int){
 		"local": func(d *Driver, i int) {
-			id := call(d, CallOptions{}, i)
+			id := call(d, worker.CallOptions{}, i)
 			get(d, id, i+1)
 			d.Free(id)
 		},
 		"forwarded": func(d *Driver, i int) {
-			id := call(d, CallOptions{Resources: OnNode(1)}, i)
+			id := call(d, worker.CallOptions{Resources: onNode(1)}, i)
 			get(d, id, i+1)
 			d.Free(id)
 		},
 		"wait": func(d *Driver, i int) {
 			ids := []types.ObjectID{
-				call(d, CallOptions{Resources: OnNode(1)}, i),
-				call(d, CallOptions{Resources: OnNode(2)}, -i),
+				call(d, worker.CallOptions{Resources: onNode(1)}, i),
+				call(d, worker.CallOptions{Resources: onNode(2)}, -i),
 			}
 			ready, _, err := d.Wait(ids, len(ids), 0)
 			if err != nil || len(ready) != len(ids) {
@@ -66,7 +72,7 @@ func TestRoundTripsWaitOnNoTimer(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Shutdown()
-			err = rt.Register("add1", "returns its argument plus one", func(_ *TaskContext, args [][]byte) ([][]byte, error) {
+			err = rt.RegisterN("add1", "returns its argument plus one", 1, func(_ *Context, args [][]byte) ([][]byte, error) {
 				var x int
 				if err := codec.Decode(args[0], &x); err != nil {
 					return nil, err

@@ -1,4 +1,4 @@
-package core
+package ray
 
 import (
 	"bytes"
@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"ray/internal/codec"
+	"ray/internal/types"
+	"ray/internal/worker"
 )
 
 // registerBlobWorkload registers payload producers/consumers for the memory
@@ -26,7 +28,7 @@ func registerBlobWorkload(t *testing.T, rt *Runtime, makeCalls *sync.Map) {
 			t.Fatal(err)
 		}
 	}
-	must(rt.Register("make_blob", "produces a payload of the requested size", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("make_blob", "produces a payload of the requested size", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		var size int
 		if err := codec.Decode(args[0], &size); err != nil {
 			return nil, err
@@ -37,7 +39,7 @@ func registerBlobWorkload(t *testing.T, rt *Runtime, makeCalls *sync.Map) {
 		}
 		return [][]byte{codec.MustEncode(bytes.Repeat([]byte{0xAB}, size))}, nil
 	}))
-	must(rt.Register("blob_size", "returns the payload's length", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("blob_size", "returns the payload's length", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		var payload []byte
 		if err := codec.Decode(args[0], &payload); err != nil {
 			return nil, err
@@ -85,17 +87,17 @@ func TestRefcountReleaseRaces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				ref, err := d.Call1("make_blob", CallOptions{}, blobSize)
+				ref, err := d.Call1("make_blob", worker.CallOptions{}, blobSize)
 				if err != nil {
 					errs <- err
 					return
 				}
-				szRef, err := d.Call1("blob_size", CallOptions{}, ref)
+				szRef, err := d.Call1("blob_size", worker.CallOptions{}, ref)
 				if err != nil {
 					errs <- err
 					return
 				}
-				sz, err := Get[int](d.TaskContext, szRef)
+				sz, err := Get(d, RefAs[int](szRef))
 				if err != nil {
 					errs <- err
 					return
@@ -132,9 +134,9 @@ func TestConcurrentPullWithSpill(t *testing.T) {
 		blobs    = 8
 		blobSize = 30 << 10
 	)
-	refs := make([]ObjectRef, blobs)
+	refs := make([]types.ObjectID, blobs)
 	for i := range refs {
-		ref, err := d.Call1("make_blob", CallOptions{}, blobSize)
+		ref, err := d.Call1("make_blob", worker.CallOptions{}, blobSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +144,11 @@ func TestConcurrentPullWithSpill(t *testing.T) {
 	}
 	// Consume each once so every payload exists before the concurrent pulls.
 	for _, ref := range refs {
-		szRef, err := d.Call1("blob_size", CallOptions{}, ref)
+		szRef, err := d.Call1("blob_size", worker.CallOptions{}, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sz, err := Get[int](d.TaskContext, szRef); err != nil || sz != blobSize {
+		if sz, err := Get(d, RefAs[int](szRef)); err != nil || sz != blobSize {
 			t.Fatalf("warmup consume: %d, %v", sz, err)
 		}
 	}
@@ -159,7 +161,7 @@ func TestConcurrentPullWithSpill(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, ref := range refs {
-				payload, err := Get[[]byte](d.TaskContext, ref)
+				payload, err := Get(d, RefAs[[]byte](ref))
 				if err != nil {
 					errs <- err
 					return
@@ -215,22 +217,22 @@ func TestLineageReplayOnlyAfterMissingSpill(t *testing.T) {
 
 	// Distinct sizes so the producer counter distinguishes the objects.
 	const sizeA, sizeB, sizeC = 60_000, 60_001, 60_002
-	refA, err := d.Call1("make_blob", CallOptions{}, sizeA)
+	refA, err := d.Call1("make_blob", worker.CallOptions{}, sizeA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get[[]byte](d.TaskContext, refA); err != nil {
+	if _, err := Get(d, RefAs[[]byte](refA)); err != nil {
 		t.Fatal(err)
 	}
 	// B then C displace A then B from the 100 KB store: both spill to disk.
-	refB, err := d.Call1("make_blob", CallOptions{}, sizeB)
+	refB, err := d.Call1("make_blob", worker.CallOptions{}, sizeB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get[[]byte](d.TaskContext, refB); err != nil {
+	if _, err := Get(d, RefAs[[]byte](refB)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Call1("make_blob", CallOptions{}, sizeC); err != nil {
+	if _, err := d.Call1("make_blob", worker.CallOptions{}, sizeC); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,7 +243,7 @@ func TestLineageReplayOnlyAfterMissingSpill(t *testing.T) {
 
 	// A spilled copy is restored from disk: the producer does not re-run and
 	// no lineage reconstruction happens.
-	payload, err := Get[[]byte](d.TaskContext, refB)
+	payload, err := Get(d, RefAs[[]byte](refB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ func TestLineageReplayOnlyAfterMissingSpill(t *testing.T) {
 	if err := os.Remove(matches[0]); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = Get[[]byte](d.TaskContext, refA)
+	payload, err = Get(d, RefAs[[]byte](refA))
 	if err != nil {
 		t.Fatalf("Get after lost spill copy: %v", err)
 	}
@@ -284,7 +286,7 @@ func TestFreedInputOfRunningConsumerIsReclaimed(t *testing.T) {
 	rt, d := newBlobRuntime(t, cfg, nil)
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	if err := rt.Register("hold_blob", "reports the payload's length once released", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	if err := rt.RegisterN("hold_blob", "reports the payload's length once released", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		started <- struct{}{}
 		<-release
 		var payload []byte
@@ -297,11 +299,11 @@ func TestFreedInputOfRunningConsumerIsReclaimed(t *testing.T) {
 	}
 
 	const blobSize = 32 << 10
-	blob, err := d.Call1("make_blob", CallOptions{}, blobSize)
+	blob, err := d.Call1("make_blob", worker.CallOptions{}, blobSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := d.Call1("hold_blob", CallOptions{}, blob)
+	held, err := d.Call1("hold_blob", worker.CallOptions{}, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +311,7 @@ func TestFreedInputOfRunningConsumerIsReclaimed(t *testing.T) {
 	// The consumer is inside Run with the blob pinned; the driver lets go.
 	d.TaskContext.Free(blob)
 	close(release)
-	if got, err := Get[int](d.TaskContext, held); err != nil || got != blobSize {
+	if got, err := Get(d, RefAs[int](held)); err != nil || got != blobSize {
 		t.Fatalf("hold_blob = %d, %v; want %d", got, err, blobSize)
 	}
 	d.TaskContext.Free(held)

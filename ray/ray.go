@@ -1,7 +1,9 @@
-// Package ray is the canonical application-facing API of this Ray
-// reproduction: compile-time-typed futures, function handles, actor handles,
-// and fluent call options layered over the dynamic task graph in
-// internal/core and internal/worker.
+// Package ray is the application-facing API of this Ray reproduction, and
+// its only front door: Init builds a cluster (internal/cluster) and
+// Runtime.NewDriver attaches a driver to it, the process that runs the user
+// program and submits the root of the dynamic task graph (paper Section 4.1).
+// On top sit compile-time-typed futures, function handles, actor handles and
+// fluent call options over the task graph of internal/worker.
 //
 // The API is the paper's Table 1, with Go generics carrying the types that
 // Python carries dynamically:
@@ -36,17 +38,19 @@
 // every other parameter type, and everything Get returns, is a value the
 // receiver owns.
 //
-// The stringly-typed layer underneath (core.Driver.Call1, worker.CallOptions
-// literals) remains available to internal plumbing and benchmarks, but
-// application code should not need it.
+// The stringly-typed layer underneath — the worker.TaskContext a Driver
+// embeds (Call1, CallActor1 with worker.CallOptions literals) and the raw
+// Runtime.RegisterN, RegisterActorClass and RegisterActorMethod — remains
+// available to internal libraries and benchmarks, but application code
+// should not need it.
 package ray
 
 import (
 	"context"
 	"time"
 
+	"ray/internal/cluster"
 	"ray/internal/codec"
-	"ray/internal/core"
 	"ray/internal/job"
 	"ray/internal/types"
 	"ray/internal/worker"
@@ -54,22 +58,17 @@ import (
 
 // Re-exported so applications import only this package.
 type (
-	// Runtime owns a running cluster and its function registry.
-	Runtime = core.Runtime
-	// Config describes the cluster a Runtime manages.
-	Config = core.Config
+	// Config describes the cluster a Runtime manages: cluster.Config, the
+	// one place every knob is declared. Start from DefaultConfig.
+	Config = cluster.Config
 	// Context is the API surface available inside remote functions, actor
 	// constructors, and actor methods; drivers embed one too.
 	Context = worker.TaskContext
-	// Driver is a user program connected to the cluster. Every driver is a
-	// registered Job: its tasks, objects, and actors are stamped with its
-	// JobID, scheduled under its fair share, and cleaned up at Shutdown.
-	Driver = core.Driver
 	// JobID identifies one driver's job.
 	JobID = types.JobID
 	// JobOptions name and weight the job a driver attaches as
 	// (Runtime.NewDriverWithOptions).
-	JobOptions = core.JobOptions
+	JobOptions = job.Options
 	// CleanupReport summarizes what a Shutdown or kill released.
 	CleanupReport = job.CleanupReport
 	// RawRef is an untyped object reference, the currency of the variadic
@@ -84,16 +83,10 @@ type Caller interface {
 	CallContext() *worker.TaskContext
 }
 
-// Init builds and starts a cluster. Attach drivers with Runtime.NewDriver
-// (or NewDriverWithOptions for a named, weighted job): each driver gets its
-// own job-scoped context and JobID, so many drivers can share the cluster
-// with isolated namespaces, fair-share dispatch, and independent lifecycles.
-func Init(ctx context.Context, cfg Config) (*Runtime, error) { return core.Init(ctx, cfg) }
-
 // DefaultConfig returns a small test-friendly cluster: 4 nodes × 4 CPUs,
 // instant data plane, lineage recording on, batched control plane,
 // fair-share dispatch.
-func DefaultConfig() Config { return core.DefaultConfig() }
+func DefaultConfig() Config { return cluster.DefaultConfig() }
 
 // Shutdown detaches one driver, triggering its job's cleanup: queued and
 // running tasks are cancelled, its actors terminated, and its objects

@@ -1,4 +1,4 @@
-package core
+package ray
 
 import (
 	"context"
@@ -10,7 +10,9 @@ import (
 
 	"ray/internal/codec"
 	"ray/internal/node"
+	"ray/internal/resources"
 	"ray/internal/types"
+	"ray/internal/worker"
 )
 
 // newRuntime builds a small cluster with a set of remote functions that the
@@ -38,7 +40,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 			t.Fatal(err)
 		}
 	}
-	must(rt.Register("add", "adds two float64 values", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("add", "adds two float64 values", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		var a, b float64
 		if err := codec.Decode(args[0], &a); err != nil {
 			return nil, err
@@ -48,17 +50,17 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 		}
 		return [][]byte{codec.MustEncode(a + b)}, nil
 	}))
-	must(rt.Register("square", "squares a float64", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("square", "squares a float64", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		var x float64
 		if err := codec.Decode(args[0], &x); err != nil {
 			return nil, err
 		}
 		return [][]byte{codec.MustEncode(x * x)}, nil
 	}))
-	must(rt.Register("boom", "always fails", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("boom", "always fails", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		return nil, errors.New("boom")
 	}))
-	must(rt.Register("slow_echo", "sleeps then echoes", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("slow_echo", "sleeps then echoes", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		var ms int
 		if err := codec.Decode(args[0], &ms); err != nil {
 			return nil, err
@@ -66,7 +68,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 		time.Sleep(time.Duration(ms) * time.Millisecond)
 		return [][]byte{codec.MustEncode(ms)}, nil
 	}))
-	must(rt.Register("sum_tree", "recursively sums 1..n with nested tasks", func(ctx *TaskContext, args [][]byte) ([][]byte, error) {
+	must(rt.RegisterN("sum_tree", "recursively sums 1..n with nested tasks", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
 		var n int
 		if err := codec.Decode(args[0], &n); err != nil {
 			return nil, err
@@ -74,7 +76,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 		if n <= 1 {
 			return [][]byte{codec.MustEncode(n)}, nil
 		}
-		sub, err := ctx.Call1("sum_tree", CallOptions{}, n-1)
+		sub, err := ctx.Call1("sum_tree", worker.CallOptions{}, n-1)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +86,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 		}
 		return [][]byte{codec.MustEncode(n + rest)}, nil
 	}))
-	must(rt.RegisterActorClass("Accumulator", "running sum with checkpoint support", func(ctx *TaskContext, args [][]byte) (any, error) {
+	must(rt.RegisterActorClass("Accumulator", "running sum with checkpoint support", func(ctx *Context, args [][]byte) (any, error) {
 		acc := &accumulator{}
 		if len(args) > 0 {
 			if err := codec.Decode(args[0], &acc.total); err != nil {
@@ -94,7 +96,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 		return acc, nil
 	}))
 	must(rt.RegisterActorMethod("Accumulator", "add", 1, 1,
-		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+		func(ctx *Context, state any, args [][]byte) ([][]byte, error) {
 			acc := state.(*accumulator)
 			var x float64
 			if err := codec.Decode(args[0], &x); err != nil {
@@ -107,7 +109,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 			return [][]byte{codec.MustEncode(acc.total)}, nil
 		}))
 	must(rt.RegisterActorMethod("Accumulator", "total", 0, 1,
-		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+		func(ctx *Context, state any, args [][]byte) ([][]byte, error) {
 			acc := state.(*accumulator)
 			acc.mu.Lock()
 			defer acc.mu.Unlock()
@@ -115,7 +117,7 @@ func registerTestWorkload(t *testing.T, rt *Runtime) {
 			return [][]byte{codec.MustEncode(acc.total)}, nil
 		}))
 	must(rt.RegisterActorMethod("Accumulator", "calls", 0, 1,
-		func(ctx *TaskContext, state any, args [][]byte) ([][]byte, error) {
+		func(ctx *Context, state any, args [][]byte) ([][]byte, error) {
 			acc := state.(*accumulator)
 			acc.mu.Lock()
 			defer acc.mu.Unlock()
@@ -146,11 +148,11 @@ func (a *accumulator) Restore(data []byte) error {
 
 func TestEndToEndTask(t *testing.T) {
 	_, d := newRuntime(t, DefaultConfig())
-	fut, err := d.Call1("add", CallOptions{}, 1.5, 2.5)
+	fut, err := d.Call1("add", worker.CallOptions{}, 1.5, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get[float64](d.TaskContext, fut)
+	got, err := Get(d, RefAs[float64](fut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +165,15 @@ func TestFutureChaining(t *testing.T) {
 	// Futures passed as arguments encode data dependencies without blocking
 	// (paper Section 3.1): square(add(1,2)) == 9.
 	_, d := newRuntime(t, DefaultConfig())
-	sum, err := d.Call1("add", CallOptions{}, 1.0, 2.0)
+	sum, err := d.Call1("add", worker.CallOptions{}, 1.0, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := d.Call1("square", CallOptions{}, sum)
+	sq, err := d.Call1("square", worker.CallOptions{}, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get[float64](d.TaskContext, sq)
+	got, err := Get(d, RefAs[float64](sq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,16 +187,16 @@ func TestManyParallelTasks(t *testing.T) {
 	cfg.SpilloverThreshold = 4 // force bottom-up spillover to the global scheduler
 	_, d := newRuntime(t, cfg)
 	const n = 200
-	futs := make([]ObjectRef, n)
+	futs := make([]types.ObjectID, n)
 	for i := 0; i < n; i++ {
-		f, err := d.Call1("add", CallOptions{}, float64(i), 1.0)
+		f, err := d.Call1("add", worker.CallOptions{}, float64(i), 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs[i] = f
 	}
 	for i, f := range futs {
-		got, err := Get[float64](d.TaskContext, f)
+		got, err := Get(d, RefAs[float64](f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +213,11 @@ func TestManyParallelTasks(t *testing.T) {
 
 func TestNestedTasks(t *testing.T) {
 	_, d := newRuntime(t, DefaultConfig())
-	fut, err := d.Call1("sum_tree", CallOptions{}, 10)
+	fut, err := d.Call1("sum_tree", worker.CallOptions{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get[int](d.TaskContext, fut)
+	got, err := Get(d, RefAs[int](fut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +228,15 @@ func TestNestedTasks(t *testing.T) {
 
 func TestWaitReturnsFirstFinishers(t *testing.T) {
 	_, d := newRuntime(t, DefaultConfig())
-	fast, err := d.Call1("slow_echo", CallOptions{}, 5)
+	fast, err := d.Call1("slow_echo", worker.CallOptions{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := d.Call1("slow_echo", CallOptions{}, 400)
+	slow, err := d.Call1("slow_echo", worker.CallOptions{}, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ready, notReady, err := d.Wait([]ObjectRef{fast, slow}, 1, 2*time.Second)
+	ready, notReady, err := d.Wait([]types.ObjectID{fast, slow}, 1, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,43 +247,43 @@ func TestWaitReturnsFirstFinishers(t *testing.T) {
 		t.Fatalf("slow task should still be pending: %v", notReady)
 	}
 	// Eventually the slow one finishes too.
-	if _, err := Get[int](d.TaskContext, slow); err != nil {
+	if _, err := Get(d, RefAs[int](slow)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestApplicationErrorSurfacesAtGet(t *testing.T) {
 	_, d := newRuntime(t, DefaultConfig())
-	fut, err := d.Call1("boom", CallOptions{})
+	fut, err := d.Call1("boom", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Get[float64](d.TaskContext, fut)
+	_, err = Get(d, RefAs[float64](fut))
 	var te *types.TaskError
 	if err == nil || !errors.As(err, &te) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected TaskError mentioning boom, got %v", err)
 	}
 	// Downstream tasks inherit the failure.
-	downstream, err := d.Call1("square", CallOptions{}, fut)
+	downstream, err := d.Call1("square", worker.CallOptions{}, fut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get[float64](d.TaskContext, downstream); err == nil {
+	if _, err := Get(d, RefAs[float64](downstream)); err == nil {
 		t.Fatal("downstream task of a failed task must fail at Get")
 	}
 }
 
 func TestPutAndSharedObjects(t *testing.T) {
 	_, d := newRuntime(t, DefaultConfig())
-	ref, err := Put(d.TaskContext, 10.0)
+	ref, err := d.Put(10.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fut, err := d.Call1("square", CallOptions{}, ref)
+	fut, err := d.Call1("square", worker.CallOptions{}, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get[float64](d.TaskContext, fut)
+	got, err := Get(d, RefAs[float64](fut))
 	if err != nil || got != 100 {
 		t.Fatalf("square(put(10)) = %v, %v", got, err)
 	}
@@ -289,17 +291,17 @@ func TestPutAndSharedObjects(t *testing.T) {
 
 func TestActorEndToEnd(t *testing.T) {
 	_, d := newRuntime(t, DefaultConfig())
-	acc, err := d.CreateActor("Accumulator", CallOptions{}, 5.0)
+	acc, err := d.CreateActor("Accumulator", worker.CallOptions{}, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64
 	for i := 0; i < 10; i++ {
-		fut, err := d.CallActor1(acc, "add", CallOptions{}, 1.0)
+		fut, err := d.CallActor1(acc, "add", worker.CallOptions{}, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last, err = Get[float64](d.TaskContext, fut); err != nil {
+		if last, err = Get(d, RefAs[float64](fut)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,19 +314,19 @@ func TestTasksAndActorsCompose(t *testing.T) {
 	// The paper's headline: tasks and actors share the same object store, so
 	// a stateless task can post-process an actor method's output.
 	_, d := newRuntime(t, DefaultConfig())
-	acc, err := d.CreateActor("Accumulator", CallOptions{}, 3.0)
+	acc, err := d.CreateActor("Accumulator", worker.CallOptions{}, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalFut, err := d.CallActor1(acc, "total", CallOptions{})
+	totalFut, err := d.CallActor1(acc, "total", worker.CallOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	squared, err := d.Call1("square", CallOptions{}, totalFut)
+	squared, err := d.Call1("square", worker.CallOptions{}, totalFut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get[float64](d.TaskContext, squared)
+	got, err := Get(d, RefAs[float64](squared))
 	if err != nil || got != 9 {
 		t.Fatalf("square(actor.total()) = %v, %v", got, err)
 	}
@@ -345,7 +347,7 @@ func TestResourceAwareScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A GPU task in a CPU-only cluster can never be placed.
-	_, err = d.Call1("add", CallOptions{Resources: GPUs(1)}, 1.0, 2.0)
+	_, err = d.Call1("add", worker.CallOptions{Resources: resources.GPUs(1)}, 1.0, 2.0)
 	if !errors.Is(err, types.ErrNoResources) {
 		t.Fatalf("expected ErrNoResources for infeasible GPU task, got %v", err)
 	}
@@ -372,15 +374,15 @@ func TestTaskReconstructionAfterNodeFailure(t *testing.T) {
 	// Build a chain: v0 = add(1,2); v1 = square(v0). Resolve v1 so both
 	// objects exist, then kill every node except the driver's and force the
 	// lost intermediate values to be reconstructed from lineage.
-	v0, err := d.Call1("add", CallOptions{}, 1.0, 2.0)
+	v0, err := d.Call1("add", worker.CallOptions{}, 1.0, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := d.Call1("square", CallOptions{}, v0)
+	v1, err := d.Call1("square", worker.CallOptions{}, v0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Get[float64](d.TaskContext, v1); err != nil || got != 9 {
+	if got, err := Get(d, RefAs[float64](v1)); err != nil || got != 9 {
 		t.Fatalf("before failure: %v %v", got, err)
 	}
 
@@ -401,11 +403,11 @@ func TestTaskReconstructionAfterNodeFailure(t *testing.T) {
 	}
 
 	// Consuming v1 now requires re-executing square (and transitively add).
-	again, err := d.Call1("square", CallOptions{}, v1)
+	again, err := d.Call1("square", worker.CallOptions{}, v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get[float64](d.TaskContext, again)
+	got, err := Get(d, RefAs[float64](again))
 	if err != nil {
 		t.Fatalf("reconstruction failed: %v", err)
 	}
@@ -437,18 +439,18 @@ func TestActorReconstructionAfterNodeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acc, err := d.CreateActor("Accumulator", CallOptions{}, 0.0)
+	acc, err := d.CreateActor("Accumulator", worker.CallOptions{}, 0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Run 12 adds so a checkpoint exists at 10.
 	var total float64
 	for i := 0; i < 12; i++ {
-		fut, err := d.CallActor1(acc, "add", CallOptions{}, 1.0)
+		fut, err := d.CallActor1(acc, "add", worker.CallOptions{}, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if total, err = Get[float64](d.TaskContext, fut); err != nil {
+		if total, err = Get(d, RefAs[float64](fut)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,11 +482,11 @@ func TestActorReconstructionAfterNodeFailure(t *testing.T) {
 
 	// The next method call transparently reconstructs the actor (replaying
 	// from the checkpoint) and sees the full state.
-	fut, err := d.CallActor1(acc, "add", CallOptions{}, 1.0)
+	fut, err := d.CallActor1(acc, "add", worker.CallOptions{}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Get[float64](d.TaskContext, fut)
+	after, err := Get(d, RefAs[float64](fut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,11 +519,11 @@ func TestElasticAddNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fut, err := d2.Call1("add", CallOptions{}, 2.0, 3.0)
+	fut, err := d2.Call1("add", worker.CallOptions{}, 2.0, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Get[float64](d2.TaskContext, fut); err != nil || got != 5 {
+	if got, err := Get(d2, RefAs[float64](fut)); err != nil || got != 5 {
 		t.Fatalf("task on added node: %v %v", got, err)
 	}
 	_ = d
@@ -537,20 +539,5 @@ func TestRuntimeAccessors(t *testing.T) {
 	}
 	if _, err := rt.NewDriverOn(context.Background(), nil); err == nil {
 		t.Fatal("driver on nil node must fail")
-	}
-	// Encode/Decode/Raw helpers round trip.
-	data, err := EncodeValue([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []float64
-	if err := DecodeValue(data, &back); err != nil || len(back) != 2 {
-		t.Fatal("codec helpers broken")
-	}
-	if len(Raw(data)) != len(data) {
-		t.Fatal("raw helper broken")
-	}
-	if CPUs(2).Get("CPU") != 2 || GPUs(1).Get("GPU") != 1 || Resources(map[string]float64{"TPU": 4}).Get("TPU") != 4 {
-		t.Fatal("resource helpers broken")
 	}
 }
