@@ -75,43 +75,29 @@ type Store struct {
 	// watch is the pub-sub registry, by shard: no put takes a cluster-wide lock.
 	watch []watchShard //guard:init
 
-	// nodeIDs indexes the membership table so Nodes() — which the global
-	// scheduler reads on every placement decision — costs O(nodes) point
-	// reads instead of a prefix scan over every resident key (task lineage
-	// entries would otherwise make scheduling cost grow with tasks ever
-	// submitted). The chain remains the source of truth for entry contents.
-	nodeMu  sync.RWMutex
-	nodeIDs []types.NodeID //guard:by nodeMu.R
-
-	// jobIDs indexes the job table so Jobs() costs O(jobs) point reads, and
-	// jobMu serializes job-entry read-modify-writes (state transitions racing
-	// against concurrent weight or heartbeat refreshes).
-	jobIDMu sync.RWMutex
-	jobIDs  []types.JobID //guard:by jobIDMu.R
-	jobMu   sync.Mutex
+	// nodeIDs and jobIDs list the membership and job tables' keys, so Nodes()
+	// — which the global scheduler reads on every placement decision — and
+	// Jobs() cost O(entries) point reads instead of a prefix scan over every
+	// resident key (task lineage entries would otherwise make scheduling cost
+	// grow with tasks ever submitted). The chain remains the source of truth
+	// for entry contents.
+	nodeIDs idList[types.NodeID]
+	jobIDs  idList[types.JobID]
 
 	// objByJob and actorsByJob index ownership so job-exit cleanup reads
-	// O(the job's objects/actors) instead of scanning the cluster. Entries
-	// are added when a table write names an owning job and dropped
-	// wholesale when the job's resources are released.
-	objIdxMu    sync.Mutex
-	objByJob    map[types.JobID]map[types.ObjectID]struct{} //guard:by objIdxMu
-	actorIdxMu  sync.Mutex
-	actorsByJob map[types.JobID]map[types.ActorID]struct{} //guard:by actorIdxMu
+	// O(the job's objects/actors) instead of scanning the cluster.
+	objByJob    jobIndex[types.ObjectID]
+	actorsByJob jobIndex[types.ActorID]
 
-	// keyLocks serialize the read-modify-write of one object or task entry
-	// (location add/remove, status update): the tables are plain get-then-put
-	// over the shard, so two nodes registering replicas of one object at once
-	// would otherwise overwrite each other's location. Striped by ID so
-	// unrelated keys rarely share a lock.
+	// keyLocks serialize the read-modify-write of one table entry (location
+	// add/remove, status update, heartbeat, node death, job transition,
+	// method registration): the tables are plain get-then-put over the
+	// shard, so two nodes registering replicas of one object at once would
+	// otherwise overwrite each other's location, and a heartbeat that read a
+	// node as alive would write it back over a concurrent MarkNodeDead.
+	// Striped by key so unrelated entries rarely share a lock; update is the
+	// only function that takes one.
 	keyLocks [256]sync.Mutex
-
-	// hbMu serializes membership read-modify-writes (Heartbeat,
-	// HeartbeatBatch, MarkNodeDead) so a heartbeat that read a node as alive
-	// cannot write that stale state back over a concurrent MarkNodeDead and
-	// resurrect a dead node: the cluster's heartbeat aggregator runs
-	// concurrently with failure injection.
-	hbMu sync.Mutex
 
 	// stats counters.
 	puts      atomic.Int64
@@ -155,12 +141,9 @@ func New(cfg Config) *Store {
 	if cfg.BatchMaxEntries <= 0 {
 		cfg.BatchMaxEntries = 256
 	}
-	s := &Store{
-		cfg:         cfg,
-		watch:       make([]watchShard, cfg.Shards),
-		objByJob:    make(map[types.JobID]map[types.ObjectID]struct{}),
-		actorsByJob: make(map[types.JobID]map[types.ActorID]struct{}),
-	}
+	s := &Store{cfg: cfg, watch: make([]watchShard, cfg.Shards)}
+	s.objByJob.owned = make(map[types.JobID]map[types.ObjectID]struct{})
+	s.actorsByJob.owned = make(map[types.JobID]map[types.ActorID]struct{})
 	for i := 0; i < cfg.Shards; i++ {
 		ch := chain.New(chain.Config{ReplicationFactor: cfg.ReplicationFactor})
 		s.shards = append(s.shards, ch)
@@ -275,14 +258,20 @@ func (s *Store) shardFor(id types.UniqueID) int {
 	return types.ShardIndex(id, len(s.shards))
 }
 
-// keyLock returns the stripe serializing read-modify-writes of id's entry.
-func (s *Store) keyLock(id types.UniqueID) *sync.Mutex {
-	return &s.keyLocks[binary.BigEndian.Uint64(id[8:])%uint64(len(s.keyLocks))]
+// keyLock returns the keyLocks stripe serializing read-modify-writes of the
+// entries whose stripe value is stripe.
+func (s *Store) keyLock(stripe uint64) *sync.Mutex {
+	return &s.keyLocks[stripe%uint64(len(s.keyLocks))]
 }
 
 // shardForKey maps arbitrary string keys (function names, event sequence
-// numbers) onto shard indices with a simple FNV hash.
+// numbers) onto shard indices.
 func (s *Store) shardForKey(key string) int {
+	return int(fnvHash(key) % uint64(len(s.shards)))
+}
+
+// fnvHash is the 64-bit FNV-1a hash of key.
+func fnvHash(key string) uint64 {
 	const offset64 = 14695981039346656037
 	const prime64 = 1099511628211
 	h := uint64(offset64)
@@ -290,7 +279,65 @@ func (s *Store) shardForKey(key string) int {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return int(h % uint64(len(s.shards)))
+	return h
+}
+
+// entryRef locates one table entry: its shard, its key, and the stripe value
+// that picks its keyLocks stripe.
+type entryRef struct {
+	shard  int
+	key    string
+	stripe uint64
+}
+
+// idRef locates an ID-keyed entry. It stripes by the ID's second half.
+func idRef[ID ~[types.IDSize]byte](s *Store, id ID, key string) entryRef {
+	u := types.UniqueID(id)
+	return entryRef{s.shardFor(u), key, binary.BigEndian.Uint64(u[8:])}
+}
+
+// nameRef locates an entry keyed by name. It shards and stripes by the
+// name's FNV hash.
+func (s *Store) nameRef(name, key string) entryRef {
+	h := fnvHash(name)
+	return entryRef{int(h % uint64(len(s.shards))), key, h}
+}
+
+// read is the one table read: it reads r through the pending overlay, then
+// decodes what it found. ok=false means the entry does not exist.
+func read[E any](ctx context.Context, s *Store, r entryRef, decode func([]byte) (E, error)) (entry E, ok bool, err error) {
+	raw, ok, err := s.get(ctx, r.shard, r.key)
+	if err != nil || !ok {
+		return entry, false, err
+	}
+	if entry, err = decode(raw); err != nil {
+		var zero E
+		return zero, false, err
+	}
+	return entry, true, nil
+}
+
+// update is the one table read-modify-write. Under r's keyLocks stripe it
+// reads r through the pending overlay and hands fn the raw value (ok=false
+// if the entry does not exist); it puts what fn returns, or nothing if fn
+// returns nil or an error. fn runs with the stripe held, so it may decode,
+// modify and encode, and record the entry in an in-memory index; it must not
+// call back into the Store's tables, and it must not modify raw, which is
+// shared with readers and replicas. A value fn cannot decode is an error,
+// and the stored bytes stay as they are.
+func (s *Store) update(ctx context.Context, r entryRef, fn func(raw []byte, ok bool) ([]byte, error)) error {
+	mu := s.keyLock(r.stripe)
+	mu.Lock()
+	defer mu.Unlock()
+	raw, ok, err := s.get(ctx, r.shard, r.key)
+	if err != nil {
+		return err
+	}
+	next, err := fn(raw, ok)
+	if err != nil || next == nil {
+		return err
+	}
+	return s.put(ctx, r.shard, r.key, next)
 }
 
 func (s *Store) put(ctx context.Context, si int, key string, value []byte) error {
@@ -449,28 +496,11 @@ func (s *Store) FlushErr() error {
 	return s.lastFlushErr
 }
 
-// FlushNow immediately flushes flushable entries (finished tasks and events)
-// from every shard to the configured writer. It returns the number of entries
-// flushed and the bytes freed.
-func (s *Store) FlushNow(ctx context.Context) (int, int64, error) {
-	// Commit pending batched writes first so an explicit flush covers
-	// everything written so far, not just what the background flusher has
-	// already chain-committed. The threshold-driven path (maybeFlush) calls
-	// flushTail directly: it runs inside a batch commit's onCommit hook, so
-	// syncing there would deadlock on the batcher's flush lock. flushMu is
-	// taken only after Sync returns — its onCommit hooks take the same lock
-	// — and serializes this flush with maybeFlush so two flushes cannot
-	// interleave different shards' entries mid-stream into one FlushWriter.
-	if err := s.Sync(ctx); err != nil {
-		return 0, 0, err
-	}
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	return s.flushTail()
-}
-
 // flushTail flushes flushable chain-resident entries without committing
-// pending batched writes first.
+// pending batched writes first: maybeFlush runs inside a batch commit's
+// onCommit hook, where syncing would deadlock on the batcher's flush lock.
+// The caller holds flushMu, so two flushes cannot interleave different
+// shards' entries mid-stream into one FlushWriter.
 func (s *Store) flushTail() (int, int64, error) {
 	s.flushes.Add(1)
 	var total int

@@ -281,11 +281,11 @@ func TestNodeTableAndHeartbeats(t *testing.T) {
 	if err != nil || len(nodes) != 5 {
 		t.Fatalf("nodes: %d %v", len(nodes), err)
 	}
-	// Heartbeat updates load info, including object-store occupancy.
-	err = s.Heartbeat(ctx, HeartbeatUpdate{
+	// A heartbeat updates load info, including object-store occupancy.
+	err = s.HeartbeatBatch(ctx, []HeartbeatUpdate{{
 		ID: ids[0], Available: map[string]float64{"CPU": 3}, QueueLength: 12,
 		AvgTaskMillis: 4.5, MemoryUsed: 800, MemoryCapacity: 1000,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,12 @@ func TestNodeTableAndHeartbeats(t *testing.T) {
 	if n0.HeartbeatAge(time.Now()) > time.Minute {
 		t.Fatal("heartbeat age implausible")
 	}
-	if err := s.Heartbeat(ctx, HeartbeatUpdate{ID: types.NewNodeID()}); err == nil {
-		t.Fatal("heartbeat from unregistered node must fail")
+	stranger := types.NewNodeID()
+	if err := s.HeartbeatBatch(ctx, []HeartbeatUpdate{{ID: stranger}}); err != nil {
+		t.Fatalf("heartbeat from unregistered node: %v", err)
+	}
+	if _, ok, _ := s.GetNode(ctx, stranger); ok {
+		t.Fatal("heartbeat from unregistered node registered it")
 	}
 	// Mark one dead.
 	if err := s.MarkNodeDead(ctx, ids[1]); err != nil {
@@ -384,7 +388,8 @@ func TestFlushingBoundsMemory(t *testing.T) {
 }
 
 func TestFlushKeepsLiveState(t *testing.T) {
-	s := New(Config{Shards: 2, ReplicationFactor: 1})
+	// A one-byte threshold flushes on every commit, so Sync flushes all.
+	s := New(Config{Shards: 2, ReplicationFactor: 1, FlushThresholdBytes: 1})
 	defer s.Close()
 	ctx := context.Background()
 	// A pending task, an object, an actor, a node: none may be flushed.
@@ -412,11 +417,13 @@ func TestFlushKeepsLiveState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n, _, err := s.FlushNow(context.Background())
-	if err != nil {
+	if err := s.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
+	if err := s.FlushErr(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Stats().FlushedEntries; n != 2 {
 		t.Fatalf("expected 2 flushed entries (finished task + event), got %d", n)
 	}
 	if _, ok, _ := s.GetTask(ctx, spec.ID); !ok {

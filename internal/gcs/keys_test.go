@@ -80,12 +80,12 @@ func TestHostileIDTables(t *testing.T) {
 	})
 }
 
-// flushableKey judges a key by its own table alone, and FlushNow writes
-// hostile raw keys that kv.ReadFlushed reads back byte for byte.
+// flushableKey judges a key by its own table alone, and the threshold flush
+// writes hostile raw keys that kv.ReadFlushed reads back byte for byte.
 func TestHostileIDFlushRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	var sink bytes.Buffer
-	s := New(Config{Shards: 4, ReplicationFactor: 2, FlushWriter: &sink})
+	s := New(Config{Shards: 4, ReplicationFactor: 2, FlushWriter: &sink, FlushThresholdBytes: 1})
 	defer s.Close()
 	finished := &TaskEntry{Spec: &task.Spec{Function: "f"}, Status: types.TaskFinished}
 	want := map[string]bool{}
@@ -109,9 +109,11 @@ func TestHostileIDFlushRoundTrip(t *testing.T) {
 		}
 		want[taskKey(types.TaskID(id))] = true
 	}
-	n, _, err := s.FlushNow(ctx)
-	if err != nil || n != len(want) {
-		t.Fatalf("FlushNow flushed %d entries, err %v; want %d", n, err, len(want))
+	if err := s.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Stats().FlushedEntries, s.FlushErr(); err != nil || n != int64(len(want)) {
+		t.Fatalf("the threshold flush flushed %d entries, err %v; want %d", n, err, len(want))
 	}
 	entries, err := kv.ReadFlushed(&sink)
 	if err != nil || len(entries) != len(want) {
@@ -169,7 +171,7 @@ func TestHostileIDKeyLockStripes(t *testing.T) {
 			objs = append(objs, types.ObjectID(id))
 		}
 		for _, obj := range objs[1:] {
-			if s.keyLock(types.UniqueID(obj)) != s.keyLock(types.UniqueID(objs[0])) {
+			if s.keyLock(idRef(s, obj, "").stripe) != s.keyLock(idRef(s, objs[0], "").stripe) {
 				t.Fatal("IDs with equal second halves map to different stripes")
 			}
 		}

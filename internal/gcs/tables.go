@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"ray/internal/task"
@@ -38,6 +39,42 @@ func displayKey(key string) string {
 	return key
 }
 
+// jobIndex maps each job to the IDs of the entries it owns, so job-exit
+// cleanup reads O(the job's entries) instead of scanning the cluster. IDs are
+// added when a table write names an owning job and dropped wholesale when the
+// job's resources are released.
+type jobIndex[ID comparable] struct {
+	mu    sync.Mutex
+	owned map[types.JobID]map[ID]struct{} //guard:by mu — made in New
+}
+
+func (x *jobIndex[ID]) add(job types.JobID, id ID) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	owned, ok := x.owned[job]
+	if !ok {
+		owned = make(map[ID]struct{})
+		x.owned[job] = owned
+	}
+	owned[id] = struct{}{}
+}
+
+func (x *jobIndex[ID]) list(job types.JobID) []ID {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	out := make([]ID, 0, len(x.owned[job]))
+	for id := range x.owned[job] {
+		out = append(out, id)
+	}
+	return out
+}
+
+func (x *jobIndex[ID]) drop(job types.JobID) {
+	x.mu.Lock()
+	delete(x.owned, job)
+	x.mu.Unlock()
+}
+
 func objectKey(id types.ObjectID) string { return tableKey(keyPrefixObject, types.UniqueID(id)) }
 
 // AddObjectLocation records that node holds a replica of the object. It
@@ -47,19 +84,13 @@ func objectKey(id types.ObjectID) string { return tableKey(keyPrefixObject, type
 // Figure 7b). A nil job leaves the recorded owner untouched — replicas made
 // by pulls re-register locations without knowing the producer's job.
 func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node types.NodeID, size int64, creator types.TaskID, job types.JobID) error {
-	shard := s.shardFor(types.UniqueID(id))
-	key := objectKey(id)
-	mu := s.keyLock(types.UniqueID(id))
-	mu.Lock()
-	defer mu.Unlock()
-	raw, ok, err := s.get(ctx, shard, key)
-	if err != nil {
-		return err
-	}
-	entry := &ObjectEntry{Size: size, Creator: creator, Job: job}
-	if ok {
-		if existing, derr := unmarshalObjectEntry(raw); derr == nil {
-			entry = existing
+	return s.update(ctx, idRef(s, id, objectKey(id)), func(raw []byte, ok bool) ([]byte, error) {
+		entry := &ObjectEntry{Size: size, Creator: creator, Job: job}
+		if ok {
+			var err error
+			if entry, err = unmarshalObjectEntry(raw); err != nil {
+				return nil, err
+			}
 			if size > 0 {
 				entry.Size = size
 			}
@@ -70,84 +101,46 @@ func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node t
 				entry.Job = job
 			}
 		}
-	}
-	if !entry.HasLocation(node) {
-		entry.Locations = append(entry.Locations, node)
-	}
-	if !entry.Job.IsNil() {
-		s.objIdxMu.Lock()
-		owned, ok := s.objByJob[entry.Job]
-		if !ok {
-			owned = make(map[types.ObjectID]struct{})
-			s.objByJob[entry.Job] = owned
+		if !entry.HasLocation(node) {
+			entry.Locations = append(entry.Locations, node)
 		}
-		owned[id] = struct{}{}
-		s.objIdxMu.Unlock()
-	}
-	return s.put(ctx, shard, key, entry.marshal())
+		if !entry.Job.IsNil() {
+			s.objByJob.add(entry.Job, id)
+		}
+		return entry.marshal(), nil
+	})
 }
 
 // ObjectsForJob lists the objects owned by one job, via the ownership index
 // (O(the job's objects), not a cluster-wide scan).
-func (s *Store) ObjectsForJob(job types.JobID) []types.ObjectID {
-	s.objIdxMu.Lock()
-	defer s.objIdxMu.Unlock()
-	owned := s.objByJob[job]
-	out := make([]types.ObjectID, 0, len(owned))
-	for id := range owned {
-		out = append(out, id)
-	}
-	return out
-}
+func (s *Store) ObjectsForJob(job types.JobID) []types.ObjectID { return s.objByJob.list(job) }
 
 // DropJobObjectIndex discards a job's ownership index entries once its
 // objects have been released (job-exit cleanup's final step).
-func (s *Store) DropJobObjectIndex(job types.JobID) {
-	s.objIdxMu.Lock()
-	delete(s.objByJob, job)
-	s.objIdxMu.Unlock()
-}
+func (s *Store) DropJobObjectIndex(job types.JobID) { s.objByJob.drop(job) }
 
 // RemoveObjectLocation removes the given nodes from the object's location set
 // (eviction, node failure, reclamation of every replica) in one
 // read-modify-write. Removing the last location leaves an entry with no
 // locations, signalling that reconstruction is required.
 func (s *Store) RemoveObjectLocation(ctx context.Context, id types.ObjectID, nodes ...types.NodeID) error {
-	shard := s.shardFor(types.UniqueID(id))
-	key := objectKey(id)
-	mu := s.keyLock(types.UniqueID(id))
-	mu.Lock()
-	defer mu.Unlock()
-	raw, ok, err := s.get(ctx, shard, key)
-	if err != nil || !ok {
-		return err
-	}
-	entry, err := unmarshalObjectEntry(raw)
-	if err != nil {
-		return err
-	}
-	kept := entry.Locations[:0]
-	for _, n := range entry.Locations {
-		if !slices.Contains(nodes, n) {
-			kept = append(kept, n)
+	return s.update(ctx, idRef(s, id, objectKey(id)), func(raw []byte, ok bool) ([]byte, error) {
+		if !ok {
+			return nil, nil
 		}
-	}
-	entry.Locations = kept
-	return s.put(ctx, shard, key, entry.marshal())
+		entry, err := unmarshalObjectEntry(raw)
+		if err != nil {
+			return nil, err
+		}
+		entry.Locations = slices.DeleteFunc(entry.Locations, func(n types.NodeID) bool { return slices.Contains(nodes, n) })
+		return entry.marshal(), nil
+	})
 }
 
 // GetObject returns the object table entry, or ok=false if the object has
 // never been created.
 func (s *Store) GetObject(ctx context.Context, id types.ObjectID) (*ObjectEntry, bool, error) {
-	raw, ok, err := s.get(ctx, s.shardFor(types.UniqueID(id)), objectKey(id))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	entry, err := unmarshalObjectEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return read(ctx, s, idRef(s, id, objectKey(id)), unmarshalObjectEntry)
 }
 
 // SubscribeObject returns a channel signalled whenever the table entry of one
@@ -172,36 +165,17 @@ func (s *Store) AddTask(ctx context.Context, spec *task.Spec) error {
 // was placed on. The spec behind the entry's header is carried over as bytes,
 // not decoded.
 func (s *Store) UpdateTaskStatus(ctx context.Context, id types.TaskID, status types.TaskStatus, node types.NodeID) error {
-	shard := s.shardFor(types.UniqueID(id))
-	key := taskKey(id)
-	mu := s.keyLock(types.UniqueID(id))
-	mu.Lock()
-	defer mu.Unlock()
-	raw, ok, err := s.get(ctx, shard, key)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("gcs: update status of unknown task %s: %w", id, types.ErrTaskNotFound)
-	}
-	patched, err := patchTaskEntry(raw, status, node)
-	if err != nil {
-		return err
-	}
-	return s.put(ctx, shard, key, patched)
+	return s.update(ctx, idRef(s, id, taskKey(id)), func(raw []byte, ok bool) ([]byte, error) {
+		if !ok {
+			return nil, fmt.Errorf("gcs: update status of unknown task %s: %w", id, types.ErrTaskNotFound)
+		}
+		return patchTaskEntry(raw, status, node)
+	})
 }
 
 // GetTask returns the lineage entry for a task.
 func (s *Store) GetTask(ctx context.Context, id types.TaskID) (*TaskEntry, bool, error) {
-	raw, ok, err := s.get(ctx, s.shardFor(types.UniqueID(id)), taskKey(id))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	entry, err := unmarshalTaskEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return read(ctx, s, idRef(s, id, taskKey(id)), unmarshalTaskEntry)
 }
 
 // --- Actor table ---------------------------------------------------------------
@@ -214,37 +188,17 @@ func actorKey(id types.ActorID) string { return tableKey(keyPrefixActor, types.U
 // reconstructing, or stranded on a dead node.
 func (s *Store) PutActor(ctx context.Context, id types.ActorID, entry *ActorEntry) error {
 	if !entry.Job.IsNil() {
-		s.actorIdxMu.Lock()
-		owned, ok := s.actorsByJob[entry.Job]
-		if !ok {
-			owned = make(map[types.ActorID]struct{})
-			s.actorsByJob[entry.Job] = owned
-		}
-		owned[id] = struct{}{}
-		s.actorIdxMu.Unlock()
+		s.actorsByJob.add(entry.Job, id)
 	}
 	return s.put(ctx, s.shardFor(types.UniqueID(id)), actorKey(id), entry.marshal())
 }
 
 // ActorsForJob lists the actors owned by one job, via the ownership index.
-func (s *Store) ActorsForJob(job types.JobID) []types.ActorID {
-	s.actorIdxMu.Lock()
-	defer s.actorIdxMu.Unlock()
-	owned := s.actorsByJob[job]
-	out := make([]types.ActorID, 0, len(owned))
-	for id := range owned {
-		out = append(out, id)
-	}
-	return out
-}
+func (s *Store) ActorsForJob(job types.JobID) []types.ActorID { return s.actorsByJob.list(job) }
 
 // DropJobActorIndex discards a job's actor ownership index entries once its
 // actors have been stopped.
-func (s *Store) DropJobActorIndex(job types.JobID) {
-	s.actorIdxMu.Lock()
-	delete(s.actorsByJob, job)
-	s.actorIdxMu.Unlock()
-}
+func (s *Store) DropJobActorIndex(job types.JobID) { s.actorsByJob.drop(job) }
 
 // SubscribeActor is SubscribeObject for one actor's table entry (GetActor).
 func (s *Store) SubscribeActor(id types.ActorID) (<-chan struct{}, func()) {
@@ -253,15 +207,7 @@ func (s *Store) SubscribeActor(id types.ActorID) (<-chan struct{}, func()) {
 
 // GetActor returns the actor table entry.
 func (s *Store) GetActor(ctx context.Context, id types.ActorID) (*ActorEntry, bool, error) {
-	raw, ok, err := s.get(ctx, s.shardFor(types.UniqueID(id)), actorKey(id))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	entry, err := unmarshalActorEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return read(ctx, s, idRef(s, id, actorKey(id)), unmarshalActorEntry)
 }
 
 // --- Function table -------------------------------------------------------------
@@ -279,22 +225,63 @@ func (s *Store) RegisterFunction(ctx context.Context, entry *FunctionEntry) erro
 	return s.put(ctx, s.shardForKey(entry.Name), functionKey(entry.Name), entry.marshal())
 }
 
+// AddActorMethod appends one method's declared shape to an actor class's
+// function entry, creating the entry if the class has none yet.
+func (s *Store) AddActorMethod(ctx context.Context, class string, method MethodInfo) error {
+	return s.update(ctx, s.nameRef(class, functionKey(class)), func(raw []byte, ok bool) ([]byte, error) {
+		entry := &FunctionEntry{Name: class, IsActorClass: true}
+		if ok {
+			var err error
+			if entry, err = unmarshalFunctionEntry(raw); err != nil {
+				return nil, err
+			}
+		}
+		entry.Methods = append(entry.Methods, method)
+		return entry.marshal(), nil
+	})
+}
+
 // GetFunction returns a registered function definition.
 func (s *Store) GetFunction(ctx context.Context, name string) (*FunctionEntry, bool, error) {
-	raw, ok, err := s.get(ctx, s.shardForKey(name), functionKey(name))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	entry, err := unmarshalFunctionEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return read(ctx, s, s.nameRef(name, functionKey(name)), unmarshalFunctionEntry)
 }
 
 // --- Node table ------------------------------------------------------------------
 
 func nodeKey(id types.NodeID) string { return tableKey(keyPrefixNode, types.UniqueID(id)) }
+
+// idList is the list of one table's IDs, in registration order.
+type idList[ID comparable] struct {
+	mu  sync.RWMutex
+	ids []ID //guard:by mu.R
+}
+
+func (l *idList[ID]) add(id ID) {
+	l.mu.Lock()
+	if !slices.Contains(l.ids, id) {
+		l.ids = append(l.ids, id)
+	}
+	l.mu.Unlock()
+}
+
+// readAll reads the entry of every ID on l with get, skipping IDs whose entry
+// does not exist. The chain reads run outside l's lock.
+func readAll[ID comparable, E any](ctx context.Context, l *idList[ID], get func(context.Context, ID) (E, bool, error)) ([]E, error) {
+	l.mu.RLock()
+	ids := slices.Clone(l.ids)
+	l.mu.RUnlock()
+	out := make([]E, 0, len(ids))
+	for _, id := range ids {
+		entry, ok, err := get(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, entry)
+		}
+	}
+	return out, nil
+}
 
 // RegisterNode adds a node to the cluster membership table.
 func (s *Store) RegisterNode(ctx context.Context, entry *NodeEntry) error {
@@ -304,46 +291,11 @@ func (s *Store) RegisterNode(ctx context.Context, entry *NodeEntry) error {
 	if err := s.put(ctx, s.shardFor(types.UniqueID(entry.ID)), nodeKey(entry.ID), entry.marshal()); err != nil {
 		return err
 	}
-	s.nodeMu.Lock()
-	known := false
-	for _, id := range s.nodeIDs {
-		if id == entry.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		s.nodeIDs = append(s.nodeIDs, entry.ID)
-	}
-	s.nodeMu.Unlock()
+	s.nodeIDs.add(entry.ID)
 	return nil
 }
 
-// Heartbeat refreshes a node's load, resource availability and object-store
-// occupancy. The global scheduler consumes these entries to estimate queueing
-// delay per node and to steer work away from memory-pressured nodes.
-func (s *Store) Heartbeat(ctx context.Context, u HeartbeatUpdate) error {
-	s.hbMu.Lock()
-	defer s.hbMu.Unlock()
-	shard := s.shardFor(types.UniqueID(u.ID))
-	key := nodeKey(u.ID)
-	raw, ok, err := s.get(ctx, shard, key)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("gcs: heartbeat from unregistered node %s: %w", u.ID, types.ErrNodeNotFound)
-	}
-	entry, err := unmarshalNodeEntry(raw)
-	if err != nil {
-		return err
-	}
-	applyHeartbeat(entry, u, time.Now().UnixNano())
-	return s.put(ctx, shard, key, entry.marshal())
-}
-
-// HeartbeatUpdate is one node's load report, sent alone or inside a coalesced
-// heartbeat batch.
+// HeartbeatUpdate is one node's load report.
 type HeartbeatUpdate struct {
 	ID             types.NodeID
 	Available      map[string]float64
@@ -353,66 +305,37 @@ type HeartbeatUpdate struct {
 	MemoryCapacity int64
 }
 
-func applyHeartbeat(entry *NodeEntry, u HeartbeatUpdate, now int64) {
-	entry.AvailableResources = u.Available
-	entry.QueueLength = u.QueueLength
-	entry.AvgTaskMillis = u.AvgTaskMillis
-	entry.MemoryUsed = u.MemoryUsed
-	entry.MemoryCapacity = u.MemoryCapacity
-	entry.HeartbeatUnixNano = now
-}
-
-// HeartbeatBatch records many nodes' heartbeats with one chain commit per
-// shard instead of one per node. The cluster's heartbeat aggregator uses it
-// so the per-tick GCS write load stays constant as the cluster grows (the
-// control-plane scaling property behind Figure 8b). Nodes not present in the
-// membership table (not yet registered) or no longer alive (racing a
+// HeartbeatBatch refreshes many nodes' load, resource availability and
+// object-store occupancy; the global scheduler consumes these entries to
+// estimate queueing delay per node and to steer work away from
+// memory-pressured nodes. The cluster's heartbeat aggregator sends every
+// node's update in one batch, and the shard batchers commit a tick's updates
+// together, so the per-tick chain commits stay constant as the cluster grows
+// (the control-plane scaling property behind Figure 8b). Nodes not present in
+// the membership table (not yet registered) or no longer alive (racing a
 // concurrent kill) are skipped rather than failing the whole batch.
 func (s *Store) HeartbeatBatch(ctx context.Context, updates []HeartbeatUpdate) error {
-	if len(updates) == 0 {
-		return nil
-	}
-	s.hbMu.Lock()
-	defer s.hbMu.Unlock()
 	now := time.Now().UnixNano()
-	perShardKeys := make(map[int][]string)
-	perShardValues := make(map[int][][]byte)
 	for _, u := range updates {
-		si := s.shardFor(types.UniqueID(u.ID))
-		key := nodeKey(u.ID)
-		raw, ok, err := s.get(ctx, si, key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		entry, err := unmarshalNodeEntry(raw)
-		if err != nil {
-			return err
-		}
-		if entry.State != types.NodeAlive {
-			// Writing the update back would resurrect a dead node's entry.
-			continue
-		}
-		applyHeartbeat(entry, u, now)
-		perShardKeys[si] = append(perShardKeys[si], key)
-		perShardValues[si] = append(perShardValues[si], entry.marshal())
-	}
-	for si, keys := range perShardKeys {
-		values := perShardValues[si]
-		if s.batchers != nil {
-			for i, key := range keys {
-				if err := s.put(ctx, si, key, values[i]); err != nil {
-					return err
-				}
+		err := s.update(ctx, idRef(s, u.ID, nodeKey(u.ID)), func(raw []byte, ok bool) ([]byte, error) {
+			if !ok {
+				return nil, nil
 			}
-			continue
-		}
-		s.puts.Add(int64(len(keys))) // nothing to publish: membership keys have no subscribers
-		//lint:ignore mutexhold hbMu must span the commit or a heartbeat read-modify-write can resurrect a node just marked dead
-		if err := s.shards[si].PutBatch(ctx, keys, values); err != nil {
-			return fmt.Errorf("gcs: heartbeat batch: %w", err)
+			entry, err := unmarshalNodeEntry(raw)
+			if err != nil || entry.State != types.NodeAlive {
+				// Writing the update back would resurrect a dead node's entry.
+				return nil, err
+			}
+			entry.AvailableResources = u.Available
+			entry.QueueLength = u.QueueLength
+			entry.AvgTaskMillis = u.AvgTaskMillis
+			entry.MemoryUsed = u.MemoryUsed
+			entry.MemoryCapacity = u.MemoryCapacity
+			entry.HeartbeatUnixNano = now
+			return entry.marshal(), nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -421,36 +344,22 @@ func (s *Store) HeartbeatBatch(ctx context.Context, updates []HeartbeatUpdate) e
 // MarkNodeDead records a node failure. Schedulers and object managers learn
 // about it on their next read (or via SubscribeNodeEvents).
 func (s *Store) MarkNodeDead(ctx context.Context, id types.NodeID) error {
-	s.hbMu.Lock()
-	defer s.hbMu.Unlock()
-	shard := s.shardFor(types.UniqueID(id))
-	key := nodeKey(id)
-	raw, ok, err := s.get(ctx, shard, key)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("gcs: mark dead: %w", types.ErrNodeNotFound)
-	}
-	entry, err := unmarshalNodeEntry(raw)
-	if err != nil {
-		return err
-	}
-	entry.State = types.NodeDead
-	return s.put(ctx, shard, key, entry.marshal())
+	return s.update(ctx, idRef(s, id, nodeKey(id)), func(raw []byte, ok bool) ([]byte, error) {
+		if !ok {
+			return nil, fmt.Errorf("gcs: mark dead: %w", types.ErrNodeNotFound)
+		}
+		entry, err := unmarshalNodeEntry(raw)
+		if err != nil {
+			return nil, err
+		}
+		entry.State = types.NodeDead
+		return entry.marshal(), nil
+	})
 }
 
 // GetNode returns the membership entry for one node.
 func (s *Store) GetNode(ctx context.Context, id types.NodeID) (*NodeEntry, bool, error) {
-	raw, ok, err := s.get(ctx, s.shardFor(types.UniqueID(id)), nodeKey(id))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	entry, err := unmarshalNodeEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return read(ctx, s, idRef(s, id, nodeKey(id)), unmarshalNodeEntry)
 }
 
 // Nodes returns every registered node, sorted by ID for determinism. The
@@ -459,53 +368,9 @@ func (s *Store) GetNode(ctx context.Context, id types.NodeID) (*NodeEntry, bool,
 // writes still pending in the batching overlay — rather than scanning every
 // resident key.
 func (s *Store) Nodes(ctx context.Context) ([]*NodeEntry, error) {
-	s.nodeMu.RLock()
-	ids := make([]types.NodeID, len(s.nodeIDs))
-	copy(ids, s.nodeIDs)
-	s.nodeMu.RUnlock()
-	out := make([]*NodeEntry, 0, len(ids))
-	for _, id := range ids {
-		raw, ok, err := s.get(ctx, s.shardFor(types.UniqueID(id)), nodeKey(id))
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		entry, err := unmarshalNodeEntry(raw)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, entry)
-	}
+	out, err := readAll(ctx, &s.nodeIDs, s.GetNode)
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].ID[:], out[j].ID[:]) < 0 })
-	return out, nil
-}
-
-// shardKeys lists the keys with the given prefix on shard si: the chain
-// tail's resident keys plus any pending batched writes, deduplicated.
-func (s *Store) shardKeys(si int, prefix string) []string {
-	var keys []string
-	if reps := s.shards[si].Replicas(); len(reps) > 0 {
-		keys = reps[len(reps)-1].Store().Keys(prefix)
-	}
-	if s.batchers == nil {
-		return keys
-	}
-	pending := s.batchers[si].pendingKeys(prefix)
-	if len(pending) == 0 {
-		return keys
-	}
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		seen[k] = true
-	}
-	for _, k := range pending {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
-	}
-	return keys
+	return out, err
 }
 
 // AliveNodes returns the subset of Nodes that are alive.
@@ -542,32 +407,13 @@ func (s *Store) RegisterJob(ctx context.Context, entry *JobEntry) error {
 	if err := s.put(ctx, s.shardFor(types.UniqueID(entry.ID)), jobKey(entry.ID), entry.marshal()); err != nil {
 		return err
 	}
-	s.jobIDMu.Lock()
-	known := false
-	for _, id := range s.jobIDs {
-		if id == entry.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		s.jobIDs = append(s.jobIDs, entry.ID)
-	}
-	s.jobIDMu.Unlock()
+	s.jobIDs.add(entry.ID)
 	return nil
 }
 
 // GetJob returns the job table entry, or ok=false for unknown jobs.
 func (s *Store) GetJob(ctx context.Context, id types.JobID) (*JobEntry, bool, error) {
-	raw, ok, err := s.get(ctx, s.shardFor(types.UniqueID(id)), jobKey(id))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	entry, err := unmarshalJobEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return read(ctx, s, idRef(s, id, jobKey(id)), unmarshalJobEntry)
 }
 
 // UpdateJobState transitions a job's lifecycle state. Terminal transitions
@@ -576,61 +422,86 @@ func (s *Store) GetJob(ctx context.Context, id types.JobID) (*JobEntry, bool, er
 // reports whether THIS call performed the transition — the caller that wins
 // the race owns the job's cleanup.
 func (s *Store) UpdateJobState(ctx context.Context, id types.JobID, state types.JobState) (entry *JobEntry, changed bool, err error) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	shard := s.shardFor(types.UniqueID(id))
-	key := jobKey(id)
-	raw, ok, err := s.get(ctx, shard, key)
+	err = s.update(ctx, idRef(s, id, jobKey(id)), func(raw []byte, ok bool) ([]byte, error) {
+		if !ok {
+			return nil, fmt.Errorf("gcs: update state of unknown job %s: %w", id, types.ErrJobNotFound)
+		}
+		var err error
+		if entry, err = unmarshalJobEntry(raw); err != nil || entry.State.Terminal() {
+			return nil, err
+		}
+		entry.State = state
+		if state.Terminal() {
+			entry.FinishUnixNano = time.Now().UnixNano()
+		}
+		changed = true
+		return entry.marshal(), nil
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	if !ok {
-		return nil, false, fmt.Errorf("gcs: update state of unknown job %s: %w", id, types.ErrJobNotFound)
-	}
-	entry, err = unmarshalJobEntry(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	if entry.State.Terminal() {
-		return entry, false, nil
-	}
-	entry.State = state
-	if state.Terminal() {
-		entry.FinishUnixNano = time.Now().UnixNano()
-	}
-	if err := s.put(ctx, shard, key, entry.marshal()); err != nil {
-		return nil, false, err
-	}
-	return entry, true, nil
+	return entry, changed, nil
 }
 
 // Jobs returns every registered job, sorted by start time then ID for
 // determinism, via O(jobs) point reads through the jobIDs index.
 func (s *Store) Jobs(ctx context.Context) ([]*JobEntry, error) {
-	s.jobIDMu.RLock()
-	ids := make([]types.JobID, len(s.jobIDs))
-	copy(ids, s.jobIDs)
-	s.jobIDMu.RUnlock()
-	out := make([]*JobEntry, 0, len(ids))
-	for _, id := range ids {
-		entry, ok, err := s.GetJob(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, entry)
-		}
-	}
+	out, err := readAll(ctx, &s.jobIDs, s.GetJob)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].StartUnixNano != out[j].StartUnixNano {
 			return out[i].StartUnixNano < out[j].StartUnixNano
 		}
 		return bytes.Compare(out[i].ID[:], out[j].ID[:]) < 0
 	})
+	return out, err
+}
+
+// --- Event log and span table -----------------------------------------------------
+
+// scan reads and decodes every value still resident under prefix, writes
+// pending in the batching overlay included. Flushed values are excluded
+// (they live in the flush log).
+func scan[E any](ctx context.Context, s *Store, prefix string, decode func([]byte) (E, error)) ([]E, error) {
+	var out []E
+	for si := range s.shards {
+		for _, key := range s.shardKeys(si, prefix) {
+			entry, ok, err := read(ctx, s, entryRef{shard: si, key: key}, decode)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, entry)
+			}
+		}
+	}
 	return out, nil
 }
 
-// --- Event log -------------------------------------------------------------------
+// shardKeys lists the keys with the given prefix on shard si: the chain
+// tail's resident keys plus any pending batched writes, deduplicated.
+func (s *Store) shardKeys(si int, prefix string) []string {
+	var keys []string
+	if reps := s.shards[si].Replicas(); len(reps) > 0 {
+		keys = reps[len(reps)-1].Store().Keys(prefix)
+	}
+	if s.batchers == nil {
+		return keys
+	}
+	pending := s.batchers[si].pendingKeys(prefix)
+	if len(pending) == 0 {
+		return keys
+	}
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		seen[k] = true
+	}
+	for _, k := range pending {
+		if !seen[k] {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
 
 // AppendEvent records a diagnostic event in the event log.
 func (s *Store) AppendEvent(ctx context.Context, kind, message string) error {
@@ -641,30 +512,12 @@ func (s *Store) AppendEvent(ctx context.Context, kind, message string) error {
 }
 
 // Events returns every event still resident in memory, ordered by sequence
-// number. Flushed events are excluded (they live in the flush log).
+// number.
 func (s *Store) Events(ctx context.Context) ([]*Event, error) {
-	var out []*Event
-	for si := range s.shards {
-		for _, key := range s.shardKeys(si, keyPrefixEvent) {
-			raw, ok, err := s.get(ctx, si, key)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			e, err := unmarshalEvent(raw)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, e)
-		}
-	}
+	out, err := scan(ctx, s, keyPrefixEvent, unmarshalEvent)
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
+	return out, err
 }
-
-// --- Span table ------------------------------------------------------------------
 
 // AppendSpans persists a batch of task-lifecycle spans into the span table,
 // assigning each its global sequence number. The span table is another
@@ -686,25 +539,10 @@ func (s *Store) AppendSpans(ctx context.Context, spans []telemetry.Span) error {
 }
 
 // Spans returns every span still resident in memory, ordered by sequence
-// number. Flushed spans are excluded (they live in the flush log).
+// number.
 func (s *Store) Spans(ctx context.Context) ([]telemetry.Span, error) {
-	var out []telemetry.Span
-	for si := range s.shards {
-		for _, key := range s.shardKeys(si, keyPrefixSpan) {
-			raw, ok, err := s.get(ctx, si, key)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			batch, err := telemetry.UnmarshalSpans(raw)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, batch...)
-		}
-	}
+	batches, err := scan(ctx, s, keyPrefixSpan, telemetry.UnmarshalSpans)
+	out := slices.Concat(batches...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
+	return out, err
 }

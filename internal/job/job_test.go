@@ -3,6 +3,7 @@ package job
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -291,6 +292,40 @@ func TestManagerConcurrentTerminate(t *testing.T) {
 	defer hooks.mu.Unlock()
 	if hooks.tasks != 1 {
 		t.Fatalf("cleanup ran %d times, want 1", hooks.tasks)
+	}
+}
+
+// TestAliveRacesTerminate: the dispatch path asks Alive while a Kill removes
+// the job; the read and the removal are ordered by mu (run with -race), and
+// the job reads dead once Kill returns.
+func TestAliveRacesTerminate(t *testing.T) {
+	store := newTestStore()
+	defer store.Close()
+	m := NewManager(store, nil)
+	ctx := context.Background()
+	id, _, err := m.Register(ctx, Options{}, types.NewDriverID(), types.NewNodeID())
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	killed := make(chan error, 1)
+	go func() {
+		_, err := m.Kill(ctx, id)
+		killed <- err
+	}()
+	for {
+		select {
+		case err := <-killed:
+			if err != nil {
+				t.Fatalf("Kill: %v", err)
+			}
+			if m.Alive(id) {
+				t.Fatal("job alive after Kill returned")
+			}
+			return
+		default:
+			_ = m.Alive(id)
+			runtime.Gosched()
+		}
 	}
 }
 

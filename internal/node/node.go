@@ -269,7 +269,7 @@ func (n *Node) SendHeartbeat(ctx context.Context) error {
 	if n.dead.Load() {
 		return types.ErrNodeDead
 	}
-	return n.gcs.Heartbeat(ctx, n.HeartbeatTick())
+	return n.gcs.HeartbeatBatch(ctx, []gcs.HeartbeatUpdate{n.HeartbeatTick()})
 }
 
 // RetryWithdrawal re-attempts withdrawing this node's location of obj, which

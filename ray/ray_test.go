@@ -3,6 +3,11 @@ package ray_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,6 +199,50 @@ func TestMethodTableRecordedInGCS(t *testing.T) {
 	}
 	if m, ok := byName["value"]; !ok || m.NumArgs != 0 || m.NumReturns != 1 {
 		t.Fatalf("value method info wrong: %+v (present=%v)", m, ok)
+	}
+}
+
+// TestConcurrentMethodRegistrationsAllLand: methods registered on one class
+// at once each land in the class's GCS function entry; none is lost to a
+// concurrent registration's read-modify-write.
+func TestConcurrentMethodRegistrationsAllLand(t *testing.T) {
+	rt, _ := newTestRuntime(t)
+	const classes, n = 8, 32
+	for c := range classes {
+		class := fmt.Sprintf("Many%d", c)
+		if err := rt.RegisterActorClass(class, "many methods", func(ctx *ray.Context, args [][]byte) (any, error) { return nil, nil }); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var start atomic.Bool
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !start.Load() {
+					runtime.Gosched()
+				}
+				impl := func(ctx *ray.Context, state any, args [][]byte) ([][]byte, error) { return nil, nil }
+				if err := rt.RegisterActorMethod(class, fmt.Sprintf("m%d", i), i%4, 1, impl); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		start.Store(true)
+		wg.Wait()
+		entry, ok, err := rt.Cluster().GCS().GetFunction(context.Background(), class)
+		if err != nil || !ok {
+			t.Fatalf("GetFunction(%s): ok=%v err=%v", class, ok, err)
+		}
+		if len(entry.Methods) != n {
+			t.Fatalf("%s: %d of %d concurrently registered methods in the GCS entry", class, len(entry.Methods), n)
+		}
+		for i := range n {
+			name := fmt.Sprintf("m%d", i)
+			if !slices.ContainsFunc(entry.Methods, func(m gcs.MethodInfo) bool { return m.Name == name && m.NumArgs == i%4 }) {
+				t.Fatalf("%s: method %s missing from %+v", class, name, entry.Methods)
+			}
+		}
 	}
 }
 

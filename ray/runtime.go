@@ -3,7 +3,6 @@ package ray
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ray/internal/cluster"
 	"ray/internal/gcs"
@@ -17,9 +16,6 @@ import (
 type Runtime struct {
 	cfg     Config           //guard:init
 	cluster *cluster.Cluster //guard:init
-	// regMu serializes read-modify-write updates of GCS function entries
-	// (RegisterActorMethod appends per-method records to its class entry).
-	regMu sync.Mutex
 }
 
 // Init builds and starts a cluster. Attach drivers with Runtime.NewDriver
@@ -88,22 +84,8 @@ func (r *Runtime) RegisterActorMethod(class, method string, numArgs, numReturns 
 	if err := r.cluster.Registry().RegisterActorMethod(class, method, impl); err != nil {
 		return err
 	}
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	ctx := context.Background()
-	entry, ok, err := r.cluster.GCS().GetFunction(ctx, class)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		entry = &gcs.FunctionEntry{Name: class, IsActorClass: true}
-	}
-	entry.Methods = append(entry.Methods, gcs.MethodInfo{
-		Name:       method,
-		NumArgs:    numArgs,
-		NumReturns: numReturns,
-	})
-	return r.cluster.GCS().RegisterFunction(ctx, entry)
+	return r.cluster.GCS().AddActorMethod(context.Background(), class,
+		gcs.MethodInfo{Name: method, NumArgs: numArgs, NumReturns: numReturns})
 }
 
 // Driver is a user program connected to the cluster. It embeds a Context
