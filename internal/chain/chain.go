@@ -152,8 +152,17 @@ func (c *Chain) Put(ctx context.Context, key string, value []byte) error {
 // every replica is gone); replays are idempotent because writes are
 // last-writer-wins per key.
 func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("chain: batch size mismatch (%d keys, %d values)", len(keys), len(values))
+	return c.WriteBatch(ctx, keys, values, nil)
+}
+
+// WriteBatch is PutBatch with deletes: where deleted[i] is true, every
+// replica removes keys[i] (kv.Store.WriteBatch) instead of storing values[i].
+// Deletes ride the same commit as the puts beside them, under each replica's
+// one lock, and replay as idempotently: deleting a key twice, or a key that
+// is not there, leaves the same state. A nil deleted deletes nothing.
+func (c *Chain) WriteBatch(ctx context.Context, keys []string, values [][]byte, deleted []bool) error {
+	if len(keys) != len(values) || (deleted != nil && len(deleted) != len(keys)) {
+		return fmt.Errorf("chain: batch size mismatch (%d keys, %d values, %d deletes)", len(keys), len(values), len(deleted))
 	}
 	if len(keys) == 0 {
 		return nil
@@ -164,7 +173,7 @@ func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) er
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := c.tryPutBatch(ctx, keys, values)
+		err := c.tryWriteBatch(ctx, keys, values, deleted)
 		if err == nil {
 			return nil
 		}
@@ -178,7 +187,7 @@ func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) er
 	return fmt.Errorf("chain: commit of %d keys failed after repeated reconfigurations", len(keys))
 }
 
-func (c *Chain) tryPutBatch(ctx context.Context, keys []string, values [][]byte) error {
+func (c *Chain) tryWriteBatch(ctx context.Context, keys []string, values [][]byte, deleted []bool) error {
 	c.configMu.RLock()
 	replicas := make([]*Replica, len(c.replicas))
 	copy(replicas, c.replicas)
@@ -196,7 +205,7 @@ func (c *Chain) tryPutBatch(ctx context.Context, keys []string, values [][]byte)
 		if !r.Alive() {
 			return fmt.Errorf("%w: %s", ErrReplicaDown, r.ID)
 		}
-		r.store.PutBatch(keys, values)
+		r.store.WriteBatch(keys, values, deleted)
 	}
 	return nil
 }

@@ -409,3 +409,35 @@ func TestPutBatchVisibleAllAtOnce(t *testing.T) {
 		}
 	}
 }
+
+// A WriteBatch delete removes the key from every replica, and a replica that
+// joins afterwards does not get it back through state transfer.
+func TestWriteBatchDeletesOnEveryReplica(t *testing.T) {
+	ctx := context.Background()
+	c := New(Config{ReplicationFactor: 3})
+	mustPut(t, c, "a", []byte("1"))
+	mustPut(t, c, "b", []byte("2"))
+	if err := c.WriteBatch(ctx, []string{"a", "b"}, [][]byte{nil, []byte("3")}, []bool{true, false}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.Replicas() {
+		if _, ok := r.Store().Get("a"); ok {
+			t.Fatalf("replica %s kept the deleted key", r.ID)
+		}
+		if v, ok := r.Store().Get("b"); !ok || string(v) != "3" {
+			t.Fatalf("replica %s: b = %q ok=%v", r.ID, v, ok)
+		}
+	}
+	c.KillReplica(0)
+	if err := c.WriteBatch(ctx, []string{"b"}, [][]byte{nil}, []bool{true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.Replicas() {
+		if r.Store().Len() != 0 {
+			t.Fatalf("replica %s holds %d keys after every key was deleted", r.ID, r.Store().Len())
+		}
+	}
+	if err := c.WriteBatch(ctx, []string{"a"}, [][]byte{nil}, []bool{true, false}); err == nil {
+		t.Fatal("a delete list longer than the batch must be refused")
+	}
+}

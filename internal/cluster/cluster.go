@@ -799,26 +799,32 @@ func (c *Cluster) PendingWithdrawals() int {
 }
 
 // reclaimObject is the ownership ledger's reclaimer: an object's reference
-// count reached zero, so no live reference can name it again. Every store
-// copy (resident or spilled) is deleted and its GCS location withdrawn.
-// Objects that do not exist yet (count zeroed between submission and
-// execution) simply have no locations to withdraw; if the producing task
-// still runs, its output registers and lives until job GC.
-func (c *Cluster) reclaimObject(ctx context.Context, id types.ObjectID) {
+// count reached zero, so no program can name it again. Every store copy
+// (resident or spilled) is deleted. If lineage still pins the object its
+// locations are withdrawn and its entry stays, for replay to rebuild it;
+// if nothing can reach it (unreachable) the entry is deleted. An object
+// freed before its task stored it has no entry yet: the task's completion
+// collects it (gcs.Store.CompleteTask).
+func (c *Cluster) reclaimObject(ctx context.Context, id types.ObjectID, unreachable bool) {
 	entry, ok, err := c.gcs.GetObject(ctx, id)
 	if err != nil || !ok {
 		return
 	}
-	c.objectsReclaimed.Add(int64(c.dropReplicas(ctx, id, entry.Locations)))
+	n := 0
+	if unreachable {
+		n = c.dropObject(ctx, id, entry)
+	} else {
+		n = c.dropReplicas(ctx, id, entry.Locations)
+	}
+	c.objectsReclaimed.Add(int64(n))
 }
 
-// dropReplicas deletes the object's copy from every live node in locations
-// and withdraws the deleted copies' locations from the directory in one
-// write; it returns how many copies it deleted. A copy pinned by a
+// deleteCopies deletes the object's copy from every live node in locations
+// and returns the nodes whose copy it deleted. A copy pinned by a
 // still-running task cannot be deleted yet: its location stays valid for the
 // pin's duration and the pair is parked for the heartbeat retry, which
 // deletes and withdraws it once the task has let go.
-func (c *Cluster) dropReplicas(ctx context.Context, id types.ObjectID, locations []types.NodeID) int {
+func (c *Cluster) deleteCopies(id types.ObjectID, locations []types.NodeID) []types.NodeID {
 	deleted := make([]types.NodeID, 0, len(locations))
 	for _, nodeID := range locations {
 		nd := c.Node(nodeID)
@@ -831,6 +837,14 @@ func (c *Cluster) dropReplicas(ctx context.Context, id types.ObjectID, locations
 			c.noteFailedWithdrawal(id, nodeID, true)
 		}
 	}
+	return deleted
+}
+
+// dropReplicas deletes the object's copies (deleteCopies) and withdraws the
+// deleted copies' locations from the directory in one write; it returns how
+// many copies it deleted.
+func (c *Cluster) dropReplicas(ctx context.Context, id types.ObjectID, locations []types.NodeID) int {
+	deleted := c.deleteCopies(id, locations)
 	if len(deleted) == 0 {
 		return 0
 	}
@@ -842,26 +856,42 @@ func (c *Cluster) dropReplicas(ctx context.Context, id types.ObjectID, locations
 	return len(deleted)
 }
 
-// ReleaseJobObjects implements job.Hooks: every replica of every object the
-// job's tasks produced is dropped from the stores and its location withdrawn
-// from the object table. The GCS ownership index makes this O(the job's
-// objects), not a scan of every resident object in the cluster. Replicas
-// pinned by a still-running task (the run is ending under a cancelled
-// context) follow once it unpins them. Other jobs' objects are untouched.
+// dropObject deletes the object's copies and then its directory entry. A
+// copy parked as pinned is deleted by the heartbeat retry, whose withdrawal
+// finds no entry and is done. If the delete fails, the deleted copies'
+// withdrawals are parked instead, so the directory lists no copy that is
+// gone.
+func (c *Cluster) dropObject(ctx context.Context, id types.ObjectID, entry *gcs.ObjectEntry) int {
+	deleted := c.deleteCopies(id, entry.Locations)
+	if err := c.gcs.DeleteObject(ctx, id); err != nil {
+		for _, nodeID := range deleted {
+			c.noteFailedWithdrawal(id, nodeID, false)
+		}
+	}
+	return len(deleted)
+}
+
+// ReleaseJobObjects implements job.Hooks: every object the job's tasks
+// produced loses every store copy and its directory entry, and the GCS
+// forgets the job's references and deletes its task entries (only actor
+// task entries stay, beside their dead actors). Finding the job's objects
+// scans the object table, which collection keeps down to what is still
+// reachable. Replicas pinned by a still-running task (the run is ending
+// under a cancelled context) follow once it unpins them. Other jobs' objects
+// are untouched, except that pins the job's tasks held on them are released.
 func (c *Cluster) ReleaseJobObjects(ctx context.Context, jobID types.JobID) int {
 	released := 0
-	owned := c.gcs.ObjectsForJob(jobID)
+	owned := c.gcs.ObjectsForJob(ctx, jobID)
 	for _, objID := range owned {
 		entry, ok, err := c.gcs.GetObject(ctx, objID)
 		if err != nil || !ok || entry.Job != jobID {
 			continue
 		}
-		released += c.dropReplicas(ctx, objID, entry.Locations)
+		released += c.dropObject(ctx, objID, entry)
 	}
-	// Purge any ledger entries the job leaked (references its driver still
-	// held, fire-and-forget futures): the backstop behind eager reclamation.
-	c.gcs.ForgetObjectRefs(owned...)
-	c.gcs.DropJobObjectIndex(jobID)
+	// Purge the ledger state the job leaked (references its driver still
+	// held, fire-and-forget futures): the backstop behind eager collection.
+	c.gcs.ForgetJob(ctx, jobID, owned)
 	return released
 }
 

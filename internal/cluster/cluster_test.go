@@ -485,7 +485,7 @@ func TestReclaimParksPinnedReplica(t *testing.T) {
 		t.Fatal("pin failed")
 	}
 
-	c.reclaimObject(ctx, obj)
+	c.reclaimObject(ctx, obj, false)
 
 	if other.Store().Contains(obj) {
 		t.Fatal("unpinned replica survived reclamation")

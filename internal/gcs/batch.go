@@ -20,7 +20,10 @@ import (
 //     write-lock acquisition and one replication message per hop, not N;
 //   - coalescing: repeated writes to the same key between flushes (task
 //     status transitions, per-node heartbeats) collapse to the final value,
-//     which is the only one chain replication would expose anyway.
+//     which is the only one chain replication would expose anyway. A delete
+//     is a write too: its tombstone replaces the key's pending value, so a
+//     task entry added, updated and deleted inside one window reaches the
+//     chain as one delete of a key no replica holds.
 //
 // Consistency: the pending buffer doubles as a read overlay — every read on
 // this Store consults it before the chain, so read-your-writes holds for all
@@ -82,10 +85,13 @@ type ackWaiter struct {
 	f   *CommitFuture
 }
 
-// pendingWrite is one key's latest unflushed value.
+// pendingWrite is one key's latest unflushed value, or its tombstone.
 type pendingWrite struct {
 	value []byte
-	seq   uint64
+	// deleted marks a tombstone: the key reads as absent, and the flush
+	// deletes it on every replica.
+	deleted bool
+	seq     uint64
 	// queued reports whether the key is on the order list of the next flush.
 	// A write that lands while its key is mid-commit re-queues it.
 	queued bool
@@ -112,12 +118,12 @@ func newShardBatcher(ch *chain.Chain, flushInterval time.Duration, maxEntries in
 	return b
 }
 
-// enqueue deposits a write into the pending buffer; the commit happens on
-// the next flush, which hands value to the chain for good. It reports false
-// — without enqueuing — once the batcher is closed, because the stopped
-// flusher would never commit the entry; the caller must write through the
-// chain directly instead.
-func (b *shardBatcher) enqueue(key string, value []byte) bool {
+// enqueue deposits a write (deleted: a tombstone) into the pending buffer;
+// the commit happens on the next flush, which hands value to the chain for
+// good. It reports false — without enqueuing — once the batcher is closed,
+// because the stopped flusher would never commit the entry; the caller must
+// write through the chain directly instead.
+func (b *shardBatcher) enqueue(key string, value []byte, deleted bool) bool {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -131,7 +137,7 @@ func (b *shardBatcher) enqueue(key string, value []byte) bool {
 	if ok {
 		b.coalesced.Add(1)
 	}
-	b.pending[key] = pendingWrite{value: value, seq: b.seq, queued: true}
+	b.pending[key] = pendingWrite{value: value, deleted: deleted, seq: b.seq, queued: true}
 	full := len(b.order) >= b.maxEntries
 	b.mu.Unlock()
 	b.enqueued.Add(1)
@@ -144,15 +150,17 @@ func (b *shardBatcher) enqueue(key string, value []byte) bool {
 	return true
 }
 
-// lookup reads the pending overlay. ok=true means the key has an unflushed
-// write whose value is returned (read-your-writes for this Store's clients).
-func (b *shardBatcher) lookup(key string) ([]byte, bool) {
+// lookup reads the pending overlay. pending=true means the key has an
+// unflushed write (read-your-writes for this Store's clients): its value, or
+// present=false for a tombstone, which reads as absent whatever the chain
+// still holds.
+func (b *shardBatcher) lookup(key string) (value []byte, present, pending bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if pw, ok := b.pending[key]; ok {
-		return pw.value, true
+		return pw.value, !pw.deleted, true
 	}
-	return nil, false
+	return nil, false, false
 }
 
 // pendingKeys returns the unflushed keys with the given prefix, so table
@@ -161,8 +169,8 @@ func (b *shardBatcher) pendingKeys(prefix string) []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var out []string
-	for key := range b.pending {
-		if hasPrefix(key, prefix) {
+	for key, pw := range b.pending {
+		if !pw.deleted && hasPrefix(key, prefix) {
 			out = append(out, key)
 		}
 	}
@@ -202,9 +210,16 @@ func (b *shardBatcher) flush(ctx context.Context) error {
 	b.order = nil
 	values := make([][]byte, len(keys))
 	seqs := make([]uint64, len(keys))
+	var deleted []bool // made at the first tombstone: most batches have none
 	for i, key := range keys {
 		pw := b.pending[key]
 		values[i], seqs[i] = pw.value, pw.seq
+		if pw.deleted {
+			if deleted == nil {
+				deleted = make([]bool, len(keys))
+			}
+			deleted[i] = true
+		}
 		pw.queued = false
 		b.pending[key] = pw
 	}
@@ -216,7 +231,7 @@ func (b *shardBatcher) flush(ctx context.Context) error {
 
 	flushStart := time.Now()
 	//lint:ignore mutexhold flushMu orders snapshot commits: an older snapshot must never land after a newer one
-	err := b.chain.PutBatch(ctx, keys, values)
+	err := b.chain.WriteBatch(ctx, keys, values, deleted)
 	b.flushes.Add(1)
 	b.flushEntries.Observe(float64(len(keys)))
 	b.flushSeconds.Observe(time.Since(flushStart).Seconds())

@@ -39,7 +39,10 @@ type Config struct {
 	ReplicationFactor int
 	// FlushThresholdBytes, when > 0, triggers flushing of completed-task
 	// lineage and event-log entries to FlushWriter once the resident size of
-	// the GCS exceeds the threshold (Figure 10b).
+	// the GCS exceeds the threshold (Figure 10b). The ref ledger deletes
+	// lineage once nothing can reach it (refs.go), so the flush acts only on
+	// what is still resident: lineage some reference or pin keeps alive, and
+	// the event and span logs.
 	FlushThresholdBytes int64
 	// FlushWriter receives flushed entries. Defaults to io.Discard.
 	FlushWriter io.Writer
@@ -84,9 +87,9 @@ type Store struct {
 	nodeIDs idList[types.NodeID]
 	jobIDs  idList[types.JobID]
 
-	// objByJob and actorsByJob index ownership so job-exit cleanup reads
-	// O(the job's objects/actors) instead of scanning the cluster.
-	objByJob    jobIndex[types.ObjectID]
+	// actorsByJob indexes actor ownership so job-exit cleanup reads O(the
+	// job's actors) instead of scanning the cluster. Objects need no index:
+	// the ref ledger keeps the object table down to what is reachable.
 	actorsByJob jobIndex[types.ActorID]
 
 	// keyLocks serialize the read-modify-write of one table entry (location
@@ -99,7 +102,7 @@ type Store struct {
 	// only function that takes one.
 	keyLocks [256]sync.Mutex
 
-	// stats counters.
+	// stats counters. A delete counts as a put: it is a write.
 	puts      atomic.Int64
 	gets      atomic.Int64
 	flushes   atomic.Int64
@@ -142,7 +145,6 @@ func New(cfg Config) *Store {
 		cfg.BatchMaxEntries = 256
 	}
 	s := &Store{cfg: cfg, watch: make([]watchShard, cfg.Shards)}
-	s.objByJob.owned = make(map[types.JobID]map[types.ObjectID]struct{})
 	s.actorsByJob.owned = make(map[types.JobID]map[types.ActorID]struct{})
 	for i := 0; i < cfg.Shards; i++ {
 		ch := chain.New(chain.Config{ReplicationFactor: cfg.ReplicationFactor})
@@ -208,15 +210,6 @@ func (s *Store) CommitFuture(id types.UniqueID) *CommitFuture {
 		return resolvedCommitFuture
 	}
 	return s.batchers[s.shardFor(id)].commitFuture()
-}
-
-// CommitFutureKey is CommitFuture for tables keyed by arbitrary strings
-// (function names, event keys).
-func (s *Store) CommitFutureKey(key string) *CommitFuture {
-	if s.batchers == nil {
-		return resolvedCommitFuture
-	}
-	return s.batchers[s.shardForKey(key)].commitFuture()
 }
 
 // Sync commits every pending batched write. It is a no-op on a synchronous
@@ -340,28 +333,54 @@ func (s *Store) update(ctx context.Context, r entryRef, fn func(raw []byte, ok b
 	return s.put(ctx, r.shard, r.key, next)
 }
 
+// remove deletes r's entry under r's keyLocks stripe, so no read-modify-write
+// of the entry interleaves with it.
+func (s *Store) remove(ctx context.Context, r entryRef) error {
+	mu := s.keyLock(r.stripe)
+	mu.Lock()
+	defer mu.Unlock()
+	return s.del(ctx, r.shard, r.key)
+}
+
 func (s *Store) put(ctx context.Context, si int, key string, value []byte) error {
+	return s.write(ctx, si, key, value, false)
+}
+
+// del deletes key: a write whose tombstone takes the write path, so it is
+// readable (as absent) at once and durable at the next commit, exactly like
+// a put.
+func (s *Store) del(ctx context.Context, si int, key string) error {
+	return s.write(ctx, si, key, nil, true)
+}
+
+func (s *Store) write(ctx context.Context, si int, key string, value []byte, deleted bool) error {
 	s.puts.Add(1)
 	// Batched path: deposit into the shard's pending buffer. The write is
 	// immediately visible to reads through this Store (overlay) and is
 	// chain-committed by the next flush. After Close the batcher refuses new
 	// work (its flusher is gone), so stragglers take the synchronous chain
 	// write, like every write under SyncWrites.
-	if s.batchers == nil || !s.batchers[si].enqueue(key, value) {
-		if err := s.shards[si].Put(ctx, key, value); err != nil {
-			return fmt.Errorf("gcs: put %s: %w", displayKey(key), err)
+	if s.batchers == nil || !s.batchers[si].enqueue(key, value, deleted) {
+		if err := s.shards[si].WriteBatch(ctx, []string{key}, [][]byte{value}, []bool{deleted}); err != nil {
+			op := "put"
+			if deleted {
+				op = "delete"
+			}
+			return fmt.Errorf("gcs: %s %s: %w", op, displayKey(key), err)
 		}
 		s.maybeFlush()
 	}
-	s.publish(si, key)
+	if !deleted { // a delete leaves a subscriber nothing to re-read
+		s.publish(si, key)
+	}
 	return nil
 }
 
 func (s *Store) get(ctx context.Context, si int, key string) ([]byte, bool, error) {
 	s.gets.Add(1)
 	if s.batchers != nil {
-		if v, ok := s.batchers[si].lookup(key); ok {
-			return v, true, nil
+		if v, present, pending := s.batchers[si].lookup(key); pending {
+			return v, present, nil
 		}
 	}
 	v, ok, err := s.shards[si].Get(ctx, key)
@@ -380,7 +399,7 @@ type watchShard struct {
 	subs map[string][]chan struct{} //guard:by mu
 }
 
-// publish signals key's subscribers. put calls it once the write is readable
+// publish signals key's subscribers. A put calls it once the write is readable
 // (in the pending overlay, or chain-committed on the synchronous path), and
 // subscribe registers before its caller's first read: either publish finds the
 // registration or that read returns the write, so no wake-up is lost and none
@@ -400,7 +419,7 @@ func (s *Store) publish(si int, key string) {
 	w.mu.Unlock()
 }
 
-// subscribe returns a channel signalled on every write to a key tableKey(prefix, id).
+// subscribe returns a channel signalled on every put to a key tableKey(prefix, id).
 // cancel drops the registrations (the channel is the caller's and is never
 // closed); calling it twice is harmless.
 func subscribe[ID ~[types.IDSize]byte](s *Store, prefix string, ids []ID) (<-chan struct{}, func()) {
@@ -539,6 +558,7 @@ func hasPrefix(s, prefix string) bool {
 
 // Stats is a snapshot of GCS operation counters.
 type Stats struct {
+	// Puts counts writes, deletes included.
 	Puts           int64
 	Gets           int64
 	Flushes        int64

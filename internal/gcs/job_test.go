@@ -121,17 +121,19 @@ func TestObjectEntryJobOwner(t *testing.T) {
 	if len(entry.Locations) != 2 {
 		t.Fatalf("want 2 locations, got %d", len(entry.Locations))
 	}
-	// The ownership index lists exactly the job's objects and empties once
-	// dropped (job-exit cleanup reads through it).
-	if got := s.ObjectsForJob(job); len(got) != 1 || got[0] != obj {
+	// ObjectsForJob lists exactly the job's objects and none once their
+	// entries are deleted (job-exit cleanup reads through it).
+	if got := s.ObjectsForJob(ctx, job); len(got) != 1 || got[0] != obj {
 		t.Fatalf("ObjectsForJob = %v, want [%v]", got, obj)
 	}
-	if got := s.ObjectsForJob(types.NewJobID()); len(got) != 0 {
+	if got := s.ObjectsForJob(ctx, types.NewJobID()); len(got) != 0 {
 		t.Fatalf("foreign job owns %v", got)
 	}
-	s.DropJobObjectIndex(job)
-	if got := s.ObjectsForJob(job); len(got) != 0 {
-		t.Fatalf("index survived drop: %v", got)
+	if err := s.DeleteObject(ctx, obj); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ObjectsForJob(ctx, job); len(got) != 0 {
+		t.Fatalf("a deleted entry is still listed: %v", got)
 	}
 }
 
@@ -171,10 +173,11 @@ func TestCommitFutureResolvesOnFlush(t *testing.T) {
 // TestCommitFutureAlreadyDurable: a future taken with nothing pending (sync
 // store, or batched store after a drain) is resolved immediately.
 func TestCommitFutureAlreadyDurable(t *testing.T) {
+	id := types.NewJobID()
 	sync := New(Config{Shards: 1, ReplicationFactor: 1, SyncWrites: true})
 	defer sync.Close()
 	select {
-	case <-sync.CommitFutureKey("fn").Done():
+	case <-sync.CommitFuture(types.UniqueID(id)).Done():
 	default:
 		t.Fatal("sync store future should be pre-resolved")
 	}
@@ -182,14 +185,14 @@ func TestCommitFutureAlreadyDurable(t *testing.T) {
 	batched := New(Config{Shards: 1, ReplicationFactor: 1})
 	defer batched.Close()
 	ctx := context.Background()
-	if err := batched.RegisterFunction(ctx, &FunctionEntry{Name: "f"}); err != nil {
-		t.Fatalf("RegisterFunction: %v", err)
+	if err := batched.RegisterJob(ctx, &JobEntry{ID: id, Name: "durable"}); err != nil {
+		t.Fatalf("RegisterJob: %v", err)
 	}
 	if err := batched.Sync(ctx); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	select {
-	case <-batched.CommitFutureKey("f").Done():
+	case <-batched.CommitFuture(types.UniqueID(id)).Done():
 	case <-time.After(time.Second):
 		t.Fatal("future after drain should resolve without another flush")
 	}

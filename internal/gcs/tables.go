@@ -104,25 +104,40 @@ func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node t
 		if !entry.HasLocation(node) {
 			entry.Locations = append(entry.Locations, node)
 		}
-		if !entry.Job.IsNil() {
-			s.objByJob.add(entry.Job, id)
-		}
 		return entry.marshal(), nil
 	})
 }
 
-// ObjectsForJob lists the objects owned by one job, via the ownership index
-// (O(the job's objects), not a cluster-wide scan).
-func (s *Store) ObjectsForJob(job types.JobID) []types.ObjectID { return s.objByJob.list(job) }
+// DeleteObject deletes the object's entry. The ref ledger's reclaimer calls
+// it once nothing can reach the object; job exit calls it for every object
+// the job owned.
+func (s *Store) DeleteObject(ctx context.Context, id types.ObjectID) error {
+	return s.remove(ctx, idRef(s, id, objectKey(id)))
+}
 
-// DropJobObjectIndex discards a job's ownership index entries once its
-// objects have been released (job-exit cleanup's final step).
-func (s *Store) DropJobObjectIndex(job types.JobID) { s.objByJob.drop(job) }
+// ObjectsForJob lists the objects one job owns: a scan of the object table,
+// pending writes included. The ref ledger deletes every entry nothing can
+// reach, so the scan costs O(the objects still referenced, or pinned by
+// lineage, cluster-wide), not O(objects ever created). An entry that cannot
+// be read is skipped: job-exit cleanup is best effort.
+func (s *Store) ObjectsForJob(ctx context.Context, job types.JobID) []types.ObjectID {
+	var out []types.ObjectID
+	for si := range s.shards {
+		for _, key := range s.shardKeys(si, keyPrefixObject) {
+			entry, ok, err := read(ctx, s, entryRef{shard: si, key: key}, unmarshalObjectEntry)
+			if err == nil && ok && entry.Job == job {
+				out = append(out, types.ObjectID([]byte(key[len(keyPrefixObject):])))
+			}
+		}
+	}
+	return out
+}
 
 // RemoveObjectLocation removes the given nodes from the object's location set
 // (eviction, node failure, reclamation of every replica) in one
 // read-modify-write. Removing the last location leaves an entry with no
-// locations, signalling that reconstruction is required.
+// locations, signalling that reconstruction is required. An entry that is
+// gone stays gone.
 func (s *Store) RemoveObjectLocation(ctx context.Context, id types.ObjectID, nodes ...types.NodeID) error {
 	return s.update(ctx, idRef(s, id, objectKey(id)), func(raw []byte, ok bool) ([]byte, error) {
 		if !ok {

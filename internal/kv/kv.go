@@ -53,11 +53,29 @@ func (s *Store) Put(key string, value []byte) {
 // The store adopts the value slices: it keeps them, not copies, and the
 // caller must never write to them again.
 func (s *Store) PutBatch(keys []string, values [][]byte) {
+	s.WriteBatch(keys, values, nil)
+}
+
+// WriteBatch is PutBatch with deletes: where deleted[i] is true, keys[i] is
+// removed (a tombstone; values[i] is ignored) instead of stored. A nil
+// deleted deletes nothing. Puts and deletes apply in slice order under one
+// lock, so a later entry for a key wins and readers see the whole batch or
+// none of it.
+func (s *Store) WriteBatch(keys []string, values [][]byte, deleted []bool) {
 	s.mu.Lock()
 	for i, key := range keys {
-		if old, ok := s.data[key]; ok {
+		old, ok := s.data[key]
+		if ok {
 			s.bytes -= int64(len(old))
-		} else {
+		}
+		if deleted != nil && deleted[i] {
+			if ok {
+				s.bytes -= int64(len(key))
+				delete(s.data, key)
+			}
+			continue
+		}
+		if !ok {
 			s.bytes += int64(len(key))
 		}
 		s.data[key] = values[i]

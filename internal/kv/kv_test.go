@@ -324,3 +324,29 @@ func TestFlushFailureLeavesStoreIntact(t *testing.T) {
 		t.Fatalf("store not emptied after successful retry: %d keys", s.Len())
 	}
 }
+
+// WriteBatch applies puts and deletes in slice order under one lock: a
+// delete after a put of the same key wins, a put after a delete recreates
+// it, deleting an absent key changes nothing, and the byte count follows.
+func TestWriteBatchDeletes(t *testing.T) {
+	s := NewStore()
+	s.Put("gone", []byte("xx"))
+	s.Put("back", []byte("y"))
+	s.WriteBatch(
+		[]string{"gone", "fresh", "fresh", "back", "back", "absent"},
+		[][]byte{nil, []byte("z"), nil, nil, []byte("www"), nil},
+		[]bool{true, false, true, true, false, true},
+	)
+	if _, ok := s.Get("gone"); ok {
+		t.Fatal("deleted key still stored")
+	}
+	if _, ok := s.Get("fresh"); ok {
+		t.Fatal("a put followed by a delete in one batch left the key")
+	}
+	if v, ok := s.Get("back"); !ok || string(v) != "www" {
+		t.Fatalf("a delete followed by a put in one batch: %q ok=%v", v, ok)
+	}
+	if s.Len() != 1 || s.Bytes() != int64(len("back")+3) {
+		t.Fatalf("len %d bytes %d after the batch, want 1 and %d", s.Len(), s.Bytes(), len("back")+3)
+	}
+}

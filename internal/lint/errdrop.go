@@ -18,6 +18,7 @@ var DefaultMustCheckCalls = []string{
 	"ray/internal/gcs.Store.*",
 	"ray/internal/chain.Chain.Put",
 	"ray/internal/chain.Chain.PutBatch",
+	"ray/internal/chain.Chain.WriteBatch",
 	"ray/internal/codec.Encode",
 	"ray/internal/codec.Decode",
 	"ray/internal/objectstore.Store.*",

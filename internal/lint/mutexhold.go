@@ -21,6 +21,7 @@ var DefaultBlockingCalls = []string{
 	"ray/internal/objectstore.Store.WaitEvictions",
 	"ray/internal/chain.Chain.Put",
 	"ray/internal/chain.Chain.PutBatch",
+	"ray/internal/chain.Chain.WriteBatch",
 	"ray/internal/netsim.Network.Transfer",
 	"ray/internal/netsim.Network.TransferChunk",
 	"ray/internal/netsim.Network.MessageDelay",

@@ -330,7 +330,9 @@ func (n *Node) Kill(ctx context.Context) []types.ActorID {
 // Submission roots the ownership references: the submitter gains one
 // reference per return object (released when its own context finishes or
 // frees them), and the pending task gains one per object argument (released
-// by the worker pool when the task completes).
+// by the worker pool when the task completes). Recording lineage also pins
+// each argument for as long as the task's entry is retained
+// (gcs.Store.TrackTask).
 func (n *Node) SubmitSpec(ctx context.Context, spec *task.Spec) error {
 	if n.dead.Load() {
 		return fmt.Errorf("node %s: %w", n.id, types.ErrNodeDead)
@@ -343,10 +345,7 @@ func (n *Node) SubmitSpec(ctx context.Context, spec *task.Spec) error {
 			StartUnixNano: time.Now().UnixNano(),
 		})
 	}
-	returns := spec.Returns()
-	deps := spec.Dependencies()
-	n.gcs.IncObjectRefs(1, returns...)
-	n.gcs.IncObjectRefs(1, deps...)
+	n.gcs.TrackTask(spec, n.cfg.RecordLineage)
 	err := func() error {
 		if n.cfg.RecordLineage {
 			if err := n.gcs.AddTask(ctx, spec); err != nil {
@@ -359,16 +358,16 @@ func (n *Node) SubmitSpec(ctx context.Context, spec *task.Spec) error {
 		return n.local.Submit(ctx, spec)
 	}()
 	if err != nil {
-		// The task never entered the system: take back the references so the
-		// failed submission cannot pin its arguments forever.
-		n.gcs.DecObjectRefs(ctx, returns...)
-		n.gcs.DecObjectRefs(ctx, deps...)
+		// The task never entered the system: take back the references and
+		// pins so the failed submission cannot hold its arguments forever.
+		n.gcs.UntrackTask(ctx, spec)
 	}
 	return err
 }
 
 // resubmit re-injects a task during lineage reconstruction. The task's spec
-// is already in the GCS task table, so it skips the AddTask step; the
+// is already in the GCS task table, so it skips the AddTask step, and its
+// retained entry already pins the arguments, so it takes no pins; the
 // lineage-replay context marker keeps the replayed execution from releasing
 // argument references the original run already released.
 func (n *Node) resubmit(ctx context.Context, spec *task.Spec) error {
@@ -383,6 +382,16 @@ func (n *Node) resubmit(ctx context.Context, spec *task.Spec) error {
 // loss: if an input has no live replica anywhere, its producing task is
 // re-executed before the pull is retried.
 func (n *Node) Pull(ctx context.Context, id types.ObjectID) error {
+	if !n.gcs.ObjectTracked(id) {
+		if err := n.checkListed(ctx, id); err != nil {
+			return err
+		}
+	}
+	return n.pull(ctx, id)
+}
+
+// pull is Pull for an object known to be reachable.
+func (n *Node) pull(ctx context.Context, id types.ObjectID) error {
 	for attempt := 0; attempt < 3; attempt++ {
 		err := n.objects.Pull(ctx, id)
 		if err == nil {
@@ -404,10 +413,15 @@ func (n *Node) Pull(ctx context.Context, id types.ObjectID) error {
 // holds a transient ownership reference so a concurrent release elsewhere
 // cannot reclaim the object out from under the read.
 func (n *Node) FetchObject(ctx context.Context, id types.ObjectID) ([]byte, bool, error) {
-	n.gcs.IncObjectRefs(1, id)
+	if !n.gcs.AcquireObjectRef(id) {
+		if err := n.checkListed(ctx, id); err != nil {
+			return nil, false, err
+		}
+		n.gcs.IncObjectRefs(1, id)
+	}
 	defer n.gcs.DecObjectRefs(ctx, id)
 	for attempt := 0; attempt < 3; attempt++ {
-		if err := n.Pull(ctx, id); err != nil {
+		if err := n.pull(ctx, id); err != nil {
 			return nil, false, err
 		}
 		if obj, ok := n.store.Get(id); ok {
@@ -424,6 +438,18 @@ func (n *Node) FetchObject(ctx context.Context, id types.ObjectID) ([]byte, bool
 		return nil, false, err
 	}
 	return obj.Data, obj.IsError, nil
+}
+
+// checkListed is called for an object no reference or pin holds: it fails
+// the pull unless the directory lists the object (stored by a path that
+// counts no reference), instead of waiting for a producer that will never
+// come — the object was freed, or its job exited.
+func (n *Node) checkListed(ctx context.Context, id types.ObjectID) error {
+	if _, ok, err := n.gcs.GetObject(ctx, id); err != nil || ok {
+		return err
+	}
+	return fmt.Errorf("node %s: object %s is unreachable (freed, or its job exited): %w",
+		n.id, id, types.ErrObjectNotFound)
 }
 
 // StoreObject implements worker.Runtime. The putter owns the stored object:

@@ -269,16 +269,18 @@ func (p *Pool) storeOutputs(ctx context.Context, spec *task.Spec, outs [][]byte,
 			return err
 		}
 	}
-	if p.cfg.RecordLineage {
-		if err := p.gcs.UpdateTaskStatus(ctx, spec.ID, status, p.cfg.NodeID); err != nil {
-			return err
-		}
-	}
 	// The task no longer pends on its arguments: release the pending-task
 	// references submission took on them. Lineage replays skip this — the
 	// replayed submission never incremented, so a decrement here would steal
 	// a live holder's reference.
-	if !types.IsLineageReplay(ctx) {
+	releaseArgs := !types.IsLineageReplay(ctx)
+	if p.cfg.RecordLineage {
+		// Completion also collects what it makes unreachable: returns freed
+		// before they were stored here, and the task's entry once its
+		// returns are gone.
+		return p.gcs.CompleteTask(ctx, spec, status, p.cfg.NodeID, releaseArgs)
+	}
+	if releaseArgs {
 		if deps := spec.Dependencies(); len(deps) > 0 {
 			p.gcs.DecObjectRefs(ctx, deps...)
 		}

@@ -903,7 +903,7 @@ func TestInputsUnpinnedBeforeOutputsPublished(t *testing.T) {
 	// whose submitter has already freed its own.
 	env.gcs.IncObjectRefs(1, input)
 	var outputVisible, deleted bool
-	env.gcs.SetReclaimer(func(_ context.Context, id types.ObjectID) {
+	env.gcs.SetReclaimer(func(_ context.Context, id types.ObjectID, _ bool) {
 		if id == input {
 			outputVisible = store.Contains(spec.Returns()[0])
 			deleted = store.Delete(id)

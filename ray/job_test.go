@@ -312,6 +312,131 @@ func TestJobKillCleansUpAndSparesOthers(t *testing.T) {
 	}
 }
 
+// jobEntries counts the committed object entries and normal-task entries
+// that belong to job, reading every shard's tail.
+func jobEntries(t *testing.T, rt *Runtime, job types.JobID) (objects, tasks int) {
+	t.Helper()
+	ctx, g := context.Background(), rt.Cluster().GCS()
+	if err := g.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.NumShards(); i++ {
+		reps := g.Shard(i).Replicas()
+		tail := reps[len(reps)-1].Store()
+		for _, key := range tail.Keys("obj/") {
+			entry, ok, err := g.GetObject(ctx, types.ObjectID([]byte(key[len("obj/"):])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok && entry.Job == job {
+				objects++
+			}
+		}
+		for _, key := range tail.Keys("task/") {
+			entry, ok, err := g.GetTask(ctx, types.TaskID([]byte(key[len("task/"):])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok && entry.Spec.Job == job && !entry.Spec.IsActorTask() {
+				tasks++
+			}
+		}
+	}
+	return objects, tasks
+}
+
+// TestJobKillLeavesNoEntryOfTheJob: job exit deletes every object entry and
+// every normal-task entry of the job — those of references its driver never
+// freed and of a task still running at the kill included, whose completion
+// after the kill must not fail — and leaves another job's entries as they
+// were.
+func TestJobKillLeavesNoEntryOfTheJob(t *testing.T) {
+	rt, err := Init(context.Background(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Shutdown)
+	registerTestWorkload(t, rt)
+	started, gate := make(chan struct{}, 1), make(chan struct{})
+	if err := rt.RegisterN("gated", "returns once released", 1, func(*Context, [][]byte) ([][]byte, error) {
+		started <- struct{}{}
+		<-gate
+		return [][]byte{codec.MustEncode(1)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	work := func(d *Driver) []types.ObjectID {
+		t.Helper()
+		p, err := d.Put(2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := d.Call1("add", worker.CallOptions{}, p, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.Call1("square", worker.CallOptions{}, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Get(d, RefAs[float64](b)); err != nil || got != 9 {
+			t.Fatalf("square(add(2, 1)) = %v, %v", got, err)
+		}
+		return []types.ObjectID{p, a, b}
+	}
+	victim, err := rt.NewDriver(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor, err := rt.NewDriver(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work(victim)
+	if _, err := victim.Call1("gated", worker.CallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	kept := work(survivor)
+	sObjects, sTasks := jobEntries(t, rt, survivor.Job)
+	if sObjects != len(kept) || sTasks != 2 {
+		t.Fatalf("survivor holds %d object and %d task entries, want %d and 2", sObjects, sTasks, len(kept))
+	}
+
+	if _, err := victim.Kill(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(gate) // the running task finishes after its job's cleanup
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var queued int
+		for _, n := range rt.Cluster().NodeList() {
+			queued += n.Stats().Scheduler.Queued
+		}
+		objects, tasks := jobEntries(t, rt, victim.Job)
+		if queued == 0 && objects == 0 && tasks == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("killed job left %d object and %d normal-task entries (%d tasks queued)", objects, tasks, queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, n := range rt.Cluster().NodeList() {
+		if st := n.Stats().Scheduler; st.FailSinkErrors != 0 {
+			t.Fatalf("%d task completions failed after their job's cleanup", st.FailSinkErrors)
+		}
+	}
+	if objects, tasks := jobEntries(t, rt, survivor.Job); objects != sObjects || tasks != sTasks {
+		t.Fatalf("survivor's entries went from %d objects, %d tasks to %d, %d", sObjects, sTasks, objects, tasks)
+	}
+	var sq float64
+	if err := survivor.Get(kept[2], &sq); err != nil || sq != 9 {
+		t.Fatalf("survivor result after the kill: %v, %v", sq, err)
+	}
+}
+
 // TestJobFinishDurableAndIdempotent: Finish reports cleanup once, is durable
 // (job table terminal on the chain), and a second Finish/Kill is a no-op.
 func TestJobFinishDurableAndIdempotent(t *testing.T) {

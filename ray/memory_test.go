@@ -340,3 +340,132 @@ func TestFreedInputOfRunningConsumerIsReclaimed(t *testing.T) {
 		t.Fatalf("%d withdrawals parked; the direct path should have needed none", got)
 	}
 }
+
+// settledEntries commits every pending GCS write and counts the entries the
+// chain holds.
+func settledEntries(t *testing.T, rt *Runtime) int {
+	t.Helper()
+	g := rt.Cluster().GCS()
+	if err := g.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return g.Entries()
+}
+
+// eventually polls cond until it holds or five seconds pass; then it fails
+// the test with what describe reports.
+func eventually(t *testing.T, cond func() bool, describe func() string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(describe())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEntriesReturnAfterDAGFreed: control-plane state dies with its last
+// reference. A DAG with a Put, object arguments, a multi-return task and
+// nested submits leaves object and task entries while it is referenced; once
+// the driver frees every reference, the GCS holds exactly the entries it held
+// before the DAG ran, and every store is empty.
+func TestEntriesReturnAfterDAGFreed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	cfg.HeartbeatInterval = time.Hour // no heartbeat writes span batches meanwhile
+	rt, d := newRuntime(t, cfg)
+	if err := rt.RegisterN("split", "returns x and -x", 2, func(ctx *Context, args [][]byte) ([][]byte, error) {
+		var x float64
+		if err := codec.Decode(args[0], &x); err != nil {
+			return nil, err
+		}
+		return [][]byte{codec.MustEncode(x), codec.MustEncode(-x)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := settledEntries(t, rt)
+
+	p, err := d.Put(2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := d.Call1("add", worker.CallOptions{}, p, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves, err := d.Call("split", worker.CallOptions{NumReturns: 2}, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.Call1("square", worker.CallOptions{}, halves[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := d.Call1("sum_tree", worker.CallOptions{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Get(d, RefAs[float64](b)); err != nil || got != 9 {
+		t.Fatalf("square(split(add(2, 1))[0]) = %v, %v; want 9", got, err)
+	}
+	if got, err := Get(d, RefAs[float64](halves[1])); err != nil || got != -3 {
+		t.Fatalf("split(3)[1] = %v, %v; want -3", got, err)
+	}
+	if got, err := Get(d, RefAs[int](sum)); err != nil || got != 10 {
+		t.Fatalf("sum_tree(4) = %v, %v; want 10", got, err)
+	}
+	if during := settledEntries(t, rt); during <= before {
+		t.Fatalf("%d entries while the DAG is referenced, want more than the %d before it", during, before)
+	}
+
+	d.Free(p, a, halves[0], halves[1], b, sum)
+	eventually(t, func() bool {
+		var resident int64
+		for _, n := range rt.Cluster().NodeList() {
+			resident += n.Store().Used()
+		}
+		return resident == 0 && settledEntries(t, rt) == before
+	}, func() string {
+		return fmt.Sprintf("%d GCS entries after every reference was freed, want the %d from before the DAG", settledEntries(t, rt), before)
+	})
+}
+
+// TestOutputFreedBeforeItsTaskFinishesIsCollected: a future freed while its
+// task still runs has no object to reclaim yet; the task's completion stores
+// the output and then collects it, so no store copy, object entry or task
+// entry outlives the task.
+func TestOutputFreedBeforeItsTaskFinishesIsCollected(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 1
+	cfg.HeartbeatInterval = time.Hour
+	rt, d := newBlobRuntime(t, cfg, nil)
+	release := make(chan struct{})
+	taskID := make(chan types.TaskID, 1)
+	if err := rt.RegisterN("gated_blob", "returns a payload once released", 1, func(ctx *Context, args [][]byte) ([][]byte, error) {
+		taskID <- ctx.TaskID
+		<-release
+		return [][]byte{codec.MustEncode(bytes.Repeat([]byte{0xCD}, 4<<10))}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := d.Call1("gated_blob", worker.CallOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := <-taskID
+	d.Free(out)
+	close(release)
+
+	ctx, g, n := context.Background(), rt.Cluster().GCS(), rt.Cluster().NodeList()[0]
+	eventually(t, func() bool {
+		_, objOK, _ := g.GetObject(ctx, out)
+		_, taskOK, _ := g.GetTask(ctx, id)
+		return n.Store().Used() == 0 && !objOK && !taskOK && n.Stats().Workers.TasksRun == 1
+	}, func() string {
+		_, objOK, _ := g.GetObject(ctx, out)
+		_, taskOK, _ := g.GetTask(ctx, id)
+		return fmt.Sprintf("output freed before its task finished: %d store bytes, object entry %v, task entry %v",
+			n.Store().Used(), objOK, taskOK)
+	})
+}

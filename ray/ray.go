@@ -130,9 +130,12 @@ func Put[T any](c Caller, value T) (ObjectRef[T], error) {
 // reference dies is reclaimed cluster-wide — store copies deleted, spill
 // files removed, locations withdrawn — so long-running drivers that are done
 // with a large intermediate result can return its memory immediately instead
-// of waiting for job exit. Freeing a reference the caller does not own (or
-// an inline value) is a no-op; a freed future must not be passed to Get or
-// to further task submissions.
+// of waiting for job exit; a future freed before its task finishes goes when
+// the task does. Its control-plane state goes too: the object's entry once no
+// retained lineage pins it, and then the producing task's entry, which
+// unpins that task's own arguments in turn. Freeing a reference the caller
+// does not own (or an inline value) is a no-op; a freed future must not be
+// passed to Get or to further task submissions.
 func Free[T any](c Caller, refs ...ObjectRef[T]) {
 	ids := make([]types.ObjectID, 0, len(refs))
 	for _, r := range refs {

@@ -424,6 +424,88 @@ func TestTaskReconstructionAfterNodeFailure(t *testing.T) {
 	}
 }
 
+// TestFreedIntermediateRebuiltAfterNodeFailure is the reconstruction test
+// with the intermediate value freed: v0 has no reference left once v1 is
+// resolved, but v1's retained lineage entry pins it, so after the node kills
+// v1 is still rebuilt (v0 with it). Once v1 is freed too, nothing can reach
+// the chain, and its object and task entries are gone.
+func TestFreedIntermediateRebuiltAfterNodeFailure(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 3
+	cfg.SpilloverThreshold = 1
+	rt, d := newRuntime(t, cfg)
+	ctx, g := context.Background(), rt.Cluster().GCS()
+
+	v0, err := d.Call1("add", worker.CallOptions{}, 1.0, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := d.Call1("square", worker.CallOptions{}, v0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Get(d, RefAs[float64](v1)); err != nil || got != 9 {
+		t.Fatalf("before failure: %v %v", got, err)
+	}
+	var creators []types.TaskID
+	for _, id := range []types.ObjectID{v0, v1} {
+		entry, ok, err := g.GetObject(ctx, id)
+		if err != nil || !ok {
+			t.Fatalf("object entry of %s: ok=%v err=%v", id, ok, err)
+		}
+		creators = append(creators, entry.Creator)
+	}
+	d.Free(v0)
+	if _, ok, _ := g.GetObject(ctx, v0); !ok {
+		t.Fatal("freed v0 lost its entry while v1's lineage pins it")
+	}
+
+	for _, n := range rt.Cluster().NodeList() {
+		if n.ID() != d.Node.ID() {
+			if err := rt.Cluster().KillNode(ctx, n.ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, obj := range d.Node.Store().List() {
+		if d.Node.Store().Delete(obj) {
+			_ = g.RemoveObjectLocation(ctx, obj, d.Node.ID())
+		}
+	}
+	if got, err := Get(d, RefAs[float64](v1)); err != nil || got != 9 {
+		t.Fatalf("v1 after the failure = %v, %v; want 9 rebuilt from lineage", got, err)
+	}
+	var reconstructed int64
+	for _, n := range rt.Cluster().AliveNodes() {
+		reconstructed += n.Stats().Lineage.ReconstructedTasks
+	}
+	if reconstructed < 2 {
+		t.Fatalf("%d tasks re-executed, want both add and square", reconstructed)
+	}
+
+	d.Free(v1)
+	gone := func() bool {
+		for _, id := range []types.ObjectID{v0, v1} {
+			if _, ok, _ := g.GetObject(ctx, id); ok {
+				return false
+			}
+		}
+		for _, id := range creators {
+			if _, ok, _ := g.GetTask(ctx, id); ok {
+				return false
+			}
+		}
+		return d.Node.Store().Used() == 0
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !gone() {
+		if time.Now().After(deadline) {
+			t.Fatal("object or task entries of the freed chain remain")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestActorReconstructionAfterNodeFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 3
