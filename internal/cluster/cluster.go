@@ -804,7 +804,7 @@ func (c *Cluster) PendingWithdrawals() int {
 // locations are withdrawn and its entry stays, for replay to rebuild it;
 // if nothing can reach it (unreachable) the entry is deleted. An object
 // freed before its task stored it has no entry yet: the task's completion
-// collects it (gcs.Store.CompleteTask).
+// collects it (gcs.Store.FinishTask).
 func (c *Cluster) reclaimObject(ctx context.Context, id types.ObjectID, unreachable bool) {
 	entry, ok, err := c.gcs.GetObject(ctx, id)
 	if err != nil || !ok {
@@ -863,7 +863,7 @@ func (c *Cluster) dropReplicas(ctx context.Context, id types.ObjectID, locations
 // gone.
 func (c *Cluster) dropObject(ctx context.Context, id types.ObjectID, entry *gcs.ObjectEntry) int {
 	deleted := c.deleteCopies(id, entry.Locations)
-	if err := c.gcs.DeleteObject(ctx, id); err != nil {
+	if err := c.gcs.DeleteObject(ctx, id, entry.Job); err != nil {
 		for _, nodeID := range deleted {
 			c.noteFailedWithdrawal(id, nodeID, false)
 		}
@@ -874,20 +874,18 @@ func (c *Cluster) dropObject(ctx context.Context, id types.ObjectID, entry *gcs.
 // ReleaseJobObjects implements job.Hooks: every object the job's tasks
 // produced loses every store copy and its directory entry, and the GCS
 // forgets the job's references and deletes its task entries (only actor
-// task entries stay, beside their dead actors). Finding the job's objects
-// scans the object table, which collection keeps down to what is still
-// reachable. Replicas pinned by a still-running task (the run is ending
-// under a cancelled context) follow once it unpins them. Other jobs' objects
-// are untouched, except that pins the job's tasks held on them are released.
+// task entries stay, beside their dead actors). The job's objects come from
+// the GCS ownership index: O(the job's entries still live). Replicas pinned
+// by a still-running task (the run is ending under a cancelled context)
+// follow once it unpins them. Other jobs' objects are untouched, except that
+// pins the job's tasks held on them are released.
 func (c *Cluster) ReleaseJobObjects(ctx context.Context, jobID types.JobID) int {
 	released := 0
-	owned := c.gcs.ObjectsForJob(ctx, jobID)
+	owned := c.gcs.ObjectsForJob(jobID)
 	for _, objID := range owned {
-		entry, ok, err := c.gcs.GetObject(ctx, objID)
-		if err != nil || !ok || entry.Job != jobID {
-			continue
+		if entry, ok, err := c.gcs.GetObject(ctx, objID); err == nil && ok {
+			released += c.dropObject(ctx, objID, entry)
 		}
-		released += c.dropObject(ctx, objID, entry)
 	}
 	// Purge the ledger state the job leaked (references its driver still
 	// held, fire-and-forget futures): the backstop behind eager collection.

@@ -27,7 +27,7 @@ func TestTombstoneReadsAbsentThroughOverlay(t *testing.T) {
 	if err := s.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteObject(ctx, id); err != nil {
+	if err := s.DeleteObject(ctx, id, job); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := s.GetObject(ctx, id); err != nil || ok {
@@ -36,7 +36,7 @@ func TestTombstoneReadsAbsentThroughOverlay(t *testing.T) {
 	if got := s.Entries(); got != 1 {
 		t.Fatalf("the chain holds %d entries before the delete commits, want 1", got)
 	}
-	if got := s.ObjectsForJob(ctx, job); len(got) != 0 {
+	if got := s.ObjectsForJob(job); len(got) != 0 {
 		t.Fatalf("the job still owns %v", got)
 	}
 	if err := s.Sync(ctx); err != nil {
@@ -104,7 +104,7 @@ func TestFailedFlushRequeuesTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := idRef(s, spec.ID, taskKey(spec.ID))
-	if err := s.remove(ctx, ref); err != nil {
+	if err := s.remove(ctx, ref, nil); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
@@ -157,9 +157,9 @@ func TestBatchedAndSyncStoresAgreeOnDeletes(t *testing.T) {
 		for _, spec := range specs {
 			must(s.AddTask(ctx, spec))
 		}
-		must(s.DeleteObject(ctx, objs[0]))
-		must(s.remove(ctx, idRef(s, specs[0].ID, taskKey(specs[0].ID))))
-		must(s.DeleteObject(ctx, objs[1]))
+		must(s.DeleteObject(ctx, objs[0], job))
+		must(s.remove(ctx, idRef(s, specs[0].ID, taskKey(specs[0].ID)), nil))
+		must(s.DeleteObject(ctx, objs[1], job))
 		must(s.AddObjectLocation(ctx, objs[1], node, 2, types.NilTaskID, job))
 		must(s.UpdateTaskStatus(ctx, specs[1].ID, types.TaskFinished, node))
 		must(s.Sync(ctx))
@@ -189,11 +189,30 @@ func TestBatchedAndSyncStoresAgreeOnDeletes(t *testing.T) {
 	}
 }
 
+// deleteUnreachable installs a reclaimer that does what the cluster's does
+// to a GCS with no stores: it deletes the entry of every object nothing can
+// reach.
+func deleteUnreachable(t *testing.T, s *Store) {
+	s.SetReclaimer(func(ctx context.Context, id types.ObjectID, unreachable bool) {
+		if !unreachable {
+			return
+		}
+		entry, ok, err := s.GetObject(ctx, id)
+		if err == nil && ok {
+			err = s.DeleteObject(ctx, id, entry.Job)
+		}
+		if err != nil {
+			t.Errorf("reclaim %s: %v", id, err)
+		}
+	})
+}
+
 // A return freed after it is stored but before its task's status write is
 // collected at once, but the task's entry waits for that write: deleting it
 // first would make the write fail.
 func TestReturnFreedBeforeStatusWriteKeepsEntry(t *testing.T) {
 	bothWritePaths(t, func(t *testing.T, s *Store) {
+		deleteUnreachable(t, s)
 		ctx := context.Background()
 		node, job := types.NewNodeID(), types.NewJobID()
 		spec := &task.Spec{ID: types.NewTaskID(), Job: job, Function: "f", NumReturns: 1}
@@ -229,11 +248,11 @@ func TestReturnFreedBeforeStatusWriteKeepsEntry(t *testing.T) {
 // Freeing the tip of a long lineage chain retires the whole chain in one
 // iterative cascade: while the tip is referenced every upstream entry stays
 // (pinned by the entry downstream of it, for replay); once it goes, every
-// task and object entry goes. With no reclaimer installed the GCS deletes
-// the object entries itself.
+// task and object entry goes.
 func TestLineageCascadeRetiresChain(t *testing.T) {
 	s := New(Config{Shards: 4, ReplicationFactor: 2})
 	defer s.Close()
+	deleteUnreachable(t, s)
 	ctx := context.Background()
 	node, job := types.NewNodeID(), types.NewJobID()
 	const depth = 5000
@@ -271,7 +290,7 @@ func TestLineageCascadeRetiresChain(t *testing.T) {
 	if got := s.Entries(); got != 0 {
 		t.Fatalf("%d entries after the tip was freed, want 0", got)
 	}
-	if got := s.ObjectsForJob(ctx, job); len(got) != 0 {
+	if got := s.ObjectsForJob(job); len(got) != 0 {
 		t.Fatalf("the job still owns %d objects", len(got))
 	}
 }
@@ -282,6 +301,7 @@ func TestLineageCascadeRetiresChain(t *testing.T) {
 func TestUntrackTaskTakesBackEverything(t *testing.T) {
 	s := New(Config{Shards: 2, ReplicationFactor: 2})
 	defer s.Close()
+	deleteUnreachable(t, s)
 	ctx := context.Background()
 	node, job := types.NewNodeID(), types.NewJobID()
 	arg := types.NewObjectID()
@@ -304,5 +324,101 @@ func TestUntrackTaskTakesBackEverything(t *testing.T) {
 	s.DecObjectRefs(ctx, arg)
 	if _, ok, _ := s.GetObject(ctx, arg); ok || s.ObjectTracked(arg) {
 		t.Fatal("the argument outlived its last reference: the failed submission still pins it")
+	}
+}
+
+// Job exit reads only the exiting job's own entries, found through the
+// ownership index: another job's live state, however large, costs it no read
+// and is left as it was.
+func TestJobExitReadsOnlyItsOwnEntries(t *testing.T) {
+	s := New(Config{Shards: 2, ReplicationFactor: 2})
+	defer s.Close()
+	deleteUnreachable(t, s)
+	ctx := context.Background()
+	node, live, exiting := types.NewNodeID(), types.NewJobID(), types.NewJobID()
+	// run submits n tasks of job and finishes them; the submitter keeps its
+	// reference on every return, so every entry stays live.
+	run := func(job types.JobID, n int) []types.ObjectID {
+		var outs []types.ObjectID
+		for i := 0; i < n; i++ {
+			spec := &task.Spec{ID: types.NewTaskID(), Job: job, Function: "f", NumReturns: 1}
+			s.TrackTask(spec, true)
+			if err := s.AddTask(ctx, spec); err != nil {
+				t.Fatal(err)
+			}
+			out := types.ReturnObjectID(spec.ID, 0)
+			if err := s.AddObjectLocation(ctx, out, node, 1, spec.ID, job); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CompleteTask(ctx, spec, types.TaskFinished, node, true); err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+		return outs
+	}
+	const liveTasks, exitingTasks = 1000, 3
+	liveOuts := run(live, liveTasks)
+	run(exiting, exitingTasks)
+
+	gets := s.Stats().Gets
+	owned := s.ObjectsForJob(exiting)
+	for _, id := range owned {
+		entry, ok, err := s.GetObject(ctx, id)
+		if err != nil || !ok {
+			t.Fatalf("indexed object %s: ok=%v err=%v", id, ok, err)
+		}
+		if err := s.DeleteObject(ctx, id, entry.Job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ForgetJob(ctx, exiting, owned)
+	if got := s.Stats().Gets - gets; len(owned) != exitingTasks || got != exitingTasks {
+		t.Fatalf("job exit found %d objects with %d reads, want %d with one read each", len(owned), got, exitingTasks)
+	}
+
+	if err := s.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Entries(); got != 2*liveTasks {
+		t.Fatalf("%d entries after the job exit, want the live job's %d", got, 2*liveTasks)
+	}
+	if got := len(s.ObjectsForJob(live)); got != liveTasks {
+		t.Fatalf("the live job owns %d objects after another job's exit, want %d", got, liveTasks)
+	}
+	if got := s.ObjectRefCount(liveOuts[0]); got != 1 {
+		t.Fatalf("a live object holds %d references after another job's exit, want 1", got)
+	}
+	// The live job's state still collects as usual.
+	s.DecObjectRefs(ctx, liveOuts...)
+	if err := s.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, owned := s.Entries(), s.ObjectsForJob(live); got != 0 || len(owned) != 0 {
+		t.Fatalf("%d entries and %d indexed objects after the live job freed everything, want none", got, len(owned))
+	}
+}
+
+// A task run without lineage has no entry, but its completion still collects
+// a return freed before it was stored.
+func TestFinishTaskWithoutLineageCollectsFreedReturn(t *testing.T) {
+	s := New(Config{Shards: 2, ReplicationFactor: 2})
+	defer s.Close()
+	deleteUnreachable(t, s)
+	ctx := context.Background()
+	node, job := types.NewNodeID(), types.NewJobID()
+	spec := &task.Spec{ID: types.NewTaskID(), Job: job, Function: "f", NumReturns: 1}
+	ret := types.ReturnObjectID(spec.ID, 0)
+	s.TrackTask(spec, false)
+	s.DecObjectRefs(ctx, ret)
+	if err := s.AddObjectLocation(ctx, ret, node, 1, spec.ID, job); err != nil {
+		t.Fatal(err)
+	}
+	s.FinishTask(ctx, spec, true)
+	if _, ok, _ := s.GetObject(ctx, ret); ok {
+		t.Fatal("the freed return's entry outlived its task's completion")
+	}
+	if got := s.ObjectsForJob(job); len(got) != 0 {
+		t.Fatalf("the job still owns %v", got)
 	}
 }

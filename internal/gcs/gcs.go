@@ -87,9 +87,11 @@ type Store struct {
 	nodeIDs idList[types.NodeID]
 	jobIDs  idList[types.JobID]
 
-	// actorsByJob indexes actor ownership so job-exit cleanup reads O(the
-	// job's actors) instead of scanning the cluster. Objects need no index:
-	// the ref ledger keeps the object table down to what is reachable.
+	// objByJob and actorsByJob index ownership so job-exit cleanup reads
+	// O(the job's entries) instead of scanning the cluster. The object index
+	// is striped (objIndex): every task output is added to it and every
+	// collected object removed from it.
+	objByJob    [16]jobIndex[types.ObjectID]
 	actorsByJob jobIndex[types.ActorID]
 
 	// keyLocks serialize the read-modify-write of one table entry (location
@@ -98,8 +100,8 @@ type Store struct {
 	// shard, so two nodes registering replicas of one object at once would
 	// otherwise overwrite each other's location, and a heartbeat that read a
 	// node as alive would write it back over a concurrent MarkNodeDead.
-	// Striped by key so unrelated entries rarely share a lock; update is the
-	// only function that takes one.
+	// Striped by key so unrelated entries rarely share a lock; update and
+	// remove are the only functions that take one.
 	keyLocks [256]sync.Mutex
 
 	// stats counters. A delete counts as a put: it is a write.
@@ -145,6 +147,9 @@ func New(cfg Config) *Store {
 		cfg.BatchMaxEntries = 256
 	}
 	s := &Store{cfg: cfg, watch: make([]watchShard, cfg.Shards)}
+	for i := range s.objByJob {
+		s.objByJob[i].owned = make(map[types.JobID]map[types.ObjectID]struct{})
+	}
 	s.actorsByJob.owned = make(map[types.JobID]map[types.ActorID]struct{})
 	for i := 0; i < cfg.Shards; i++ {
 		ch := chain.New(chain.Config{ReplicationFactor: cfg.ReplicationFactor})
@@ -334,12 +339,20 @@ func (s *Store) update(ctx context.Context, r entryRef, fn func(raw []byte, ok b
 }
 
 // remove deletes r's entry under r's keyLocks stripe, so no read-modify-write
-// of the entry interleaves with it.
-func (s *Store) remove(ctx context.Context, r entryRef) error {
+// of the entry interleaves with it. deleted, if not nil, runs under the
+// stripe once the delete is written: an index update there cannot race a
+// write that recreates the entry.
+func (s *Store) remove(ctx context.Context, r entryRef, deleted func()) error {
 	mu := s.keyLock(r.stripe)
 	mu.Lock()
 	defer mu.Unlock()
-	return s.del(ctx, r.shard, r.key)
+	if err := s.del(ctx, r.shard, r.key); err != nil {
+		return err
+	}
+	if deleted != nil {
+		deleted()
+	}
+	return nil
 }
 
 func (s *Store) put(ctx context.Context, si int, key string, value []byte) error {

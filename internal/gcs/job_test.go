@@ -123,16 +123,16 @@ func TestObjectEntryJobOwner(t *testing.T) {
 	}
 	// ObjectsForJob lists exactly the job's objects and none once their
 	// entries are deleted (job-exit cleanup reads through it).
-	if got := s.ObjectsForJob(ctx, job); len(got) != 1 || got[0] != obj {
+	if got := s.ObjectsForJob(job); len(got) != 1 || got[0] != obj {
 		t.Fatalf("ObjectsForJob = %v, want [%v]", got, obj)
 	}
-	if got := s.ObjectsForJob(ctx, types.NewJobID()); len(got) != 0 {
+	if got := s.ObjectsForJob(types.NewJobID()); len(got) != 0 {
 		t.Fatalf("foreign job owns %v", got)
 	}
-	if err := s.DeleteObject(ctx, obj); err != nil {
+	if err := s.DeleteObject(ctx, obj, job); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ObjectsForJob(ctx, job); len(got) != 0 {
+	if got := s.ObjectsForJob(job); len(got) != 0 {
 		t.Fatalf("a deleted entry is still listed: %v", got)
 	}
 }

@@ -67,9 +67,10 @@ type taskRec struct {
 type refLedger struct {
 	mu      sync.Mutex
 	objects map[types.ObjectID]objRef //guard:by mu
-	tasks   map[types.TaskID]*taskRec //guard:by mu
+	// tasks holds each job's records, so job exit reads only its own.
+	tasks map[types.JobID]map[types.TaskID]*taskRec //guard:by mu
 	// reclaimer drops an object's store copies; unreachable says its entry
-	// goes as well. Nil means the GCS deletes unreachable entries itself.
+	// goes as well. Nil (a GCS with no stores) leaves objects where they are.
 	reclaimer func(ctx context.Context, id types.ObjectID, unreachable bool) //guard:by mu
 }
 
@@ -93,7 +94,7 @@ func (s *Store) refs() *refLedger {
 	s.refOnce.Do(func() {
 		s.refLedger = &refLedger{
 			objects: make(map[types.ObjectID]objRef),
-			tasks:   make(map[types.TaskID]*taskRec),
+			tasks:   make(map[types.JobID]map[types.TaskID]*taskRec),
 		}
 	})
 	return s.refLedger
@@ -176,7 +177,12 @@ func (s *Store) TrackTask(spec *task.Spec, lineage bool) {
 	var pins int32
 	r.mu.Lock()
 	if t != nil {
-		r.tasks[spec.ID] = t
+		tasks, ok := r.tasks[spec.Job]
+		if !ok {
+			tasks = make(map[types.TaskID]*taskRec)
+			r.tasks[spec.Job] = tasks
+		}
+		tasks[spec.ID] = t
 		pins = 1
 	}
 	for i := 0; i < spec.NumReturns; i++ {
@@ -204,7 +210,7 @@ func (s *Store) UntrackTask(ctx context.Context, spec *task.Spec) {
 	r := s.refs()
 	var sw sweep
 	r.mu.Lock()
-	t := r.tasks[spec.ID]
+	t := r.tasks[spec.Job][spec.ID]
 	if t != nil {
 		t.keep = false // no actor replay will walk an entry of a task that never ran
 	}
@@ -219,41 +225,43 @@ func (s *Store) UntrackTask(ctx context.Context, spec *task.Spec) {
 }
 
 // CompleteTask records a finished task's final status (UpdateTaskStatus) and
-// then collects what the completion makes unreachable: returns that were
-// freed before they were stored, and the task's own entry if every return
-// is gone. releaseArgs drops the pending task's references on its arguments;
-// a lineage replay passes false, because its submission never took them.
-//
-// The entry is retired only after the status write, so a return freed
-// between its store and this call cannot make the write fail. An entry that
-// is already gone (the job exited, or the replay outlived its lineage) is no
-// error: the returns this run stored are collected instead.
+// then runs FinishTask. The entry is retired only after the status write, so
+// a return freed between its store and this call cannot make the write
+// fail. An entry that is already gone (the job exited, or the replay
+// outlived its lineage) is no error.
 func (s *Store) CompleteTask(ctx context.Context, spec *task.Spec, status types.TaskStatus, node types.NodeID, releaseArgs bool) error {
-	err := s.UpdateTaskStatus(ctx, spec.ID, status, node)
-	collected := errors.Is(err, types.ErrTaskNotFound)
-	if err != nil && !collected {
+	if err := s.UpdateTaskStatus(ctx, spec.ID, status, node); err != nil && !errors.Is(err, types.ErrTaskNotFound) {
 		return err
 	}
+	s.FinishTask(ctx, spec, releaseArgs)
+	return nil
+}
+
+// FinishTask collects what a finished task's completion makes unreachable:
+// returns that were freed before they were stored, and the task's own entry
+// if every return is gone. releaseArgs drops the pending task's references
+// on its arguments; a lineage replay passes false, because its submission
+// never took them. It is CompleteTask's ledger half, and all of completion
+// for a task run without lineage, which has no status to write.
+func (s *Store) FinishTask(ctx context.Context, spec *task.Spec, releaseArgs bool) {
 	r := s.refs()
 	var sw sweep
 	r.mu.Lock()
-	if t := r.tasks[spec.ID]; t != nil || collected {
-		r.completeLocked(spec, t, &sw)
-	}
+	r.completeLocked(spec, r.tasks[spec.Job][spec.ID], &sw)
 	if releaseArgs {
 		r.releaseArgsLocked(spec, &sw)
 	}
 	r.endLocked(&sw)
 	r.mu.Unlock()
 	s.apply(ctx, &sw)
-	return nil
 }
 
 // ForgetJob drops an exiting job's ledger state without waiting for its
 // references: the records of the objects it owns (owned, from
-// ObjectsForJob) and of its tasks. It deletes the job's normal-task entries
-// and releases the pins its tasks held, collecting what that makes
-// unreachable in other jobs. The caller deletes the owned objects' entries.
+// ObjectsForJob) and of its tasks, and its object index. It deletes the
+// job's normal-task entries and releases the pins its tasks held,
+// collecting what that makes unreachable in other jobs. The caller deletes
+// the owned objects' entries first.
 func (s *Store) ForgetJob(ctx context.Context, job types.JobID, owned []types.ObjectID) {
 	r := s.refs()
 	var sw sweep
@@ -261,24 +269,24 @@ func (s *Store) ForgetJob(ctx context.Context, job types.JobID, owned []types.Ob
 	for _, id := range owned {
 		delete(r.objects, id)
 	}
-	for id, t := range r.tasks {
-		if t.job != job {
-			continue
-		}
+	for id, t := range r.tasks[job] {
 		for i := 0; i < int(t.returns); i++ {
 			if ret := types.ReturnObjectID(id, i); r.objects[ret].creator == t {
 				delete(r.objects, ret)
 			}
 		}
-		delete(r.tasks, id)
 		if !t.keep {
 			sw.tasks = append(sw.tasks, id)
 		}
 		sw.unpin = append(sw.unpin, t.deps...)
 	}
+	delete(r.tasks, job)
 	r.endLocked(&sw)
 	r.mu.Unlock()
 	s.apply(ctx, &sw)
+	for i := range s.objByJob {
+		s.objByJob[i].drop(job)
+	}
 }
 
 // ObjectTracked reports whether a reference or a pin holds the object.
@@ -358,7 +366,7 @@ func (r *refLedger) releaseLocked(id types.ObjectID, refs int64, pins int32, sw 
 			sw.objects = append(sw.objects, reclaim{id, false})
 		}
 	default:
-		// A return of a running task may not be stored yet: CompleteTask
+		// A return of a running task may not be stored yet: FinishTask
 		// collects it once more after storing it.
 		delete(r.objects, id)
 		sw.objects = append(sw.objects, reclaim{id, true})
@@ -375,7 +383,7 @@ func (r *refLedger) releaseLocked(id types.ObjectID, refs int64, pins int32, sw 
 //
 //guard:holds mu
 func (r *refLedger) retireLocked(t *taskRec, sw *sweep) {
-	delete(r.tasks, t.id)
+	delete(r.tasks[t.job], t.id)
 	if !t.keep {
 		sw.tasks = append(sw.tasks, t.id)
 		sw.unpin = append(sw.unpin, t.deps...)
@@ -399,16 +407,13 @@ func (r *refLedger) endLocked(sw *sweep) {
 // apply carries out a sweep: every collected object through the reclaimer,
 // then every retired task entry's delete.
 func (s *Store) apply(ctx context.Context, sw *sweep) {
-	for _, rc := range sw.objects {
-		if sw.reclaimer != nil {
+	if sw.reclaimer != nil {
+		for _, rc := range sw.objects {
 			sw.reclaimer(ctx, rc.id, rc.unreachable)
-		} else if rc.unreachable {
-			//lint:ignore errdrop an entry whose delete fails stays behind, as it would without collection; job exit deletes it
-			_ = s.DeleteObject(ctx, rc.id)
 		}
 	}
 	for _, id := range sw.tasks {
 		//lint:ignore errdrop a task entry whose delete fails stays behind, as it would without collection
-		_ = s.remove(ctx, idRef(s, id, taskKey(id)))
+		_ = s.remove(ctx, idRef(s, id, taskKey(id)), nil)
 	}
 }

@@ -41,8 +41,9 @@ func displayKey(key string) string {
 
 // jobIndex maps each job to the IDs of the entries it owns, so job-exit
 // cleanup reads O(the job's entries) instead of scanning the cluster. IDs are
-// added when a table write names an owning job and dropped wholesale when the
-// job's resources are released.
+// added when a table write names an owning job, removed when their entry is
+// deleted (objects only: actor entries live until job exit), and dropped
+// wholesale when the job's resources are released.
 type jobIndex[ID comparable] struct {
 	mu    sync.Mutex
 	owned map[types.JobID]map[ID]struct{} //guard:by mu — made in New
@@ -59,10 +60,21 @@ func (x *jobIndex[ID]) add(job types.JobID, id ID) {
 	owned[id] = struct{}{}
 }
 
+// remove drops one ID. The job's set stays, empty or not, until drop: a job
+// whose live entries come and go would otherwise make a set per entry.
+func (x *jobIndex[ID]) remove(job types.JobID, id ID) {
+	x.mu.Lock()
+	delete(x.owned[job], id)
+	x.mu.Unlock()
+}
+
 func (x *jobIndex[ID]) list(job types.JobID) []ID {
+	return x.appendTo(nil, job)
+}
+
+func (x *jobIndex[ID]) appendTo(out []ID, job types.JobID) []ID {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	out := make([]ID, 0, len(x.owned[job]))
 	for id := range x.owned[job] {
 		out = append(out, id)
 	}
@@ -84,13 +96,16 @@ func objectKey(id types.ObjectID) string { return tableKey(keyPrefixObject, type
 // Figure 7b). A nil job leaves the recorded owner untouched — replicas made
 // by pulls re-register locations without knowing the producer's job.
 func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node types.NodeID, size int64, creator types.TaskID, job types.JobID) error {
-	return s.update(ctx, idRef(s, id, objectKey(id)), func(raw []byte, ok bool) ([]byte, error) {
+	r := idRef(s, id, objectKey(id))
+	return s.update(ctx, r, func(raw []byte, ok bool) ([]byte, error) {
 		entry := &ObjectEntry{Size: size, Creator: creator, Job: job}
+		indexed := false
 		if ok {
 			var err error
 			if entry, err = unmarshalObjectEntry(raw); err != nil {
 				return nil, err
 			}
+			indexed = !entry.Job.IsNil()
 			if size > 0 {
 				entry.Size = size
 			}
@@ -104,31 +119,36 @@ func (s *Store) AddObjectLocation(ctx context.Context, id types.ObjectID, node t
 		if !entry.HasLocation(node) {
 			entry.Locations = append(entry.Locations, node)
 		}
+		if !indexed && !entry.Job.IsNil() {
+			s.objIndex(r).add(entry.Job, id)
+		}
 		return entry.marshal(), nil
 	})
 }
 
-// DeleteObject deletes the object's entry. The ref ledger's reclaimer calls
-// it once nothing can reach the object; job exit calls it for every object
-// the job owned.
-func (s *Store) DeleteObject(ctx context.Context, id types.ObjectID) error {
-	return s.remove(ctx, idRef(s, id, objectKey(id)))
+// DeleteObject deletes the object's entry and its ID from the index of job,
+// the owner the entry names. The ref ledger's reclaimer calls it once
+// nothing can reach the object; job exit calls it for every object the job
+// owned.
+func (s *Store) DeleteObject(ctx context.Context, id types.ObjectID, job types.JobID) error {
+	r := idRef(s, id, objectKey(id))
+	return s.remove(ctx, r, func() { s.objIndex(r).remove(job, id) })
 }
 
-// ObjectsForJob lists the objects one job owns: a scan of the object table,
-// pending writes included. The ref ledger deletes every entry nothing can
-// reach, so the scan costs O(the objects still referenced, or pinned by
-// lineage, cluster-wide), not O(objects ever created). An entry that cannot
-// be read is skipped: job-exit cleanup is best effort.
-func (s *Store) ObjectsForJob(ctx context.Context, job types.JobID) []types.ObjectID {
+// objIndex returns the stripe of the object ownership index that holds r's
+// ID. The index is striped like keyLocks, so the add of a task's output and
+// the remove of a freed object rarely wait on each other.
+func (s *Store) objIndex(r entryRef) *jobIndex[types.ObjectID] {
+	return &s.objByJob[r.stripe%uint64(len(s.objByJob))]
+}
+
+// ObjectsForJob lists the objects one job owns, pending writes included:
+// O(the job's entries), which the ref ledger keeps down to the objects still
+// referenced or pinned by lineage.
+func (s *Store) ObjectsForJob(job types.JobID) []types.ObjectID {
 	var out []types.ObjectID
-	for si := range s.shards {
-		for _, key := range s.shardKeys(si, keyPrefixObject) {
-			entry, ok, err := read(ctx, s, entryRef{shard: si, key: key}, unmarshalObjectEntry)
-			if err == nil && ok && entry.Job == job {
-				out = append(out, types.ObjectID([]byte(key[len(keyPrefixObject):])))
-			}
-		}
+	for i := range s.objByJob {
+		out = s.objByJob[i].appendTo(out, job)
 	}
 	return out
 }

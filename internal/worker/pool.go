@@ -274,17 +274,13 @@ func (p *Pool) storeOutputs(ctx context.Context, spec *task.Spec, outs [][]byte,
 	// replayed submission never incremented, so a decrement here would steal
 	// a live holder's reference.
 	releaseArgs := !types.IsLineageReplay(ctx)
+	// Completion also collects what it makes unreachable: returns freed
+	// before they were stored here, and the task's entry once its returns
+	// are gone. Without lineage there is no status to write.
 	if p.cfg.RecordLineage {
-		// Completion also collects what it makes unreachable: returns freed
-		// before they were stored here, and the task's entry once its
-		// returns are gone.
 		return p.gcs.CompleteTask(ctx, spec, status, p.cfg.NodeID, releaseArgs)
 	}
-	if releaseArgs {
-		if deps := spec.Dependencies(); len(deps) > 0 {
-			p.gcs.DecObjectRefs(ctx, deps...)
-		}
-	}
+	p.gcs.FinishTask(ctx, spec, releaseArgs)
 	return nil
 }
 

@@ -436,8 +436,19 @@ func TestEntriesReturnAfterDAGFreed(t *testing.T) {
 // the output and then collects it, so no store copy, object entry or task
 // entry outlives the task.
 func TestOutputFreedBeforeItsTaskFinishesIsCollected(t *testing.T) {
+	testOutputFreedBeforeItsTaskFinishes(t, true)
+}
+
+// Without lineage the task has no entry and no status write, but its
+// completion collects a freed output all the same.
+func TestOutputFreedBeforeItsTaskFinishesIsCollectedWithoutLineage(t *testing.T) {
+	testOutputFreedBeforeItsTaskFinishes(t, false)
+}
+
+func testOutputFreedBeforeItsTaskFinishes(t *testing.T, lineage bool) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 1
+	cfg.RecordLineage = lineage
 	cfg.HeartbeatInterval = time.Hour
 	rt, d := newBlobRuntime(t, cfg, nil)
 	release := make(chan struct{})
@@ -457,15 +468,16 @@ func TestOutputFreedBeforeItsTaskFinishesIsCollected(t *testing.T) {
 	d.Free(out)
 	close(release)
 
+	// The reclaimed copy is the completion's: the free found none to delete.
 	ctx, g, n := context.Background(), rt.Cluster().GCS(), rt.Cluster().NodeList()[0]
 	eventually(t, func() bool {
 		_, objOK, _ := g.GetObject(ctx, out)
 		_, taskOK, _ := g.GetTask(ctx, id)
-		return n.Store().Used() == 0 && !objOK && !taskOK && n.Stats().Workers.TasksRun == 1
+		return n.Store().Used() == 0 && !objOK && !taskOK && rt.Cluster().Stats().ObjectsReclaimed == 1
 	}, func() string {
 		_, objOK, _ := g.GetObject(ctx, out)
 		_, taskOK, _ := g.GetTask(ctx, id)
-		return fmt.Sprintf("output freed before its task finished: %d store bytes, object entry %v, task entry %v",
-			n.Store().Used(), objOK, taskOK)
+		return fmt.Sprintf("output freed before its task finished: %d store bytes, object entry %v, task entry %v, %d copies reclaimed",
+			n.Store().Used(), objOK, taskOK, rt.Cluster().Stats().ObjectsReclaimed)
 	})
 }
