@@ -43,8 +43,9 @@ func BenchmarkFig9ObjectStore(b *testing.B) { runExperiment(b, bench.Fig9ObjectS
 // failure and reconfiguration latency).
 func BenchmarkFig10aGCSFaultTolerance(b *testing.B) { runExperiment(b, bench.Fig10aGCSFaultTolerance) }
 
-// BenchmarkFig10bGCSFlush regenerates Figure 10b (GCS flushing bounds memory).
-func BenchmarkFig10bGCSFlush(b *testing.B) { runExperiment(b, bench.Fig10bGCSFlush) }
+// BenchmarkFig10bGCSCollection regenerates Figure 10b (collection bounds GCS
+// memory).
+func BenchmarkFig10bGCSCollection(b *testing.B) { runExperiment(b, bench.Fig10bGCSCollection) }
 
 // BenchmarkFig11aTaskReconstruction regenerates Figure 11a (task lineage
 // reconstruction under node failure).

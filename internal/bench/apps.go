@@ -510,7 +510,7 @@ func ppoRun(sims, stepsPerIter, iterations int, synchronous bool) (time.Duration
 func All(scale Scale) ([]*Table, error) {
 	runners := []func(Scale) (*Table, error){
 		Fig8aLocality, Fig8bScalability, Fig9ObjectStore,
-		Fig10aGCSFaultTolerance, Fig10bGCSFlush,
+		Fig10aGCSFaultTolerance, Fig10bGCSCollection,
 		Fig11aTaskReconstruction, Fig11bActorReconstruction,
 		Fig12aAllreduce, Fig12bSchedulerAblation,
 		Fig13DistributedSGD, Table3Serving, Table4Simulation,
@@ -537,7 +537,7 @@ func Registry() map[string]func(Scale) (*Table, error) {
 		"larger_than_memory": LargerThanMemory,
 		"fig9":               Fig9ObjectStore,
 		"fig10a":             Fig10aGCSFaultTolerance,
-		"fig10b":             Fig10bGCSFlush,
+		"fig10b":             Fig10bGCSCollection,
 		"fig11a":             Fig11aTaskReconstruction,
 		"fig11b":             Fig11bActorReconstruction,
 		"fig12a":             Fig12aAllreduce,

@@ -106,3 +106,37 @@ func TestLargerThanMemoryBounded(t *testing.T) {
 	}
 	t.Logf("peak resident %d B, spilled %d B, reclaimed %d", res.peakResident, res.peakSpilled, res.reclaimed)
 }
+
+// TestFig10bCollectionBoundsMemory is Figure 10b as a predicate: with each
+// ref freed after its Get, the GCS's peak resident bytes outside the event
+// and span logs are flat in the task count and the run's entries are all
+// gone at the end; with every ref held (the negative control) the same peak
+// grows with the task count. The logs are left out because nothing collects
+// them: they grow with run time whatever the program frees.
+func TestFig10bCollectionBoundsMemory(t *testing.T) {
+	skipUnderRace(t)
+	n := fig10bTasks(Quick)
+	run := func(tasks int, release bool) collectionResult {
+		t.Helper()
+		r, err := collectionRun(tasks, release)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d tasks, release=%v: %+v", tasks, release, r)
+		return r
+	}
+	released, released2 := run(n, true), run(2*n, true)
+	if got := float64(released2.peakState) / float64(released.peakState); got > 1.5 {
+		t.Errorf("refs released: peak resident outside the logs grew %.2fx from %d to %d tasks, want at most 1.5x", got, n, 2*n)
+	}
+	if released.jobEntries != 0 || released2.jobEntries != 0 {
+		t.Errorf("refs released: %d and %d of the run's entries left, want none", released.jobEntries, released2.jobEntries)
+	}
+	held, held2 := run(n, false), run(2*n, false)
+	if got := float64(held2.peakState) / float64(held.peakState); got < 1.8 {
+		t.Errorf("refs held: peak resident outside the logs grew %.2fx from %d to %d tasks, want at least 1.8x", got, n, 2*n)
+	}
+	if held2.jobEntries != 2*2*n {
+		t.Errorf("refs held: %d of the run's entries left, want a task and an object entry for each of %d tasks", held2.jobEntries, 2*n)
+	}
+}

@@ -3,16 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
 
 	"ray/internal/chain"
-	"ray/internal/gcs"
 	"ray/internal/netsim"
 	"ray/internal/objectstore"
-	"ray/internal/task"
 	"ray/internal/types"
 	"ray/ray"
 )
@@ -329,56 +326,123 @@ func Fig10aGCSFaultTolerance(scale Scale) (*Table, error) {
 	return table, nil
 }
 
-// Fig10bGCSFlush reproduces Figure 10b: GCS memory with and without flushing
-// while a driver submits a long stream of tasks.
-func Fig10bGCSFlush(scale Scale) (*Table, error) {
-	tasks := 5000
-	if scale == Full {
-		tasks = 50000
-	}
+// Fig10bGCSCollection answers Figure 10b's question, what bounds GCS memory
+// while a driver streams tasks, with collection instead of the paper's
+// flush to disk: the ref ledger deletes a task's entries once nothing can
+// reach them. One driver submits no-op tasks one at a time and Gets each
+// result. With every ObjectRef held, the lineage is still needed and stays;
+// with each ref freed after its Get, its task and object entries go, and
+// peak resident bytes outside the event and span logs stay flat however
+// many tasks run. Nothing collects those two logs, so the total still grows
+// with run time.
+func Fig10bGCSCollection(scale Scale) (*Table, error) {
+	tasks := fig10bTasks(scale)
 	table := &Table{
 		Name:        "Figure 10b",
-		Description: "GCS resident memory while recording task lineage, with and without flushing",
-		Columns:     []string{"mode", "tasks recorded", "peak resident (KB)", "flushed entries"},
+		Description: "GCS memory while one driver streams no-op tasks: refs held vs freed after each Get",
+		Columns:     []string{"mode", "tasks", "peak resident (KB)", "peak excl. logs (KB)", "final resident (KB)", "peak entries", "final entries", "job entries left"},
 	}
-	for _, flush := range []bool{false, true} {
-		peak, flushed, err := gcsFlushRun(tasks, flush)
+	for _, release := range []bool{false, true} {
+		r, err := collectionRun(tasks, release)
 		if err != nil {
 			return nil, err
 		}
-		mode := "no flush"
-		if flush {
-			mode = "flush enabled"
+		mode := "refs held"
+		if release {
+			mode = "refs released"
 		}
-		table.AddRow(mode, fmt.Sprintf("%d", tasks), fmt.Sprintf("%d", peak/1024), fmt.Sprintf("%d", flushed))
+		table.AddRow(mode, fmt.Sprintf("%d", tasks), fmt.Sprintf("%d", r.peakBytes/1024), fmt.Sprintf("%d", r.peakState/1024), fmt.Sprintf("%d", r.finalBytes/1024),
+			fmt.Sprintf("%d", r.peakEntries), fmt.Sprintf("%d", r.finalEntries), fmt.Sprintf("%d", r.jobEntries))
 	}
 	return table, nil
 }
 
-func gcsFlushRun(tasks int, flush bool) (peakBytes int64, flushed int64, err error) {
-	// The synchronous write path isolates what the figure measures (resident
-	// memory vs flushing) from batch-flush timing.
-	cfg := gcs.Config{Shards: 2, ReplicationFactor: 1, SyncWrites: true}
-	if flush {
-		cfg.FlushThresholdBytes = 256 * 1024
-		cfg.FlushWriter = io.Discard
+// fig10bTasks is the task count of one Figure 10b run at the given scale.
+func fig10bTasks(scale Scale) int {
+	if scale == Full {
+		return 20000
 	}
-	store := gcs.New(cfg)
+	return 2000
+}
+
+// collectionResult is the GCS footprint of one Figure 10b run. peakState is
+// the peak of Bytes less LogBytes. jobEntries counts the task and object
+// entries of the run's own tasks still resident at the end.
+type collectionResult struct {
+	peakBytes, peakState, finalBytes int64
+	peakEntries, finalEntries        int
+	jobEntries                       int
+}
+
+// collectionRun streams tasks no-op tasks from one driver, Getting each and,
+// if release is set, freeing its ref. It samples the GCS after every Get and
+// once more after the last write has committed.
+func collectionRun(tasks int, release bool) (collectionResult, error) {
+	var r collectionResult
+	cfg := ray.DefaultConfig()
+	cfg.Nodes = 1
+	rt, d, err := newCluster(cfg)
+	if err != nil {
+		return r, err
+	}
+	defer rt.Shutdown()
+	fns, err := registerBenchFunctions(rt)
+	if err != nil {
+		return r, err
+	}
 	ctx := context.Background()
-	driver := types.NewDriverID()
+	g := rt.Cluster().GCS()
+	objects := make([]types.ObjectID, 0, tasks)
+	creators := make([]types.TaskID, 0, tasks)
 	for i := 0; i < tasks; i++ {
-		spec := &task.Spec{ID: types.NewTaskID(), Driver: driver, Function: "noop", NumReturns: 1}
-		if err := store.AddTask(ctx, spec); err != nil {
-			return 0, 0, err
+		ref, err := fns.noop.Remote(d)
+		if err != nil {
+			return r, err
 		}
-		if err := store.UpdateTaskStatus(ctx, spec.ID, types.TaskFinished, types.NilNodeID); err != nil {
-			return 0, 0, err
+		if _, err := ray.Get(d, ref); err != nil {
+			return r, err
 		}
-		if b := store.Bytes(); b > peakBytes {
-			peakBytes = b
+		entry, ok, err := g.GetObject(ctx, ref.ID)
+		if err != nil || !ok {
+			return r, fmt.Errorf("fig10b: no directory entry for a fetched result (err %v)", err)
+		}
+		objects, creators = append(objects, ref.ID), append(creators, entry.Creator)
+		if release {
+			ray.Free(d, ref)
+		}
+		bytes := g.Bytes()
+		r.peakBytes, r.peakState = max(r.peakBytes, bytes), max(r.peakState, bytes-g.LogBytes())
+		r.peakEntries = max(r.peakEntries, g.Entries())
+	}
+	// A task's entry goes at its status write, which may land after the Get
+	// that freed its result: wait for the last ones to commit.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := g.Sync(ctx); err != nil {
+			return r, err
+		}
+		r.jobEntries = 0
+		for i := range objects {
+			_, objOK, err := g.GetObject(ctx, objects[i])
+			if err != nil {
+				return r, err
+			}
+			_, taskOK, err := g.GetTask(ctx, creators[i])
+			if err != nil {
+				return r, err
+			}
+			if objOK {
+				r.jobEntries++
+			}
+			if taskOK {
+				r.jobEntries++
+			}
+		}
+		if !release || r.jobEntries == 0 || time.Now().After(deadline) {
+			break
 		}
 	}
-	return peakBytes, store.Stats().FlushedEntries, nil
+	r.finalBytes, r.finalEntries = g.Bytes(), g.Entries()
+	return r, nil
 }
 
 // byteSize renders a size in human-friendly units.

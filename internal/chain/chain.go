@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,35 +345,3 @@ func (c *Chain) Bytes() int64 {
 	}
 	return c.replicas[len(c.replicas)-1].Store().Bytes()
 }
-
-// FlushTail spills matching entries from every replica's store to w (the tail
-// result is returned). The GCS flushing experiment uses it to bound memory.
-func (c *Chain) FlushTail(w io.Writer, match func(key string, value []byte) bool) (int, int64, error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.configMu.RLock()
-	defer c.configMu.RUnlock()
-	if len(c.replicas) == 0 {
-		return 0, 0, ErrNoReplicas
-	}
-	var count int
-	var freed int64
-	var err error
-	for i, r := range c.replicas {
-		if i == len(c.replicas)-1 {
-			count, freed, err = r.Store().Flush(w, match)
-		} else {
-			// Non-tail replicas discard the same entries without writing them
-			// again; the durable copy comes from the tail.
-			_, _, ferr := r.Store().Flush(discardWriter{}, match)
-			if err == nil {
-				err = ferr
-			}
-		}
-	}
-	return count, freed, err
-}
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }

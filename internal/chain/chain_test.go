@@ -159,31 +159,6 @@ func TestReconfigureLatencyBounded(t *testing.T) {
 	}
 }
 
-func TestFlushTail(t *testing.T) {
-	c := New(Config{ReplicationFactor: 2})
-	for i := 0; i < 30; i++ {
-		mustPut(t, c, fmt.Sprintf("task/%d", i), make([]byte, 100))
-	}
-	mustPut(t, c, "node/1", []byte("keep"))
-	var buf bytes.Buffer
-	n, freed, err := c.FlushTail(&buf, func(k string, _ []byte) bool { return len(k) > 5 && k[:5] == "task/" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 30 || freed <= 0 {
-		t.Fatalf("flush n=%d freed=%d", n, freed)
-	}
-	// Every replica must have dropped the flushed keys.
-	for _, r := range c.Replicas() {
-		if r.Store().Len() != 1 {
-			t.Fatalf("replica %s kept %d keys", r.ID, r.Store().Len())
-		}
-	}
-	if buf.Len() == 0 {
-		t.Fatal("flush must write the durable copy")
-	}
-}
-
 func TestMinimumReplicationFactor(t *testing.T) {
 	c := New(Config{ReplicationFactor: 0})
 	if len(c.Replicas()) != 1 {

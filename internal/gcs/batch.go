@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +41,6 @@ type shardBatcher struct {
 	chain         *chain.Chain  //guard:init
 	flushInterval time.Duration //guard:init
 	maxEntries    int           //guard:init
-	// onCommit runs after each successful chain commit; the Store hooks its
-	// memory-flush policy (Config.FlushThresholdBytes) in here, since the
-	// batched put path returns before any chain state grows.
-	onCommit func() //guard:init
 
 	mu      sync.Mutex
 	pending map[string]pendingWrite //guard:by mu
@@ -97,12 +94,11 @@ type pendingWrite struct {
 	queued bool
 }
 
-func newShardBatcher(ch *chain.Chain, flushInterval time.Duration, maxEntries int, onCommit func(), metrics *telemetry.Registry) *shardBatcher {
+func newShardBatcher(ch *chain.Chain, flushInterval time.Duration, maxEntries int, metrics *telemetry.Registry) *shardBatcher {
 	b := &shardBatcher{
 		chain:         ch,
 		flushInterval: flushInterval,
 		maxEntries:    maxEntries,
-		onCommit:      onCommit,
 		pending:       make(map[string]pendingWrite),
 		kick:          make(chan struct{}, 1),
 		stop:          make(chan struct{}),
@@ -170,7 +166,7 @@ func (b *shardBatcher) pendingKeys(prefix string) []string {
 	defer b.mu.Unlock()
 	var out []string
 	for key, pw := range b.pending {
-		if !pw.deleted && hasPrefix(key, prefix) {
+		if !pw.deleted && strings.HasPrefix(key, prefix) {
 			out = append(out, key)
 		}
 	}
@@ -271,8 +267,6 @@ func (b *shardBatcher) flush(ctx context.Context) error {
 			b.lastErr = err
 		}
 		b.errMu.Unlock()
-	} else if b.onCommit != nil {
-		b.onCommit()
 	}
 	return err
 }

@@ -54,7 +54,7 @@ func TestDeleteLandingMidCommit(t *testing.T) {
 	ctx := context.Background()
 	net := netsim.New(netsim.Config{LatencyPerMessage: 20 * time.Millisecond, TimeScale: 1, MaxParallelStreams: 1})
 	ch := chain.New(chain.Config{ReplicationFactor: 2, Network: net})
-	b := newShardBatcher(ch, time.Hour, 1<<20, nil, nil)
+	b := newShardBatcher(ch, time.Hour, 1<<20, nil)
 	defer b.close()
 
 	b.enqueue("k", []byte("v"), false)
@@ -203,6 +203,46 @@ func deleteUnreachable(t *testing.T, s *Store) {
 		}
 		if err != nil {
 			t.Errorf("reclaim %s: %v", id, err)
+		}
+	})
+}
+
+// Collection is what bounds the GCS's memory while tasks stream: each
+// task's entry and its return's entry go once the return is freed, so peak
+// resident bytes stay under a constant however many tasks run, and nothing
+// is left once the last write commits. A reclaimer that skipped DeleteObject
+// would leave every object entry resident, several times the bound.
+func TestCollectionBoundsMemory(t *testing.T) {
+	bothWritePaths(t, func(t *testing.T, s *Store) {
+		deleteUnreachable(t, s)
+		ctx := context.Background()
+		node, job := types.NewNodeID(), types.NewJobID()
+		const tasks, bound = 3000, 16 << 10
+		var peak int64
+		for i := 0; i < tasks; i++ {
+			spec := &task.Spec{ID: types.NewTaskID(), Job: job, Function: "noop", NumReturns: 1}
+			ret := types.ReturnObjectID(spec.ID, 0)
+			s.TrackTask(spec, true)
+			if err := s.AddTask(ctx, spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddObjectLocation(ctx, ret, node, 1, spec.ID, job); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CompleteTask(ctx, spec, types.TaskFinished, node, true); err != nil {
+				t.Fatal(err)
+			}
+			s.DecObjectRefs(ctx, ret)
+			peak = max(peak, s.Bytes())
+		}
+		if peak > bound {
+			t.Fatalf("peak resident %d bytes over %d tasks, want at most %d", peak, tasks, bound)
+		}
+		if err := s.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Entries(); got != 0 {
+			t.Fatalf("%d entries after every return was freed, want 0", got)
 		}
 	})
 }

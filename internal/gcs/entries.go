@@ -87,9 +87,9 @@ type TaskEntry struct {
 }
 
 // Task entry layout: status (1 byte), node (16), spec length (4), spec. The
-// mutable fields lead at fixed offsets so the flush predicate reads the
-// status, and UpdateTaskStatus rewrites status and node, without decoding
-// the spec behind them.
+// mutable fields lead at fixed offsets so patchTaskEntry, which
+// UpdateTaskStatus runs, rewrites status and node without decoding the spec
+// behind them.
 const (
 	taskEntryNodeOff    = 1
 	taskEntrySpecLenOff = taskEntryNodeOff + 16
@@ -138,15 +138,6 @@ func unmarshalTaskEntry(data []byte) (*TaskEntry, error) {
 	}
 	e.Spec = spec
 	return e, nil
-}
-
-// taskEntryTerminal reports whether a raw task entry records a terminal
-// status. Used by the flush policy without decoding the whole entry.
-func taskEntryTerminal(value []byte) bool {
-	if len(value) == 0 {
-		return false
-	}
-	return types.TaskStatus(value[0]).Terminal()
 }
 
 // ActorEntry is the actor table record. Together with the task table's

@@ -19,7 +19,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,15 +36,6 @@ type Config struct {
 	Shards int
 	// ReplicationFactor is the chain length per shard.
 	ReplicationFactor int
-	// FlushThresholdBytes, when > 0, triggers flushing of completed-task
-	// lineage and event-log entries to FlushWriter once the resident size of
-	// the GCS exceeds the threshold (Figure 10b). The ref ledger deletes
-	// lineage once nothing can reach it (refs.go), so the flush acts only on
-	// what is still resident: lineage some reference or pin keeps alive, and
-	// the event and span logs.
-	FlushThresholdBytes int64
-	// FlushWriter receives flushed entries. Defaults to io.Discard.
-	FlushWriter io.Writer
 	// SyncWrites disables the batching write path: one synchronous chain
 	// commit per table append. Batching — per-shard pending buffers (which
 	// double as a read overlay, preserving read-your-writes for this Store's
@@ -105,28 +95,18 @@ type Store struct {
 	keyLocks [256]sync.Mutex
 
 	// stats counters. A delete counts as a put: it is a write.
-	puts      atomic.Int64
-	gets      atomic.Int64
-	flushes   atomic.Int64
-	flushedN  atomic.Int64
-	eventSeq  atomic.Uint64
-	spanSeq   atomic.Uint64
-	flushedBy atomic.Int64
-	flushErrs atomic.Int64
-
-	// lastFlushErr holds the most recent background-flush failure.
-	// Threshold-driven flushes have no caller to return an error to, so the
-	// failure is surfaced here (and counted in Stats) instead of vanishing.
-	flushErrMu   sync.Mutex
-	lastFlushErr error //guard:by flushErrMu
+	puts     atomic.Int64
+	gets     atomic.Int64
+	eventSeq atomic.Uint64
+	spanSeq  atomic.Uint64
+	logBytes atomic.Int64
 
 	// refOnce/refLedger lazily build the ownership reference ledger
 	// (refs.go); lazy so zero-value Stores used in tests stay cheap.
 	refOnce   sync.Once
 	refLedger *refLedger
 
-	flushMu sync.Mutex
-	closed  atomic.Bool
+	closed atomic.Bool
 }
 
 // New creates a GCS with the given configuration.
@@ -136,9 +116,6 @@ func New(cfg Config) *Store {
 	}
 	if cfg.ReplicationFactor < 1 {
 		cfg.ReplicationFactor = 1
-	}
-	if cfg.FlushWriter == nil {
-		cfg.FlushWriter = io.Discard
 	}
 	if cfg.BatchFlushInterval <= 0 {
 		cfg.BatchFlushInterval = 2 * time.Millisecond
@@ -156,7 +133,7 @@ func New(cfg Config) *Store {
 		s.shards = append(s.shards, ch)
 		s.watch[i].subs = make(map[string][]chan struct{})
 		if !cfg.SyncWrites {
-			s.batchers = append(s.batchers, newShardBatcher(ch, cfg.BatchFlushInterval, cfg.BatchMaxEntries, s.maybeFlush, cfg.Metrics))
+			s.batchers = append(s.batchers, newShardBatcher(ch, cfg.BatchFlushInterval, cfg.BatchMaxEntries, cfg.Metrics))
 		}
 	}
 	return s
@@ -381,7 +358,6 @@ func (s *Store) write(ctx context.Context, si int, key string, value []byte, del
 			}
 			return fmt.Errorf("gcs: %s %s: %w", op, displayKey(key), err)
 		}
-		s.maybeFlush()
 	}
 	if !deleted { // a delete leaves a subscriber nothing to re-read
 		s.publish(si, key)
@@ -469,7 +445,7 @@ func (s *Store) SubscriberCount() int {
 	return n
 }
 
-// --- Memory accounting and flushing ------------------------------------------
+// --- Memory accounting ------------------------------------------------------
 
 // Bytes returns the approximate resident size of the GCS across all shards.
 func (s *Store) Bytes() int64 {
@@ -480,6 +456,11 @@ func (s *Store) Bytes() int64 {
 	return total
 }
 
+// LogBytes returns the bytes written to the event and span logs. Nothing
+// deletes a log entry, so once those writes commit this is the logs' share
+// of Bytes: the part that grows with run time, not with live state.
+func (s *Store) LogBytes() int64 { return s.logBytes.Load() }
+
 // Entries returns the total number of keys across all shards.
 func (s *Store) Entries() int {
 	total := 0
@@ -489,97 +470,11 @@ func (s *Store) Entries() int {
 	return total
 }
 
-// maybeFlush spills flushable state (completed task lineage, events) to the
-// configured writer when the resident size exceeds the threshold.
-func (s *Store) maybeFlush() {
-	if s.cfg.FlushThresholdBytes <= 0 {
-		return
-	}
-	if s.Bytes() < s.cfg.FlushThresholdBytes {
-		return
-	}
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	if s.Bytes() < s.cfg.FlushThresholdBytes {
-		return
-	}
-	n, freed, err := s.flushTail()
-	s.flushedN.Add(int64(n))
-	s.flushedBy.Add(freed)
-	if err != nil {
-		s.noteFlushErr(err)
-	}
-}
-
-// noteFlushErr records a background-flush failure.
-func (s *Store) noteFlushErr(err error) {
-	s.flushErrs.Add(1)
-	s.flushErrMu.Lock()
-	s.lastFlushErr = err
-	s.flushErrMu.Unlock()
-}
-
-// FlushErr returns the most recent threshold-driven flush failure, or nil.
-// The entries of a failed flush stay resident (kv.Store.Flush is atomic on
-// failure), so the condition is recoverable: the next flush retries them.
-func (s *Store) FlushErr() error {
-	s.flushErrMu.Lock()
-	defer s.flushErrMu.Unlock()
-	return s.lastFlushErr
-}
-
-// flushTail flushes flushable chain-resident entries without committing
-// pending batched writes first: maybeFlush runs inside a batch commit's
-// onCommit hook, where syncing would deadlock on the batcher's flush lock.
-// The caller holds flushMu, so two flushes cannot interleave different
-// shards' entries mid-stream into one FlushWriter.
-func (s *Store) flushTail() (int, int64, error) {
-	s.flushes.Add(1)
-	var total int
-	var freed int64
-	var firstErr error
-	for _, shard := range s.shards {
-		n, f, err := shard.FlushTail(s.cfg.FlushWriter, flushableKey)
-		total += n
-		freed += f
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, freed, firstErr
-}
-
-// flushableKey reports whether an entry holds state that is safe to evict
-// from memory once written durably: lineage for *finished* tasks is only
-// needed again on reconstruction (and can then be re-read from the flush
-// log), and events are purely diagnostic. Object locations, actor state,
-// pending/running tasks, node membership and function definitions must stay
-// resident.
-func flushableKey(key string, value []byte) bool {
-	if hasPrefix(key, keyPrefixEvent) || hasPrefix(key, keyPrefixSpan) {
-		return true
-	}
-	if hasPrefix(key, keyPrefixTask) {
-		return taskEntryTerminal(value)
-	}
-	return false
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
-
 // Stats is a snapshot of GCS operation counters.
 type Stats struct {
 	// Puts counts writes, deletes included.
-	Puts           int64
-	Gets           int64
-	Flushes        int64
-	FlushedEntries int64
-	FlushedBytes   int64
-	// FlushErrors counts background (threshold-driven) flushes that failed;
-	// see Store.FlushErr for the most recent cause.
-	FlushErrors   int64
+	Puts          int64
+	Gets          int64
 	ResidentBytes int64
 	ResidentKeys  int
 	// BatchedWrites counts writes that went through the batching path.
@@ -594,14 +489,10 @@ type Stats struct {
 // Stats returns a snapshot of operation counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Puts:           s.puts.Load(),
-		Gets:           s.gets.Load(),
-		Flushes:        s.flushes.Load(),
-		FlushedEntries: s.flushedN.Load(),
-		FlushedBytes:   s.flushedBy.Load(),
-		FlushErrors:    s.flushErrs.Load(),
-		ResidentBytes:  s.Bytes(),
-		ResidentKeys:   s.Entries(),
+		Puts:          s.puts.Load(),
+		Gets:          s.gets.Load(),
+		ResidentBytes: s.Bytes(),
+		ResidentKeys:  s.Entries(),
 	}
 	for _, b := range s.batchers {
 		st.BatchedWrites += b.enqueued.Load()

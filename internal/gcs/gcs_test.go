@@ -1,9 +1,7 @@
 package gcs
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -347,96 +345,12 @@ func TestEventLog(t *testing.T) {
 	if events[0].Kind != "test" || events[0].Message == "" || events[0].UnixNano == 0 {
 		t.Fatalf("event fields wrong: %+v", events[0])
 	}
-}
-
-func TestFlushingBoundsMemory(t *testing.T) {
-	var sink bytes.Buffer
-	s := New(Config{
-		Shards:              2,
-		ReplicationFactor:   1,
-		SyncWrites:          true,
-		FlushThresholdBytes: 64 * 1024,
-		FlushWriter:         &sink,
-	})
-	ctx := context.Background()
-	driver := types.NewDriverID()
-	// Record many finished tasks; without flushing this would grow without
-	// bound (Figure 10b), with flushing memory stays under ~2x the threshold.
-	var maxBytes int64
-	for i := 0; i < 3000; i++ {
-		spec := &task.Spec{ID: types.NewTaskID(), Driver: driver, Function: "noop", NumReturns: 1}
-		if err := s.AddTask(ctx, spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.UpdateTaskStatus(ctx, spec.ID, types.TaskFinished, types.NilNodeID); err != nil {
-			t.Fatal(err)
-		}
-		if b := s.Bytes(); b > maxBytes {
-			maxBytes = b
-		}
-	}
-	if maxBytes > 3*64*1024 {
-		t.Fatalf("flushing failed to bound memory: peak %d bytes", maxBytes)
-	}
-	if sink.Len() == 0 {
-		t.Fatal("flush writer received nothing")
-	}
-	stats := s.Stats()
-	if stats.Flushes == 0 || stats.FlushedEntries == 0 || stats.FlushedBytes == 0 {
-		t.Fatalf("flush stats empty: %+v", stats)
-	}
-}
-
-func TestFlushKeepsLiveState(t *testing.T) {
-	// A one-byte threshold flushes on every commit, so Sync flushes all.
-	s := New(Config{Shards: 2, ReplicationFactor: 1, FlushThresholdBytes: 1})
-	defer s.Close()
-	ctx := context.Background()
-	// A pending task, an object, an actor, a node: none may be flushed.
-	spec := &task.Spec{ID: types.NewTaskID(), Function: "live", NumReturns: 1}
-	if err := s.AddTask(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-	obj := types.NewObjectID()
-	if err := s.AddObjectLocation(ctx, obj, types.NewNodeID(), 10, spec.ID, types.NilJobID); err != nil {
-		t.Fatal(err)
-	}
-	node := types.NewNodeID()
-	if err := s.RegisterNode(ctx, &NodeEntry{ID: node, State: types.NodeAlive}); err != nil {
-		t.Fatal(err)
-	}
-	// A finished task and an event: these are flushable.
-	done := &task.Spec{ID: types.NewTaskID(), Function: "done", NumReturns: 1}
-	if err := s.AddTask(ctx, done); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UpdateTaskStatus(ctx, done.ID, types.TaskFinished, types.NilNodeID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendEvent(ctx, "k", "m"); err != nil {
-		t.Fatal(err)
-	}
-
+	// The store holds nothing but the log, so the log is all of its bytes.
 	if err := s.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.FlushErr(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Stats().FlushedEntries; n != 2 {
-		t.Fatalf("expected 2 flushed entries (finished task + event), got %d", n)
-	}
-	if _, ok, _ := s.GetTask(ctx, spec.ID); !ok {
-		t.Fatal("pending task flushed")
-	}
-	if _, ok, _ := s.GetObject(ctx, obj); !ok {
-		t.Fatal("object entry flushed")
-	}
-	if _, ok, _ := s.GetNode(ctx, node); !ok {
-		t.Fatal("node entry flushed")
-	}
-	if _, ok, _ := s.GetTask(ctx, done.ID); ok {
-		t.Fatal("finished task should have been flushed")
+	if s.LogBytes() != s.Bytes() {
+		t.Fatalf("LogBytes %d, want the store's %d", s.LogBytes(), s.Bytes())
 	}
 }
 
@@ -563,9 +477,6 @@ func TestEntryDecodersRejectGarbage(t *testing.T) {
 	}
 	if _, err := unmarshalEvent([]byte{3}); err == nil {
 		t.Fatal("event decoder accepted garbage")
-	}
-	if taskEntryTerminal(nil) {
-		t.Fatal("empty task entry must not be terminal")
 	}
 }
 
@@ -951,87 +862,5 @@ func TestBatchedPutAfterCloseFallsBackToChain(t *testing.T) {
 	}
 	if _, ok, _ := s.GetTask(ctx, spec.ID); !ok {
 		t.Fatal("post-close write unreadable")
-	}
-}
-
-func TestBatchedFlushThresholdStillBoundsMemory(t *testing.T) {
-	var sink bytes.Buffer
-	s := New(Config{
-		Shards: 2, ReplicationFactor: 1,
-		BatchFlushInterval:  time.Millisecond,
-		FlushThresholdBytes: 64 * 1024, FlushWriter: &sink,
-	})
-	defer s.Close()
-	ctx := context.Background()
-	driver := types.NewDriverID()
-	for i := 0; i < 2000; i++ {
-		spec := &task.Spec{ID: types.NewTaskID(), Driver: driver, Function: "noop", NumReturns: 1}
-		if err := s.AddTask(ctx, spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.UpdateTaskStatus(ctx, spec.ID, types.TaskFinished, types.NilNodeID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().FlushedEntries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("flush threshold ignored under batching: resident=%d", s.Bytes())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if sink.Len() == 0 {
-		t.Fatal("flushed entries never reached the writer")
-	}
-}
-
-// errWriter fails every write, simulating a failed flush-storage device.
-type errWriter struct{}
-
-func (errWriter) Write([]byte) (int, error) { return 0, errors.New("flush device gone") }
-
-// Regression test: a threshold-driven flush that fails to write must be
-// surfaced through Stats().FlushErrors and FlushErr() rather than silently
-// dropped, and the flushable entries must stay resident so a later flush can
-// retry them.
-func TestBackgroundFlushFailureSurfaced(t *testing.T) {
-	s := New(Config{
-		Shards:              1,
-		ReplicationFactor:   1,
-		SyncWrites:          true,
-		FlushThresholdBytes: 512,
-		FlushWriter:         errWriter{},
-	})
-	ctx := context.Background()
-	var finished []types.TaskID
-	for i := 0; i < 50; i++ {
-		spec := &task.Spec{ID: types.NewTaskID(), Function: "noop", NumReturns: 1}
-		if err := s.AddTask(ctx, spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.UpdateTaskStatus(ctx, spec.ID, types.TaskFinished, types.NilNodeID); err != nil {
-			t.Fatal(err)
-		}
-		finished = append(finished, spec.ID)
-	}
-	stats := s.Stats()
-	if stats.FlushErrors == 0 {
-		t.Fatal("flush failures not counted")
-	}
-	if err := s.FlushErr(); err == nil {
-		t.Fatal("FlushErr() nil after failed background flush")
-	}
-	if stats.FlushedEntries != 0 {
-		t.Fatalf("failed flushes reported %d flushed entries", stats.FlushedEntries)
-	}
-	// Every finished task must still be resident: the failed flush freed
-	// nothing, so lineage stays available for reconstruction.
-	for _, id := range finished {
-		if _, ok, err := s.GetTask(ctx, id); err != nil || !ok {
-			t.Fatalf("task %s lost by failed flush (ok=%v err=%v)", id, ok, err)
-		}
 	}
 }

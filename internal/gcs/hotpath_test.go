@@ -132,7 +132,8 @@ func TestEntryEncodersAllocateOnce(t *testing.T) {
 }
 
 // The patched header is what a full decode, assign, re-encode produces, for
-// every status and with or without a node, and the flush predicate reads it.
+// every status and with or without a node, and the table decoder reads the
+// patched status and node back.
 func TestPatchedTaskEntryMatchesReencode(t *testing.T) {
 	spec := hotSpec()
 	placed := types.NewNodeID()
@@ -156,8 +157,12 @@ func TestPatchedTaskEntryMatchesReencode(t *testing.T) {
 				if want := entry.marshal(); !bytes.Equal(patched, want) {
 					t.Fatalf("status %v node %v: patched entry differs from re-encode", status, node)
 				}
-				if got := taskEntryTerminal(patched); got != status.Terminal() {
-					t.Fatalf("taskEntryTerminal(patched to %v) = %v", status, got)
+				got, err := unmarshalTaskEntry(patched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Status != entry.Status || got.Node != entry.Node || got.Spec.ID != spec.ID {
+					t.Fatalf("patched to %v on %v, decodes as status %v node %v spec %v", status, node, got.Status, got.Node, got.Spec.ID)
 				}
 			}
 		}

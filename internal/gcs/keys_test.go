@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"ray/internal/kv"
 	"ray/internal/task"
 	"ray/internal/telemetry"
 	"ray/internal/types"
@@ -78,57 +77,6 @@ func TestHostileIDTables(t *testing.T) {
 			t.Fatalf("Spans: %d entries, err %v; want %d", len(spans), err, len(ids))
 		}
 	})
-}
-
-// flushableKey judges a key by its own table alone, and the threshold flush
-// writes hostile raw keys that kv.ReadFlushed reads back byte for byte.
-func TestHostileIDFlushRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	var sink bytes.Buffer
-	s := New(Config{Shards: 4, ReplicationFactor: 2, FlushWriter: &sink, FlushThresholdBytes: 1})
-	defer s.Close()
-	finished := &TaskEntry{Spec: &task.Spec{Function: "f"}, Status: types.TaskFinished}
-	want := map[string]bool{}
-	for _, id := range hostileIDs() {
-		if !flushableKey(taskKey(types.TaskID(id)), finished.marshal()) {
-			t.Fatalf("finished task %x is not flushable", id)
-		}
-		for _, key := range []string{objectKey(types.ObjectID(id)), nodeKey(types.NodeID(id)), actorKey(types.ActorID(id)), jobKey(types.JobID(id))} {
-			if flushableKey(key, finished.marshal()) {
-				t.Fatalf("%s is flushable", displayKey(key))
-			}
-		}
-		if err := s.AddTask(ctx, &task.Spec{ID: types.TaskID(id), Function: "f", NumReturns: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.UpdateTaskStatus(ctx, types.TaskID(id), types.TaskFinished, types.NilNodeID); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AddObjectLocation(ctx, types.ObjectID(id), types.NewNodeID(), 8, types.TaskID(id), types.NilJobID); err != nil {
-			t.Fatal(err)
-		}
-		want[taskKey(types.TaskID(id))] = true
-	}
-	if err := s.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.Stats().FlushedEntries, s.FlushErr(); err != nil || n != int64(len(want)) {
-		t.Fatalf("the threshold flush flushed %d entries, err %v; want %d", n, err, len(want))
-	}
-	entries, err := kv.ReadFlushed(&sink)
-	if err != nil || len(entries) != len(want) {
-		t.Fatalf("ReadFlushed: %d entries, err %v; want %d", len(entries), err, len(want))
-	}
-	for _, e := range entries {
-		if !want[e.Key] || !taskEntryTerminal(e.Value) {
-			t.Fatalf("flush log holds %s, which was not a finished task", displayKey(e.Key))
-		}
-	}
-	for _, id := range hostileIDs() {
-		if _, ok, _ := s.GetObject(ctx, types.ObjectID(id)); !ok {
-			t.Fatalf("object %x was flushed", id)
-		}
-	}
 }
 
 // A subscription on a hostile ID wakes for a write to that object only.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -32,7 +33,7 @@ func tableKey(prefix string, id types.UniqueID) string {
 // prefix followed by the ID in hex, any other key as it is.
 func displayKey(key string) string {
 	for _, prefix := range []string{keyPrefixObject, keyPrefixTask, keyPrefixActor, keyPrefixNode, keyPrefixJob} {
-		if len(key) == len(prefix)+types.IDSize && hasPrefix(key, prefix) {
+		if len(key) == len(prefix)+types.IDSize && strings.HasPrefix(key, prefix) {
 			return prefix + hex.EncodeToString([]byte(key[len(prefix):]))
 		}
 	}
@@ -493,9 +494,8 @@ func (s *Store) Jobs(ctx context.Context) ([]*JobEntry, error) {
 
 // --- Event log and span table -----------------------------------------------------
 
-// scan reads and decodes every value still resident under prefix, writes
-// pending in the batching overlay included. Flushed values are excluded
-// (they live in the flush log).
+// scan reads and decodes every value under prefix, writes pending in the
+// batching overlay included.
 func scan[E any](ctx context.Context, s *Store, prefix string, decode func([]byte) (E, error)) ([]E, error) {
 	var out []E
 	for si := range s.shards {
@@ -543,11 +543,10 @@ func (s *Store) AppendEvent(ctx context.Context, kind, message string) error {
 	seq := s.eventSeq.Add(1)
 	e := &Event{Seq: seq, UnixNano: time.Now().UnixNano(), Kind: kind, Message: message}
 	key := fmt.Sprintf("%s%020d", keyPrefixEvent, seq)
-	return s.put(ctx, s.shardForKey(key), key, e.marshal())
+	return s.appendLog(ctx, key, e.marshal())
 }
 
-// Events returns every event still resident in memory, ordered by sequence
-// number.
+// Events returns every event, ordered by sequence number.
 func (s *Store) Events(ctx context.Context) ([]*Event, error) {
 	out, err := scan(ctx, s, keyPrefixEvent, unmarshalEvent)
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
@@ -557,7 +556,7 @@ func (s *Store) Events(ctx context.Context) ([]*Event, error) {
 // AppendSpans persists a batch of task-lifecycle spans into the span table,
 // assigning each its global sequence number. The span table is another
 // "added benefit" of routing all control state through the GCS: the task
-// timeline is an ordinary queryable, flushable table. Implements
+// timeline is an ordinary queryable table. Implements
 // telemetry.SpanSink.
 func (s *Store) AppendSpans(ctx context.Context, spans []telemetry.Span) error {
 	if len(spans) == 0 {
@@ -570,11 +569,19 @@ func (s *Store) AppendSpans(ctx context.Context, spans []telemetry.Span) error {
 		spans[i].Seq = s.spanSeq.Add(1)
 	}
 	key := fmt.Sprintf("%s%020d", keyPrefixSpan, spans[0].Seq)
-	return s.put(ctx, s.shardForKey(key), key, telemetry.MarshalSpans(spans))
+	return s.appendLog(ctx, key, telemetry.MarshalSpans(spans))
 }
 
-// Spans returns every span still resident in memory, ordered by sequence
-// number.
+// appendLog writes one event or span-log entry and counts it in LogBytes.
+func (s *Store) appendLog(ctx context.Context, key string, value []byte) error {
+	if err := s.put(ctx, s.shardForKey(key), key, value); err != nil {
+		return err
+	}
+	s.logBytes.Add(int64(len(key) + len(value)))
+	return nil
+}
+
+// Spans returns every span, ordered by sequence number.
 func (s *Store) Spans(ctx context.Context) ([]telemetry.Span, error) {
 	batches, err := scan(ctx, s, keyPrefixSpan, telemetry.UnmarshalSpans)
 	out := slices.Concat(batches...)

@@ -2,8 +2,7 @@
 // Global Control Store. The paper uses one Redis instance per GCS shard with
 // entirely single-key operations; this package provides the equivalent in
 // pure Go: a map with per-store locking, prefix scans for debugging tools,
-// and memory accounting plus flush support for the lineage-flushing
-// experiment (Figure 10b).
+// and memory accounting.
 //
 // A store adopts the values it is handed: every replica of a chain holds the
 // same immutable bytes, so each committed value exists once however many
@@ -12,16 +11,12 @@
 package kv
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Entry is a key-value pair, used by snapshots and flushing.
+// Entry is a key-value pair, the unit of a snapshot.
 type Entry struct {
 	Key   string
 	Value []byte
@@ -32,9 +27,6 @@ type Store struct {
 	mu    sync.RWMutex
 	data  map[string][]byte //guard:by mu.R
 	bytes int64             //guard:by mu.R — approximate resident size of keys + values
-	// version increments on every mutation; chain replication uses it to
-	// order state transfers against concurrent writes.
-	version uint64 //guard:by mu.R
 }
 
 // NewStore returns an empty store.
@@ -81,7 +73,6 @@ func (s *Store) WriteBatch(keys []string, values [][]byte, deleted []bool) {
 		s.data[key] = values[i]
 		s.bytes += int64(len(values[i]))
 	}
-	s.version++
 	s.mu.Unlock()
 }
 
@@ -95,20 +86,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Delete removes key from the store and reports whether it was present.
-func (s *Store) Delete(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.data[key]
-	if !ok {
-		return false
-	}
-	s.bytes -= int64(len(old)) + int64(len(key))
-	delete(s.data, key)
-	s.version++
-	return true
-}
-
 // Len returns the number of keys currently stored.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -116,19 +93,12 @@ func (s *Store) Len() int {
 	return len(s.data)
 }
 
-// Bytes returns the approximate resident size of the store in bytes. The GCS
-// uses it to decide when to flush lineage to disk (Figure 10b).
+// Bytes returns the approximate resident size of the store in bytes: keys
+// plus values. The GCS sums it over shards to report its memory footprint.
 func (s *Store) Bytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.bytes
-}
-
-// Version returns the store's mutation counter.
-func (s *Store) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
 }
 
 // Keys returns all keys with the given prefix, sorted. Intended for the
@@ -171,96 +141,4 @@ func (s *Store) Restore(entries []Entry) {
 		s.data[e.Key] = e.Value
 		s.bytes += int64(len(e.Key)) + int64(len(e.Value))
 	}
-	s.version++
-}
-
-// Flush writes every entry matching the predicate to w in a simple
-// length-prefixed binary format and removes it from memory. It returns the
-// number of entries flushed and the bytes freed. This is the mechanism behind
-// the paper's "GCS flushing" experiment: lineage for completed tasks is
-// spilled to durable storage so the in-memory footprint stays bounded.
-//
-// Flush is atomic with respect to failure: entries are dropped from memory
-// only after the writer (including the final buffer flush) has accepted every
-// byte. A write error therefore leaves the store unchanged — the entries stay
-// resident and the next flush retries them — instead of discarding data that
-// never became durable.
-func (s *Store) Flush(w io.Writer, match func(key string, value []byte) bool) (int, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	var flushed []string
-	for k, v := range s.data {
-		if match != nil && !match(k, v) {
-			continue
-		}
-		if err := writeEntry(bw, k, v); err != nil {
-			return 0, 0, fmt.Errorf("kv: flush: %w", err)
-		}
-		flushed = append(flushed, k)
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, 0, fmt.Errorf("kv: flush: %w", err)
-	}
-	var count int
-	var freed int64
-	for _, k := range flushed {
-		freed += int64(len(k)) + int64(len(s.data[k]))
-		delete(s.data, k)
-		count++
-	}
-	s.bytes -= freed
-	if count > 0 {
-		s.version++
-	}
-	return count, freed, nil
-}
-
-// ReadFlushed reads entries previously written by Flush from r. It is used by
-// tests and by tools that restore flushed lineage for long-running jobs.
-func ReadFlushed(r io.Reader) ([]Entry, error) {
-	br := bufio.NewReader(r)
-	var entries []Entry
-	for {
-		e, err := readEntry(br)
-		if err == io.EOF {
-			return entries, nil
-		}
-		if err != nil {
-			return entries, err
-		}
-		entries = append(entries, e)
-	}
-}
-
-func writeEntry(w io.Writer, key string, value []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(key)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(value)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, key); err != nil {
-		return err
-	}
-	_, err := w.Write(value)
-	return err
-}
-
-func readEntry(r io.Reader) (Entry, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Entry{}, err
-	}
-	klen := binary.BigEndian.Uint32(hdr[:4])
-	vlen := binary.BigEndian.Uint32(hdr[4:])
-	key := make([]byte, klen)
-	if _, err := io.ReadFull(r, key); err != nil {
-		return Entry{}, fmt.Errorf("kv: corrupt flush stream: %w", err)
-	}
-	value := make([]byte, vlen)
-	if _, err := io.ReadFull(r, value); err != nil {
-		return Entry{}, fmt.Errorf("kv: corrupt flush stream: %w", err)
-	}
-	return Entry{Key: string(key), Value: value}, nil
 }

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -24,14 +23,13 @@ func TestPutGetDelete(t *testing.T) {
 	if v, _ := s.Get("a"); string(v) != "updated" {
 		t.Fatal("overwrite failed")
 	}
-	if !s.Delete("a") {
-		t.Fatal("delete reported missing")
+	s.WriteBatch([]string{"a"}, [][]byte{nil}, []bool{true})
+	if _, ok := s.Get("a"); ok {
+		t.Fatal("deleted key still present")
 	}
-	if s.Delete("a") {
-		t.Fatal("double delete reported present")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len=%d want 1", s.Len())
+	s.WriteBatch([]string{"a"}, [][]byte{nil}, []bool{true}) // deleting an absent key changes nothing
+	if s.Len() != 1 || s.Bytes() != int64(len("b")+1) {
+		t.Fatalf("len=%d bytes=%d after deletes, want 1 and %d", s.Len(), s.Bytes(), len("b")+1)
 	}
 }
 
@@ -93,7 +91,7 @@ func TestBytesAccounting(t *testing.T) {
 	if s.Bytes() != want {
 		t.Fatalf("bytes after overwrite=%d want %d", s.Bytes(), want)
 	}
-	s.Delete("key2")
+	s.WriteBatch([]string{"key2"}, [][]byte{nil}, []bool{true})
 	if s.Bytes() != int64(4+50) {
 		t.Fatalf("bytes after delete=%d", s.Bytes())
 	}
@@ -148,68 +146,6 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestVersionAdvances(t *testing.T) {
-	s := NewStore()
-	v0 := s.Version()
-	s.Put("a", nil)
-	if s.Version() <= v0 {
-		t.Fatal("version must advance on put")
-	}
-	v1 := s.Version()
-	s.Delete("a")
-	if s.Version() <= v1 {
-		t.Fatal("version must advance on delete")
-	}
-}
-
-func TestFlushAndReadBack(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("task/%02d", i), bytes.Repeat([]byte{byte(i)}, 10))
-	}
-	s.Put("node/1", []byte("keep"))
-	var buf bytes.Buffer
-	n, freed, err := s.Flush(&buf, func(key string, _ []byte) bool { return key[:5] == "task/" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Fatalf("flushed %d entries", n)
-	}
-	if freed <= 0 {
-		t.Fatal("flush must report freed bytes")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("store should keep only unmatched keys, len=%d", s.Len())
-	}
-	entries, err := ReadFlushed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 50 {
-		t.Fatalf("read back %d entries", len(entries))
-	}
-	for _, e := range entries {
-		if len(e.Value) != 10 {
-			t.Fatalf("entry %q has wrong value length", e.Key)
-		}
-	}
-	// Flushing everything with a nil predicate empties the store.
-	var buf2 bytes.Buffer
-	if n, _, err := s.Flush(&buf2, nil); err != nil || n != 1 {
-		t.Fatalf("flush all: n=%d err=%v", n, err)
-	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatal("store must be empty after full flush")
-	}
-}
-
-func TestReadFlushedCorrupt(t *testing.T) {
-	if _, err := ReadFlushed(bytes.NewReader([]byte{0, 0, 0, 5, 0, 0, 0, 1, 'a'})); err == nil {
-		t.Fatal("expected error for truncated stream")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -246,7 +182,7 @@ func TestStoreProperty(t *testing.T) {
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op.Key%32)
 			if op.Del {
-				s.Delete(key)
+				s.WriteBatch([]string{key}, [][]byte{nil}, []bool{true})
 				delete(shadow, key)
 			} else {
 				s.Put(key, op.Value)
@@ -269,59 +205,6 @@ func TestStoreProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// failingWriter rejects every write, simulating a full or failed disk.
-type failingWriter struct{ writes int }
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return 0, errors.New("disk full")
-}
-
-// Regression test: Flush must not drop entries from memory when the writer
-// fails. An earlier version deleted entries as they were buffered, so a
-// failure on the final buffer flush silently lost every entry that never
-// reached the writer.
-func TestFlushFailureLeavesStoreIntact(t *testing.T) {
-	s := NewStore()
-	s.Put("task/1", []byte("lineage-1"))
-	s.Put("task/2", []byte("lineage-2"))
-	wantBytes := s.Bytes()
-	wantVersion := s.Version()
-
-	fw := &failingWriter{}
-	n, freed, err := s.Flush(fw, nil)
-	if err == nil {
-		t.Fatal("expected flush error from failing writer")
-	}
-	if n != 0 || freed != 0 {
-		t.Fatalf("failed flush reported progress: n=%d freed=%d", n, freed)
-	}
-	if fw.writes == 0 {
-		t.Fatal("writer never invoked; failure path not exercised")
-	}
-	if s.Len() != 2 || s.Bytes() != wantBytes {
-		t.Fatalf("failed flush mutated store: len=%d bytes=%d (want 2, %d)", s.Len(), s.Bytes(), wantBytes)
-	}
-	if s.Version() != wantVersion {
-		t.Fatalf("failed flush bumped version: %d -> %d", wantVersion, s.Version())
-	}
-
-	// The condition is recoverable: retrying against a working writer flushes
-	// both entries and they read back intact.
-	var buf bytes.Buffer
-	n, _, err = s.Flush(&buf, nil)
-	if err != nil || n != 2 {
-		t.Fatalf("retry flush: n=%d err=%v", n, err)
-	}
-	entries, err := ReadFlushed(&buf)
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("read back: %d entries, err=%v", len(entries), err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("store not emptied after successful retry: %d keys", s.Len())
 	}
 }
 

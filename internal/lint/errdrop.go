@@ -28,7 +28,7 @@ var DefaultMustCheckCalls = []string{
 }
 
 // ErrDrop flags ignored error results from the must-check set: assignments to
-// the blank identifier (`_ = store.Flush(ctx)`), blank positions in
+// the blank identifier (`_ = store.Sync(ctx)`), blank positions in
 // multi-value assignments, bare call statements, and deferred calls whose
 // error result nobody can observe.
 type ErrDrop struct {
