@@ -1,10 +1,13 @@
 // Package codec serializes Go values into the immutable byte buffers stored
-// in the distributed object store. Ray proper uses Apache Arrow; here we use
-// encoding/gob (stdlib) behind a small API so applications never touch the
-// encoding directly, plus fast paths for the payloads the hot paths move:
-// scalars (every empty-task result and most small arguments) and the bulk
-// numeric slices of the machine-learning workloads, for which gob's
-// per-call encoder set-up and reflection would dominate the cost.
+// in the distributed object store. Ray proper uses Apache Arrow; here a
+// small API keeps applications off the encoding, which is a tag byte and
+// then one of three layouts: fixed tags for scalars (every empty-task result
+// and most small arguments) and the bulk numeric slices of the
+// machine-learning workloads; records, for structs, slices and arrays of a
+// fixed shape, laid out by a plan compiled once per type (plan.go); and
+// encoding/gob for maps, pointers, interfaces and whatever else a record
+// cannot express. gob sends its type descriptors and builds its decoder on
+// every call, which would dominate the cost of a small result.
 package codec
 
 import (
@@ -14,13 +17,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // Type tags: the first byte of every payload. Tags are append-only; a tag's
 // meaning never changes, so payloads written by an older encoder (which sent
 // scalars through gob) still decode.
 const (
-	tagGob     byte = 0 // gob stream: structs, maps, named types, everything else
+	tagGob     byte = 0 // gob stream: maps, pointers, interfaces, everything else
 	tagFloat64 byte = 1 // []float64, 8 bytes little-endian each
 	tagFloat32 byte = 2 // []float32, 4 bytes little-endian each
 	tagBytes   byte = 3 // []byte, verbatim
@@ -29,6 +33,7 @@ const (
 	tagInt     byte = 6 // int, int8..int64: 8 bytes little-endian two's complement
 	tagUint    byte = 7 // uint, uint8..uint64: 8 bytes little-endian
 	tagFloat   byte = 8 // float32, float64: 8 bytes little-endian IEEE 754 double
+	tagRecord  byte = 9 // struct, slice or array of a fixed shape: see plan.go
 )
 
 // ErrTypeMismatch reports (wrapped) that a payload's tag does not fit the
@@ -48,7 +53,8 @@ func scalar(tag byte, bits uint64) []byte {
 
 // Encode serializes a value. Scalars of the built-in bool, integer and float
 // types, []float64, []float32, []byte and string use compact tagged
-// encodings; everything else goes through gob.
+// encodings; structs, slices and arrays of a fixed shape are records;
+// everything else goes through gob.
 func Encode(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case bool:
@@ -101,6 +107,11 @@ func Encode(v any) ([]byte, error) {
 	case string:
 		return append([]byte{tagString}, x...), nil
 	default:
+		if t := reflect.TypeOf(v); t != nil {
+			if rec := recordOf(t); rec != nil {
+				return rec.encode(reflect.ValueOf(v))
+			}
+		}
 		var buf bytes.Buffer
 		buf.WriteByte(tagGob)
 		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -145,18 +156,21 @@ func storeUint[T uint | uint8 | uint16 | uint32 | uint64](p *T, v uint64) error 
 // Decode deserializes data produced by Encode into out, which must be a
 // pointer to a value of the encoded type. A scalar decodes into any
 // destination of its kind (signed, unsigned, float) wide enough to hold it,
-// as with gob. A destination of the wrong type yields an error wrapping
-// ErrTypeMismatch; a truncated or oversized payload one wrapping ErrCorrupt.
-// The decoded value shares no memory with data: it is the caller's own.
+// as with gob; a record only into a destination of exactly its shape (field
+// names, kinds, nesting and array lengths), and it overwrites every field.
+// A destination of the wrong type yields an error wrapping ErrTypeMismatch;
+// a truncated or oversized payload one wrapping ErrCorrupt. The decoded
+// value shares no memory with data: it is the caller's own.
 func Decode(data []byte, out any) error { return decode(data, out, false) }
 
-// DecodeBorrowed is Decode, except that a []byte destination is a view of
-// data (cap == len, so an append reallocates instead of growing into it), not
-// a copy of it. The view is read-only and pins nothing: it stays valid for
-// as long as it is held because the object store never reuses a payload
-// buffer. Every other destination decodes exactly as with Decode — numeric
-// slices included: the payload sits at offset 1 of data, and numeric code
-// updates what it decoded in place.
+// DecodeBorrowed is Decode, except that a []byte destination of a []byte
+// payload is a view of data (cap == len, so an append reallocates instead of
+// growing into it), not a copy of it. The view is read-only and pins
+// nothing: it stays valid for as long as it is held because the object
+// store never reuses a payload buffer. Every other destination decodes
+// exactly as with Decode — records and numeric slices included: the payload
+// sits at offset 1 of data, and numeric code updates what it decoded in
+// place.
 func DecodeBorrowed(data []byte, out any) error { return decode(data, out, true) }
 
 func decode(data []byte, out any, borrow bool) error {
@@ -226,6 +240,8 @@ func decode(data []byte, out any, borrow bool) error {
 		}
 		*p = string(payload)
 		return nil
+	case tagRecord:
+		return decodeRecord(payload, out)
 	case tagGob:
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
 			return fmt.Errorf("codec: decode into %T: %w", out, err)

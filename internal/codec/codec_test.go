@@ -55,15 +55,19 @@ type trajectory struct {
 	Done    bool
 }
 
-func TestStructRoundTripViaGob(t *testing.T) {
+func TestStructRoundTripAsRecord(t *testing.T) {
 	in := trajectory{
 		States:  [][]float64{{1, 2}, {3, 4}},
 		Rewards: []float64{0.5, -1},
 		Length:  2,
 		Done:    true,
 	}
+	data := MustEncode(in)
+	if data[0] != tagRecord {
+		t.Fatalf("trajectory encodes with tag %d, want %d", data[0], tagRecord)
+	}
 	var out trajectory
-	if err := Decode(MustEncode(in), &out); err != nil {
+	if err := Decode(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {

@@ -54,8 +54,12 @@ func (r *Reader) next(n int) []byte {
 // least elemSize bytes each. It fails (returning 0) if the rest of the record
 // could not hold that many, so a decoder may size a slice or map by the
 // result without trusting the input.
-func (r *Reader) Count(elemSize int) int {
-	n := int(r.U32())
+func (r *Reader) Count(elemSize int) int { return r.count(r.U32(), elemSize) }
+
+// count checks an element count read in either byte order against the rest
+// of the record.
+func (r *Reader) count(u uint32, elemSize int) int {
+	n := int(u)
 	if r.err != nil || n < 0 || n > (len(r.data)-r.off)/elemSize {
 		r.fail()
 		return 0

@@ -39,7 +39,8 @@ func samples() []sample {
 }
 
 // same compares a decoded value with what was encoded: floats bit for bit
-// (NaN included), slices element-wise with nil equal to empty.
+// (NaN included), slices element-wise with nil equal to empty, structs and
+// arrays element-wise.
 func same(a, b any) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	if va.Type() != vb.Type() {
@@ -48,7 +49,14 @@ func same(a, b any) bool {
 	switch va.Kind() {
 	case reflect.Float32, reflect.Float64:
 		return math.Float64bits(va.Float()) == math.Float64bits(vb.Float())
-	case reflect.Slice:
+	case reflect.Struct:
+		for i := 0; i < va.NumField(); i++ {
+			if !same(va.Field(i).Interface(), vb.Field(i).Interface()) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
 		if va.Len() != vb.Len() {
 			return false
 		}
@@ -93,9 +101,9 @@ func errClass(err error) string {
 
 // decodeBoth decodes data into a fresh destination of type dt with Decode and
 // with DecodeBorrowed and holds the pair to DecodeBorrowed's contract: the
-// same error class and the same value, and only a []byte destination shares
-// memory with the input — as exactly the payload, with no spare capacity to
-// append into. It returns what Decode produced.
+// same error class and the same value, and only a []byte destination of a
+// tag-3 payload shares memory with the input — as exactly the payload, with
+// no spare capacity to append into. It returns what Decode produced.
 func decodeBoth(t testing.TB, data []byte, dt reflect.Type) (any, error) {
 	t.Helper()
 	input := bytes.Clone(data)
@@ -112,7 +120,7 @@ func decodeBoth(t testing.TB, data []byte, dt reflect.Type) (any, error) {
 	if !same(got, borrowed) {
 		t.Fatalf("into *%v: Decode gives %v, DecodeBorrowed gives %v", dt, got, borrowed)
 	}
-	if b, ok := borrowed.([]byte); ok && len(b) > 0 {
+	if b, ok := borrowed.([]byte); ok && len(b) > 0 && input[0] == tagBytes {
 		if &b[0] != &input[1] || cap(b) != len(b) {
 			t.Fatalf("borrowed []byte is not the payload itself (cap %d, len %d)", cap(b), len(b))
 		}
@@ -275,11 +283,16 @@ func TestScalarAllocs(t *testing.T) {
 }
 
 // FuzzDecode: no input, well formed or not, makes Decode or DecodeBorrowed
-// panic, whatever the destination, and the two agree on every input.
+// panic, whatever the destination — scalar, slice or record — and the two
+// agree on every input.
 func FuzzDecode(f *testing.F) {
 	seeds := [][]byte{oldEncode(f, 42), oldEncode(f, struct{ A, B int }{1, 2})}
 	for _, s := range samples() {
 		seeds = append(seeds, MustEncode(s.v))
+	}
+	// Records come last, so the seeds above keep their numbers.
+	for _, v := range recordSamples() {
+		seeds = append(seeds, MustEncode(v))
 	}
 	for _, data := range seeds {
 		f.Add(data)
@@ -298,6 +311,9 @@ func FuzzDecode(f *testing.F) {
 			_, _ = decodeBoth(t, data, reflect.TypeOf(s.v))
 		}
 		_, _ = decodeBoth(t, data, reflect.TypeOf(struct{ A, B int }{}))
+		for _, dst := range []any{flatRecord{}, nestedRecord{}, sliceRecord{}} {
+			_, _ = decodeBoth(t, data, reflect.TypeOf(dst))
+		}
 		_ = Decode(data, nil)
 		_ = DecodeBorrowed(data, nil)
 	})

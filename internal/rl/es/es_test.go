@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"ray/internal/testutil/roundtrip"
 	"ray/ray"
 )
 
@@ -182,3 +183,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", tr.cfg)
 	}
 }
+
+// batchResult travels as a record, and every field survives the trip.
+func TestBatchResultIsARecord(t *testing.T) { roundtrip.CheckRecord[batchResult](t) }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"ray/internal/testutil/roundtrip"
 	"ray/ray"
 )
 
@@ -171,3 +172,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("initial parameters must be finite")
 	}
 }
+
+// rolloutResult travels as a record, and every field survives the trip.
+func TestRolloutResultIsARecord(t *testing.T) { roundtrip.CheckRecord[rolloutResult](t) }

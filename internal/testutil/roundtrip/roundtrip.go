@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"ray/internal/codec"
 )
 
 // Check fills a T, encodes and decodes it, and fails t for every field of T
@@ -41,6 +43,24 @@ func Check[T any](t testing.TB, encode func(*T) []byte, decode func([]byte) (*T,
 				in, want.Type().Field(i).Name, reflect.Indirect(got.Field(i)), reflect.Indirect(want.Field(i)))
 		}
 	}
+}
+
+// CheckRecord is Check for the value codec: it also fails t if
+// codec.Encode writes a T as a gob stream (tag 0) instead of a record, so a
+// type the runtime sends cannot fall back to gob unnoticed.
+func CheckRecord[T any](t testing.TB) {
+	t.Helper()
+	encode := func(v *T) []byte {
+		data := codec.MustEncode(*v)
+		if data[0] == 0 {
+			t.Errorf("%T travels as a gob stream, not a record", *v)
+		}
+		return data
+	}
+	Check(t, encode, func(data []byte) (*T, error) {
+		var v T
+		return &v, codec.Decode(data, &v)
+	})
 }
 
 type filler struct {

@@ -19,6 +19,7 @@ import (
 	"ray/internal/objectstore"
 	"ray/internal/resources"
 	"ray/internal/task"
+	"ray/internal/testutil/roundtrip"
 	"ray/internal/types"
 )
 
@@ -1001,3 +1002,6 @@ func TestFreeCostIndependentOfTracked(t *testing.T) {
 		t.Errorf("Free took %v with 32768 tracked vs %v with 16", bigNs, smallNs)
 	}
 }
+
+// handleExport travels as a record, and every field survives the trip.
+func TestHandleExportIsARecord(t *testing.T) { roundtrip.CheckRecord[handleExport](t) }
