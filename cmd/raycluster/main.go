@@ -1,6 +1,7 @@
 // Command raycluster starts an in-process Ray cluster, runs a stream of tasks
-// and actor calls against it while injecting node failures, and prints the
-// GCS event log and per-node statistics at the end — a small operational demo
+// and actor calls against it while injecting node failures, and prints
+// per-node statistics and the events of the GCS span table (node deaths, job
+// transitions, actor reconstructions) at the end — a small operational demo
 // of the system layer (scheduler spillover, object transfer, lineage
 // reconstruction, actor reconstruction).
 package main
@@ -13,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"time"
 
 	"ray/internal/codec"
@@ -162,11 +164,12 @@ func main() {
 	fmt.Printf("\ncluster: forwards=%d actorRoutes=%d actorsReconstructed=%d globalDecisions=%d\n",
 		stats.Forwards, stats.ActorRoutes, stats.ActorsReconstructed, stats.GlobalDecisions)
 
-	events, err := rt.Cluster().GCS().Events(ctx)
-	if err == nil {
+	if spans, err := rt.Cluster().GCS().Spans(ctx); err == nil {
+		events := slices.DeleteFunc(spans, func(sp telemetry.Span) bool { return sp.Phase != telemetry.PhaseEvent })
 		fmt.Printf("\nGCS event log (%d events):\n", len(events))
 		for _, e := range events {
-			fmt.Printf("  [%s] %s %s\n", time.Unix(0, e.UnixNano).Format("15:04:05.000"), e.Kind, e.Message)
+			// An event names its subject in exactly one of these fields.
+			fmt.Printf("  [%s] %s %s\n", time.Unix(0, e.StartUnixNano).Format("15:04:05.000"), e.Name, e.Node+e.Job+e.Task)
 		}
 	}
 

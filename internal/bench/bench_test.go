@@ -108,11 +108,11 @@ func TestLargerThanMemoryBounded(t *testing.T) {
 }
 
 // TestFig10bCollectionBoundsMemory is Figure 10b as a predicate: with each
-// ref freed after its Get, the GCS's peak resident bytes outside the event
-// and span logs are flat in the task count and the run's entries are all
-// gone at the end; with every ref held (the negative control) the same peak
-// grows with the task count. The logs are left out because nothing collects
-// them: they grow with run time whatever the program frees.
+// ref freed after its Get, the GCS's peak resident bytes outside the span
+// table are flat in the task count and the run's entries are all gone at the
+// end; with every ref held (the negative control) the same peak grows with
+// the task count. The span table is left out because nothing collects it: it
+// grows with run time whatever the program frees.
 func TestFig10bCollectionBoundsMemory(t *testing.T) {
 	skipUnderRace(t)
 	n := fig10bTasks(Quick)

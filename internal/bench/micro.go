@@ -332,9 +332,9 @@ func Fig10aGCSFaultTolerance(scale Scale) (*Table, error) {
 // reach them. One driver submits no-op tasks one at a time and Gets each
 // result. With every ObjectRef held, the lineage is still needed and stays;
 // with each ref freed after its Get, its task and object entries go, and
-// peak resident bytes outside the event and span logs stay flat however
-// many tasks run. Nothing collects those two logs, so the total still grows
-// with run time.
+// peak resident bytes outside the span table (events included) stay flat
+// however many tasks run. Nothing collects that log, so the total still
+// grows with run time.
 func Fig10bGCSCollection(scale Scale) (*Table, error) {
 	tasks := fig10bTasks(scale)
 	table := &Table{
@@ -366,7 +366,7 @@ func fig10bTasks(scale Scale) int {
 }
 
 // collectionResult is the GCS footprint of one Figure 10b run. peakState is
-// the peak of Bytes less LogBytes. jobEntries counts the task and object
+// the peak of Bytes less LogBytes, the span table's share. jobEntries counts the task and object
 // entries of the run's own tasks still resident at the end.
 type collectionResult struct {
 	peakBytes, peakState, finalBytes int64

@@ -665,8 +665,8 @@ func (c *Cluster) doReconstructActor(ctx context.Context, id types.ActorID) erro
 		return fmt.Errorf("cluster: actor %s: %w", id, types.ErrJobTerminated)
 	}
 	c.reconstructedA.Add(1)
-	//lint:ignore errdrop the event log is advisory; reconstruction already succeeded
-	_ = c.gcs.AppendEvent(ctx, "actor_reconstructed", id.String())
+	//lint:ignore errdrop events are advisory; reconstruction already succeeded
+	_ = c.gcs.AppendEvent(ctx, "actor_reconstructed", id)
 	return nil
 }
 

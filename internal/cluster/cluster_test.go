@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"ray/internal/codec"
+	"ray/internal/gcs"
 	"ray/internal/node"
 	"ray/internal/resources"
+	"ray/internal/telemetry"
 	"ray/internal/types"
 	"ray/internal/worker"
 )
@@ -81,6 +84,23 @@ type counterActor struct {
 // ray.Runtime.NewDriverOn does.
 func driverOn(n *node.Node) *worker.TaskContext {
 	return worker.NewTaskContext(context.Background(), n.IDs().NextTaskID(), types.NilJobID, types.NewDriverID(), n.ID(), n, n.IDs())
+}
+
+// eventLog returns the events in store's span table as "kind subject"
+// lines, in append order.
+func eventLog(t *testing.T, store *gcs.Store) []string {
+	t.Helper()
+	spans, err := store.Spans(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, sp := range spans {
+		if sp.Phase == telemetry.PhaseEvent {
+			out = append(out, sp.Name+" "+sp.Node+sp.Job+sp.Task)
+		}
+	}
+	return out
 }
 
 func TestClusterLifecycle(t *testing.T) {
@@ -157,6 +177,9 @@ func TestAddNodeAndKillNode(t *testing.T) {
 	}
 	if entry.State != types.NodeDead {
 		t.Fatal("GCS must record the node as dead")
+	}
+	if events := eventLog(t, c.GCS()); !slices.Contains(events, "node_dead "+added.ID().String()) {
+		t.Fatalf("events %q lack the killed node's death", events)
 	}
 	if err := c.KillNode(ctx, types.NewNodeID()); !errors.Is(err, types.ErrNodeNotFound) {
 		t.Fatalf("killing an unknown node: %v, want ErrNodeNotFound", err)
@@ -262,6 +285,9 @@ func TestActorReconstructionAfterNodeKill(t *testing.T) {
 	}
 	if c.Stats().ActorsReconstructed == 0 {
 		t.Fatal("reconstruction not recorded")
+	}
+	if events := eventLog(t, c.GCS()); !slices.Contains(events, "actor_reconstructed "+handle.ID.String()) {
+		t.Fatalf("events %q lack the actor's reconstruction", events)
 	}
 	fresh, ok, err := c.GCS().GetActor(ctx, handle.ID)
 	if err != nil || !ok {

@@ -50,6 +50,9 @@ func (r *Reader) next(n int) []byte {
 	return b
 }
 
+// Len returns the number of bytes not yet read.
+func (r *Reader) Len() int { return len(r.data) - r.off }
+
 // Count reads the uint32 element count of a sequence whose elements take at
 // least elemSize bytes each. It fails (returning 0) if the rest of the record
 // could not hold that many, so a decoder may size a slice or map by the

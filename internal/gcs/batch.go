@@ -159,8 +159,8 @@ func (b *shardBatcher) lookup(key string) (value []byte, present, pending bool) 
 	return nil, false, false
 }
 
-// pendingKeys returns the unflushed keys with the given prefix, so table
-// scans (Nodes, Events) observe entries that have not reached the chain yet.
+// pendingKeys returns the unflushed keys with the given prefix, so the span
+// table's scan (Spans) observes entries that have not reached the chain yet.
 func (b *shardBatcher) pendingKeys(prefix string) []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -390,40 +390,6 @@ func unmarshalJobEntry(data []byte) (*JobEntry, error) {
 	return e, nil
 }
 
-// Event is an event-log record used by the profiling and debugging tools the
-// paper mentions as an "added benefit" of the GCS.
-type Event struct {
-	// Seq is the globally unique event sequence number.
-	Seq uint64
-	// UnixNano is the event timestamp.
-	UnixNano int64
-	// Kind is a short machine-readable label ("task_finished", "node_dead").
-	Kind string
-	// Message is the human-readable description.
-	Message string
-}
-
-func (e *Event) marshal() []byte {
-	out := make([]byte, 0, 8+8+4+len(e.Kind)+4+len(e.Message))
-	out = binary.BigEndian.AppendUint64(out, e.Seq)
-	out = binary.BigEndian.AppendUint64(out, uint64(e.UnixNano))
-	out = codec.AppendString(out, e.Kind)
-	return codec.AppendString(out, e.Message)
-}
-
-func unmarshalEvent(data []byte) (*Event, error) {
-	r := codec.NewReader(data)
-	e := &Event{}
-	e.Seq = r.U64()
-	e.UnixNano = int64(r.U64())
-	e.Kind = r.Str()
-	e.Message = r.Str()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("gcs: entry: %w", err)
-	}
-	return e, nil
-}
-
 // --- shared encoding helpers -------------------------------------------------
 
 func appendResourceMap(dst []byte, m map[string]float64) []byte {

@@ -2,7 +2,8 @@
 // a sharded, chain-replicated key-value store with pub-sub that holds the
 // entire control state of the system — the object directory, the task
 // (lineage) table, the actor table, the function table, node membership and
-// heartbeats, and the event log.
+// heartbeats, the job table, and the span table that holds both task
+// timelines and cluster events.
 //
 // Centralizing control state here is what lets every other component
 // (schedulers, object stores, workers) be stateless: on failure they simply
@@ -97,7 +98,6 @@ type Store struct {
 	// stats counters. A delete counts as a put: it is a write.
 	puts     atomic.Int64
 	gets     atomic.Int64
-	eventSeq atomic.Uint64
 	spanSeq  atomic.Uint64
 	logBytes atomic.Int64
 
@@ -456,9 +456,10 @@ func (s *Store) Bytes() int64 {
 	return total
 }
 
-// LogBytes returns the bytes written to the event and span logs. Nothing
-// deletes a log entry, so once those writes commit this is the logs' share
-// of Bytes: the part that grows with run time, not with live state.
+// LogBytes returns the bytes written to the span table, events included.
+// Nothing deletes a span entry, so once those writes commit this is the
+// log's share of Bytes: the part that grows with run time, not with live
+// state.
 func (s *Store) LogBytes() int64 { return s.logBytes.Load() }
 
 // Entries returns the total number of keys across all shards.
@@ -510,7 +511,6 @@ const (
 	keyPrefixActor    = "actor/"
 	keyPrefixFunction = "fn/"
 	keyPrefixNode     = "node/"
-	keyPrefixEvent    = "event/"
 	keyPrefixJob      = "jobtbl/"
 	keyPrefixSpan     = "span/"
 )

@@ -10,6 +10,7 @@ import (
 
 	"ray/internal/resources"
 	"ray/internal/task"
+	"ray/internal/telemetry"
 	"ray/internal/testutil/roundtrip"
 	"ray/internal/types"
 )
@@ -322,28 +323,41 @@ func TestNodeTableAndHeartbeats(t *testing.T) {
 	}
 }
 
-func TestEventLog(t *testing.T) {
+// Events and task spans share one log: Spans returns both in append order,
+// each event an instant of PhaseEvent naming its subject in the field that
+// fits it.
+func TestSpanLog(t *testing.T) {
 	s := newTestStore(t)
 	ctx := context.Background()
+	node, job := types.NewNodeID(), types.NewJobID()
 	for i := 0; i < 10; i++ {
-		if err := s.AppendEvent(ctx, "test", fmt.Sprintf("event %d", i)); err != nil {
+		if err := s.AppendSpans(ctx, []telemetry.Span{{Phase: telemetry.PhaseExec, Task: fmt.Sprint("task ", i), DurationNanos: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	events, err := s.Events(ctx)
+	for _, subject := range []any{node, job, "actor:1"} {
+		if err := s.AppendEvent(ctx, "test", subject); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans, err := s.Spans(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 10 {
-		t.Fatalf("expected 10 events, got %d", len(events))
+	if len(spans) != 13 {
+		t.Fatalf("expected 13 spans, got %d", len(spans))
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			t.Fatal("events not ordered by sequence")
+	for i := 1; i < len(spans); i++ {
+		if spans[i].Seq <= spans[i-1].Seq {
+			t.Fatal("spans not ordered by sequence")
 		}
 	}
-	if events[0].Kind != "test" || events[0].Message == "" || events[0].UnixNano == 0 {
-		t.Fatalf("event fields wrong: %+v", events[0])
+	want := []telemetry.Span{{Node: node.String()}, {Job: job.String()}, {Task: "actor:1"}}
+	for i, e := range spans[10:] {
+		if e.Phase != telemetry.PhaseEvent || e.Name != "test" || e.StartUnixNano == 0 || e.DurationNanos != 0 ||
+			e.Node != want[i].Node || e.Job != want[i].Job || e.Task != want[i].Task {
+			t.Fatalf("event %d fields wrong: %+v", i, e)
+		}
 	}
 	// The store holds nothing but the log, so the log is all of its bytes.
 	if err := s.Sync(ctx); err != nil {
@@ -456,7 +470,14 @@ func TestEntriesRoundTripEveryField(t *testing.T) {
 	roundtrip.Check(t, (*NodeEntry).marshal, unmarshalNodeEntry)
 	roundtrip.Check(t, (*FunctionEntry).marshal, unmarshalFunctionEntry)
 	roundtrip.Check(t, (*JobEntry).marshal, unmarshalJobEntry)
-	roundtrip.Check(t, (*Event).marshal, unmarshalEvent)
+	roundtrip.Check(t, func(sp *telemetry.Span) []byte { return telemetry.MarshalSpans([]telemetry.Span{*sp}) },
+		func(b []byte) (*telemetry.Span, error) {
+			spans, err := telemetry.UnmarshalSpans(b)
+			if err != nil || len(spans) != 1 {
+				return nil, fmt.Errorf("decoded %d spans: %v", len(spans), err)
+			}
+			return &spans[0], nil
+		})
 }
 
 func TestEntryDecodersRejectGarbage(t *testing.T) {
@@ -475,8 +496,8 @@ func TestEntryDecodersRejectGarbage(t *testing.T) {
 	if _, err := unmarshalFunctionEntry([]byte{9}); err == nil {
 		t.Fatal("function entry decoder accepted garbage")
 	}
-	if _, err := unmarshalEvent([]byte{3}); err == nil {
-		t.Fatal("event decoder accepted garbage")
+	if _, err := telemetry.UnmarshalSpans([]byte{3}); err == nil {
+		t.Fatal("span entry decoder accepted garbage")
 	}
 }
 

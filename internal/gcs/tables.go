@@ -378,7 +378,7 @@ func (s *Store) HeartbeatBatch(ctx context.Context, updates []HeartbeatUpdate) e
 }
 
 // MarkNodeDead records a node failure. Schedulers and object managers learn
-// about it on their next read (or via SubscribeNodeEvents).
+// about it on their next read of the node table.
 func (s *Store) MarkNodeDead(ctx context.Context, id types.NodeID) error {
 	return s.update(ctx, idRef(s, id, nodeKey(id)), func(raw []byte, ok bool) ([]byte, error) {
 		if !ok {
@@ -492,25 +492,7 @@ func (s *Store) Jobs(ctx context.Context) ([]*JobEntry, error) {
 	return out, err
 }
 
-// --- Event log and span table -----------------------------------------------------
-
-// scan reads and decodes every value under prefix, writes pending in the
-// batching overlay included.
-func scan[E any](ctx context.Context, s *Store, prefix string, decode func([]byte) (E, error)) ([]E, error) {
-	var out []E
-	for si := range s.shards {
-		for _, key := range s.shardKeys(si, prefix) {
-			entry, ok, err := read(ctx, s, entryRef{shard: si, key: key}, decode)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, entry)
-			}
-		}
-	}
-	return out, nil
-}
+// --- Span table -------------------------------------------------------------
 
 // shardKeys lists the keys with the given prefix on shard si: the chain
 // tail's resident keys plus any pending batched writes, deduplicated.
@@ -538,42 +520,40 @@ func (s *Store) shardKeys(si int, prefix string) []string {
 	return keys
 }
 
-// AppendEvent records a diagnostic event in the event log.
-func (s *Store) AppendEvent(ctx context.Context, kind, message string) error {
-	seq := s.eventSeq.Add(1)
-	e := &Event{Seq: seq, UnixNano: time.Now().UnixNano(), Kind: kind, Message: message}
-	key := fmt.Sprintf("%s%020d", keyPrefixEvent, seq)
-	return s.appendLog(ctx, key, e.marshal())
+// AppendEvent records an event (a node death, a job transition, an actor
+// reconstruction) in the span table as an instant span of phase
+// telemetry.PhaseEvent named kind. A node or job subject goes in the span's
+// Node or Job; any other subject is printed into Task.
+func (s *Store) AppendEvent(ctx context.Context, kind string, subject any) error {
+	sp := telemetry.Span{Phase: telemetry.PhaseEvent, Name: kind, StartUnixNano: time.Now().UnixNano()}
+	switch id := subject.(type) {
+	case types.NodeID:
+		sp.Node = id.String()
+	case types.JobID:
+		sp.Job = id.String()
+	default:
+		sp.Task = fmt.Sprint(subject)
+	}
+	return s.AppendSpans(ctx, []telemetry.Span{sp})
 }
 
-// Events returns every event, ordered by sequence number.
-func (s *Store) Events(ctx context.Context) ([]*Event, error) {
-	out, err := scan(ctx, s, keyPrefixEvent, unmarshalEvent)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, err
-}
-
-// AppendSpans persists a batch of task-lifecycle spans into the span table,
-// assigning each its global sequence number. The span table is another
-// "added benefit" of routing all control state through the GCS: the task
-// timeline is an ordinary queryable table. Implements
-// telemetry.SpanSink.
+// AppendSpans persists a batch of spans into the span table, assigning each
+// its global sequence number, and counts the entry in LogBytes. The span
+// table is another "added benefit" of routing all control state through the
+// GCS: the task timeline and the cluster's events are an ordinary queryable
+// table. Implements telemetry.SpanSink.
 func (s *Store) AppendSpans(ctx context.Context, spans []telemetry.Span) error {
 	if len(spans) == 0 {
 		return nil
 	}
 	// The whole flush batch lands under one key: spans arrive thousands at a
 	// time from the tracer, and one control-plane write per heartbeat keeps
-	// span persistence invisible next to the per-task event traffic.
+	// span persistence invisible next to the per-task table traffic.
 	for i := range spans {
 		spans[i].Seq = s.spanSeq.Add(1)
 	}
 	key := fmt.Sprintf("%s%020d", keyPrefixSpan, spans[0].Seq)
-	return s.appendLog(ctx, key, telemetry.MarshalSpans(spans))
-}
-
-// appendLog writes one event or span-log entry and counts it in LogBytes.
-func (s *Store) appendLog(ctx context.Context, key string, value []byte) error {
+	value := telemetry.MarshalSpans(spans)
 	if err := s.put(ctx, s.shardForKey(key), key, value); err != nil {
 		return err
 	}
@@ -581,10 +561,21 @@ func (s *Store) appendLog(ctx context.Context, key string, value []byte) error {
 	return nil
 }
 
-// Spans returns every span, ordered by sequence number.
+// Spans returns every span, events included, ordered by sequence number;
+// writes pending in the batching overlay are read too.
 func (s *Store) Spans(ctx context.Context) ([]telemetry.Span, error) {
-	batches, err := scan(ctx, s, keyPrefixSpan, telemetry.UnmarshalSpans)
-	out := slices.Concat(batches...)
+	var out []telemetry.Span
+	for si := range s.shards {
+		for _, key := range s.shardKeys(si, keyPrefixSpan) {
+			batch, ok, err := read(ctx, s, entryRef{shard: si, key: key}, telemetry.UnmarshalSpans)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, batch...)
+			}
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, err
+	return out, nil
 }

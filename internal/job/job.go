@@ -130,8 +130,8 @@ func (m *Manager) Register(parent context.Context, opts Options, driver types.Dr
 		return types.NilJobID, nil, fmt.Errorf("job: %s killed during registration: %w", id, types.ErrJobTerminated)
 	}
 	m.registered.Add(1)
-	//lint:ignore errdrop the event log is advisory; registration already committed
-	_ = m.gcs.AppendEvent(parent, "job_registered", id.String())
+	//lint:ignore errdrop events are advisory; registration already committed
+	_ = m.gcs.AppendEvent(parent, "job_registered", id)
 	return id, jobCtx, nil
 }
 
@@ -253,8 +253,8 @@ func (m *Manager) terminate(ctx context.Context, job types.JobID, state types.Jo
 		} else {
 			m.finished.Add(1)
 		}
-		//lint:ignore errdrop the event log is advisory; the terminal state transition already committed
-		_ = m.gcs.AppendEvent(ctx, kind, job.String())
+		//lint:ignore errdrop events are advisory; the terminal state transition already committed
+		_ = m.gcs.AppendEvent(ctx, kind, job)
 	}
 	return report, nil
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"ray/internal/gcs"
+	"ray/internal/telemetry"
 	"ray/internal/types"
 )
 
@@ -143,6 +145,23 @@ func newTestStore() *gcs.Store {
 	return gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
 }
 
+// eventLog returns the events in store's span table as "kind subject"
+// lines, in append order.
+func eventLog(t *testing.T, store *gcs.Store) []string {
+	t.Helper()
+	spans, err := store.Spans(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, sp := range spans {
+		if sp.Phase == telemetry.PhaseEvent {
+			out = append(out, sp.Name+" "+sp.Node+sp.Job+sp.Task)
+		}
+	}
+	return out
+}
+
 // TestManagerLifecycle: register → running entry + live context; finish →
 // terminal entry, cancelled context, hooks invoked once, durable state.
 func TestManagerLifecycle(t *testing.T) {
@@ -196,6 +215,9 @@ func TestManagerLifecycle(t *testing.T) {
 	if _, err := m.Kill(ctx, id); err != nil {
 		t.Fatalf("Kill after Finish: %v", err)
 	}
+	if got, want := eventLog(t, store), []string{"job_registered " + id.String(), "job_finished " + id.String()}; !slices.Equal(got, want) {
+		t.Fatalf("events %q, want %q", got, want)
+	}
 	hooks.mu.Lock()
 	defer hooks.mu.Unlock()
 	if hooks.tasks != 1 || hooks.actors != 1 || hooks.objects != 1 {
@@ -219,6 +241,9 @@ func TestManagerKillRecordsKilled(t *testing.T) {
 	entry, _, _ := store.GetJob(ctx, id)
 	if entry.State != types.JobKilled {
 		t.Fatalf("state = %v, want KILLED", entry.State)
+	}
+	if got, want := eventLog(t, store), []string{"job_registered " + id.String(), "job_killed " + id.String()}; !slices.Equal(got, want) {
+		t.Fatalf("events %q, want %q", got, want)
 	}
 	st := m.Stats()
 	if st.Killed != 1 || st.Registered != 1 || st.Live != 0 {

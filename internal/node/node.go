@@ -318,8 +318,8 @@ func (n *Node) Kill(ctx context.Context) []types.ActorID {
 			_ = n.gcs.PutActor(ctx, actor, entry)
 		}
 	}
-	//lint:ignore errdrop the event log is advisory; a dying node cannot guarantee its own obituary
-	_ = n.gcs.AppendEvent(ctx, "node_dead", n.id.String())
+	//lint:ignore errdrop events are advisory; a dying node cannot guarantee its own obituary
+	_ = n.gcs.AppendEvent(ctx, "node_dead", n.id)
 	return lost
 }
 

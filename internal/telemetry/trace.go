@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"ray/internal/codec"
 )
 
 // Span phases, in task-lifecycle order. A task's timeline is the sequence
@@ -21,6 +23,10 @@ const (
 	PhaseExec     = "exec"     // running on a worker slot
 	PhaseStore    = "store"    // writing results into the object store
 	PhaseTransfer = "transfer" // object manager pulling a remote object: reservation, wire and copy
+	// PhaseEvent marks an instant (no duration) in the cluster's life: a node
+	// death, a job transition, an actor reconstruction. Name is the event
+	// kind and whichever of Node, Job or Task names the subject is set.
+	PhaseEvent = "event"
 )
 
 // Span is one timed event in a task's (or object's) lifecycle. Spans are
@@ -45,7 +51,8 @@ type Span struct {
 	Job string
 	// StartUnixNano is the span start time.
 	StartUnixNano int64
-	// DurationNanos is the span length; 0 marks an instant event.
+	// DurationNanos is the span length; submit and event spans are instants
+	// (0). Tell an event by its Phase, not by a zero length.
 	DurationNanos int64
 	// Bytes is the payload size for transfer/store spans, 0 otherwise.
 	Bytes int64
@@ -57,46 +64,11 @@ func (s *Span) wireSize() int {
 	return 4*8 + 5*4 + len(s.Task) + len(s.Name) + len(s.Phase) + len(s.Node) + len(s.Job)
 }
 
-// encode appends the span in the GCS entry wire format (big-endian,
-// length-prefixed strings); UnmarshalSpan is its inverse. Spans are encoded
-// through MarshalSpans so a whole flush batch shares one allocation.
-func (s *Span) encode(dst []byte) []byte {
-	dst = appendU64(dst, s.Seq)
-	dst = appendU64(dst, uint64(s.StartUnixNano))
-	dst = appendU64(dst, uint64(s.DurationNanos))
-	dst = appendU64(dst, uint64(s.Bytes))
-	dst = appendStr(dst, s.Task)
-	dst = appendStr(dst, s.Name)
-	dst = appendStr(dst, s.Phase)
-	dst = appendStr(dst, s.Node)
-	dst = appendStr(dst, s.Job)
-	return dst
-}
-
-// UnmarshalSpan decodes one span encoded by encode/MarshalSpans.
-func UnmarshalSpan(data []byte) (*Span, error) {
-	r := &spanReader{data: data}
-	s := &Span{}
-	s.Seq = r.u64()
-	s.StartUnixNano = int64(r.u64())
-	s.DurationNanos = int64(r.u64())
-	s.Bytes = int64(r.u64())
-	s.Task = r.str()
-	s.Name = r.str()
-	s.Phase = r.str()
-	s.Node = r.str()
-	s.Job = r.str()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return s, nil
-}
-
-// MarshalSpans concatenates the Marshal encoding of each span into one
-// buffer. The per-span format is self-delimiting, so UnmarshalSpans can
-// split the batch back apart; storing a whole flush batch under one GCS key
-// keeps span persistence to a handful of control-plane writes per heartbeat
-// instead of one per span.
+// MarshalSpans encodes spans back to back in the GCS entry wire format
+// (big-endian, length-prefixed strings) into one buffer. The per-span format
+// is self-delimiting, so UnmarshalSpans can split the batch back apart;
+// storing a whole flush batch under one GCS key keeps span persistence to a
+// handful of control-plane writes per heartbeat instead of one per span.
 func MarshalSpans(spans []Span) []byte {
 	size := 0
 	for i := range spans {
@@ -104,79 +76,41 @@ func MarshalSpans(spans []Span) []byte {
 	}
 	buf := make([]byte, 0, size)
 	for i := range spans {
-		buf = spans[i].encode(buf)
+		s := &spans[i]
+		buf = binary.BigEndian.AppendUint64(buf, s.Seq)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(s.StartUnixNano))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(s.DurationNanos))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(s.Bytes))
+		buf = codec.AppendString(buf, s.Task)
+		buf = codec.AppendString(buf, s.Name)
+		buf = codec.AppendString(buf, s.Phase)
+		buf = codec.AppendString(buf, s.Node)
+		buf = codec.AppendString(buf, s.Job)
 	}
 	return buf
 }
 
 // UnmarshalSpans decodes a batch encoded by MarshalSpans.
 func UnmarshalSpans(data []byte) ([]Span, error) {
-	r := &spanReader{data: data}
+	r := codec.NewReader(data)
 	var out []Span
-	for r.off < len(r.data) {
+	for r.Len() > 0 {
 		var s Span
-		s.Seq = r.u64()
-		s.StartUnixNano = int64(r.u64())
-		s.DurationNanos = int64(r.u64())
-		s.Bytes = int64(r.u64())
-		s.Task = r.str()
-		s.Name = r.str()
-		s.Phase = r.str()
-		s.Node = r.str()
-		s.Job = r.str()
-		if r.err != nil {
-			return nil, r.err
+		s.Seq = r.U64()
+		s.StartUnixNano = int64(r.U64())
+		s.DurationNanos = int64(r.U64())
+		s.Bytes = int64(r.U64())
+		s.Task = r.Str()
+		s.Name = r.Str()
+		s.Phase = r.Str()
+		s.Node = r.Str()
+		s.Job = r.Str()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("telemetry: span: %w", err)
 		}
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, v)
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-type spanReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *spanReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.err = errors.New("telemetry: span entry truncated")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *spanReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	if r.off+4 > len(r.data) {
-		r.err = errors.New("telemetry: span entry truncated")
-		return ""
-	}
-	n := int(binary.BigEndian.Uint32(r.data[r.off:]))
-	r.off += 4
-	if n < 0 || r.off+n > len(r.data) {
-		r.err = errors.New("telemetry: span string overruns entry")
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
 }
 
 // SpanSink receives flushed span batches; implemented by the GCS store's
@@ -207,7 +141,6 @@ const tracerShards = 8
 type Tracer struct {
 	perShard int //guard:init — buffered-span capacity of each shard
 
-	enabled atomic.Bool
 	// sampleMask selects which task lifecycles are traced: a task is sampled
 	// when its ID's low byte ANDed with the mask is zero, so a mask of 2^k-1
 	// traces exactly 1 in 2^k tasks — deterministically, and consistently
@@ -215,7 +148,6 @@ type Tracer struct {
 	// function of the ID). 0 traces everything.
 	sampleMask atomic.Uint32
 	dropped    atomic.Int64
-	total      atomic.Int64
 
 	shards [tracerShards]tracerShard
 }
@@ -223,16 +155,13 @@ type Tracer struct {
 // DefaultTracerCapacity bounds the in-memory span buffer between flushes.
 const DefaultTracerCapacity = 65536
 
-// NewTracer returns an enabled tracer buffering at most capacity spans
-// (capacity <= 0 selects DefaultTracerCapacity).
+// NewTracer returns a tracer buffering at most capacity spans (capacity <= 0
+// selects DefaultTracerCapacity).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	perShard := (capacity + tracerShards - 1) / tracerShards
-	t := &Tracer{perShard: perShard}
-	t.enabled.Store(true)
-	return t
+	return &Tracer{perShard: (capacity + tracerShards - 1) / tracerShards}
 }
 
 // shardFor spreads spans across the buffer shards without any shared write:
@@ -241,17 +170,9 @@ func (t *Tracer) shardFor(sp *Span) *tracerShard {
 	return &t.shards[uint64(sp.StartUnixNano)%tracerShards]
 }
 
-// SetEnabled turns span recording on or off at runtime.
-func (t *Tracer) SetEnabled(on bool) {
-	if t == nil {
-		return
-	}
-	t.enabled.Store(on)
-}
-
-// On reports whether spans are currently recorded; sites use it to skip
-// building a Span at all when tracing is off.
-func (t *Tracer) On() bool { return t != nil && t.enabled.Load() }
+// On reports whether spans are recorded (the tracer is non-nil); sites use it
+// to skip building a Span at all when there is no tracer.
+func (t *Tracer) On() bool { return t != nil }
 
 // SetSampleEvery traces one task lifecycle in every n (rounded up to a power
 // of two; n <= 1 traces every task). Cluster IDs end in a monotonic
@@ -291,7 +212,6 @@ func (t *Tracer) Record(sp Span) {
 	}
 	sh.buf = append(sh.buf, sp)
 	sh.mu.Unlock()
-	t.total.Add(1)
 }
 
 // RecordBatch buffers several spans under one lock acquisition — the
@@ -312,11 +232,7 @@ func (t *Tracer) RecordBatch(spans []Span) {
 		sh.buf = append(sh.buf, spans[:free]...)
 	}
 	sh.mu.Unlock()
-	if free < 0 {
-		free = 0
-	}
-	t.total.Add(int64(free))
-	if d := len(spans) - free; d > 0 {
+	if d := len(spans) - max(free, 0); d > 0 {
 		t.dropped.Add(int64(d))
 	}
 }
@@ -342,14 +258,6 @@ func (t *Tracer) Dropped() int64 {
 		return 0
 	}
 	return t.dropped.Load()
-}
-
-// Recorded returns the number of spans accepted since construction.
-func (t *Tracer) Recorded() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.total.Load()
 }
 
 // Flush drains every shard into sink. Each shard's buffer is swapped out
@@ -383,7 +291,7 @@ func (t *Tracer) Flush(ctx context.Context, sink SpanSink) error {
 // --- Chrome trace-event export ----------------------------------------------
 
 // chromeEvent is one entry in the Chrome trace-event JSON array ("X" =
-// complete event). Field names follow the trace-event spec; ts/dur are in
+// complete event, "i" = instant event). Field names follow the trace-event spec; ts/dur are in
 // microseconds.
 type chromeEvent struct {
 	Name string         `json:"name"`
@@ -437,7 +345,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if sp.Bytes > 0 {
 			args["bytes"] = sp.Bytes
 		}
-		events = append(events, chromeEvent{
+		ev := chromeEvent{
 			Name: sp.Phase + ":" + sp.Name,
 			Cat:  sp.Phase,
 			Ph:   "X",
@@ -446,7 +354,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 			PID:  pid,
 			TID:  tid,
 			Args: args,
-		})
+		}
+		if sp.Phase == PhaseEvent {
+			ev.Ph = "i"
+		}
+		events = append(events, ev)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -16,10 +16,8 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
-// Every field of a span, a field added later included, survives both the
-// single-span decoder and the batch one.
+// Every field of a span, a field added later included, survives the codec.
 func TestSpanMarshalRoundtrip(t *testing.T) {
-	roundtrip.Check(t, func(s *Span) []byte { return s.encode(nil) }, UnmarshalSpan)
 	roundtrip.Check(t, func(s *Span) []byte { return MarshalSpans([]Span{*s}) }, func(b []byte) (*Span, error) {
 		spans, err := UnmarshalSpans(b)
 		if err != nil || len(spans) != 1 {
@@ -29,13 +27,39 @@ func TestSpanMarshalRoundtrip(t *testing.T) {
 	})
 }
 
+// Every cut inside a span is an error; a cut between spans is a shorter
+// batch.
 func TestUnmarshalSpanTruncated(t *testing.T) {
-	full := (&Span{Task: "t", Name: "n", Phase: "p", Node: "nd", Job: "j"}).encode(nil)
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := UnmarshalSpan(full[:cut]); err == nil {
-			t.Errorf("UnmarshalSpan accepted truncation at %d bytes", cut)
+	sp := Span{Task: "t", Name: "n", Phase: "p", Node: "nd", Job: "j"}
+	one := MarshalSpans([]Span{sp})
+	full := MarshalSpans([]Span{sp, sp})
+	for cut := 1; cut < len(full); cut++ {
+		spans, err := UnmarshalSpans(full[:cut])
+		if cut == len(one) {
+			if err != nil || len(spans) != 1 {
+				t.Errorf("cut between spans: %d spans, %v; want 1", len(spans), err)
+			}
+		} else if err == nil {
+			t.Errorf("UnmarshalSpans accepted truncation at %d bytes", cut)
 		}
 	}
+}
+
+// Whatever UnmarshalSpans accepts is a batch MarshalSpans writes back byte
+// for byte; nothing makes it panic.
+func FuzzUnmarshalSpans(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(MarshalSpans(goldenSpans()))
+	f.Add(MarshalSpans([]Span{{Phase: PhaseEvent, Name: "node_dead", Node: "node:02", StartUnixNano: -1}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := UnmarshalSpans(data)
+		if err != nil {
+			return
+		}
+		if again := MarshalSpans(spans); !bytes.Equal(again, data) {
+			t.Fatalf("re-marshalled %d spans to %x, decoded from %x", len(spans), again, data)
+		}
+	})
 }
 
 type captureSink struct {
@@ -64,9 +88,6 @@ func TestTracerRecordFlushDrop(t *testing.T) {
 	if got := tr.Dropped(); got != 2 {
 		t.Errorf("Dropped = %d, want 2", got)
 	}
-	if got := tr.Recorded(); got != 3 {
-		t.Errorf("Recorded = %d, want 3", got)
-	}
 
 	sink := &captureSink{}
 	if err := tr.Flush(context.Background(), sink); err != nil {
@@ -89,22 +110,12 @@ func TestTracerRecordFlushDrop(t *testing.T) {
 	if tr.Pending() != 0 {
 		t.Error("buffer not drained by Flush")
 	}
-
-	tr.SetEnabled(false)
-	tr.Record(Span{Task: "off"})
-	if tr.Pending() != 0 {
-		t.Error("disabled tracer still records")
-	}
-	if tr.On() {
-		t.Error("On() true after SetEnabled(false)")
-	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Span{})
-	tr.SetEnabled(true)
-	if tr.On() || tr.Pending() != 0 || tr.Dropped() != 0 || tr.Recorded() != 0 {
+	if tr.On() || tr.Pending() != 0 || tr.Dropped() != 0 {
 		t.Error("nil tracer not inert")
 	}
 	if err := tr.Flush(context.Background(), &captureSink{}); err != nil {
@@ -120,13 +131,13 @@ func TestTracerRecordBatch(t *testing.T) {
 	}
 	tr.RecordBatch(batch)
 	tr.RecordBatch(batch)
-	if got := tr.Recorded(); got != 8 {
-		t.Errorf("Recorded = %d, want 8", got)
+	if got := tr.Pending(); got != 8 {
+		t.Errorf("Pending = %d, want 8", got)
 	}
 	// Third batch only half-fits the shard (10 - 8 = 2 free).
 	tr.RecordBatch(batch)
-	if got := tr.Recorded(); got != 10 {
-		t.Errorf("Recorded = %d, want 10 after partial batch", got)
+	if got := tr.Pending(); got != 10 {
+		t.Errorf("Pending = %d, want 10 after partial batch", got)
 	}
 	if got := tr.Dropped(); got != 2 {
 		t.Errorf("Dropped = %d, want 2", got)
@@ -224,8 +235,8 @@ func validateChromeTrace(t *testing.T, data []byte) []map[string]any {
 				t.Fatalf("event %d missing %q: %v", i, field, ev)
 			}
 		}
-		if ph := ev["ph"].(string); ph != "X" {
-			t.Errorf("event %d ph = %q, want \"X\"", i, ph)
+		if ph := ev["ph"].(string); ph != "X" && ph != "i" {
+			t.Errorf("event %d ph = %q, want \"X\" or \"i\"", i, ph)
 		}
 		ts := ev["ts"].(float64)
 		if ts < prev {
@@ -277,4 +288,31 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	validateChromeTrace(t, buf.Bytes())
+}
+
+// An event span renders as a Chrome instant event; every other span stays a
+// complete event.
+func TestChromeTraceInstantEvents(t *testing.T) {
+	spans := append(goldenSpans(), Span{Seq: 7, Name: "node_dead", Phase: PhaseEvent, Node: "node:02", StartUnixNano: 1700000000000000000 + 5e6})
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	instants := 0
+	for _, ev := range validateChromeTrace(t, buf.Bytes()) {
+		want := "X"
+		if ev["cat"] == PhaseEvent {
+			want = "i"
+			instants++
+			if ev["name"] != "event:node_dead" || ev["args"].(map[string]any)["node"] != "node:02" {
+				t.Errorf("event rendered as %v", ev)
+			}
+		}
+		if ev["ph"] != want {
+			t.Errorf("%v: ph = %v, want %q", ev["name"], ev["ph"], want)
+		}
+	}
+	if instants != 1 {
+		t.Errorf("%d instant events, want 1", instants)
+	}
 }
