@@ -292,7 +292,7 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 
 // An event span renders as a Chrome instant event; every other span stays a
 // complete event.
-func TestChromeTraceInstantEvents(t *testing.T) {
+func TestChromeTraceRendersEventsAsInstants(t *testing.T) {
 	spans := append(goldenSpans(), Span{Seq: 7, Name: "node_dead", Phase: PhaseEvent, Node: "node:02", StartUnixNano: 1700000000000000000 + 5e6})
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, spans); err != nil {
